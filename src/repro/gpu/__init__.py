@@ -27,7 +27,6 @@ from repro.gpu.config import (
 from repro.gpu.counters import PerfCounters
 from repro.gpu.energy import EnergyModel, EnergyReport
 from repro.gpu.engine import ENGINE_ENV, ENGINES, resolve_engine
-from repro.gpu.eventcore import EventStreamingMultiprocessor
 from repro.gpu.fastcore import FastStreamingMultiprocessor
 from repro.gpu.gpu import GPU, RunResult
 from repro.gpu.isa import Instruction, Opcode
@@ -41,7 +40,6 @@ __all__ = [
     "EnergyConfig",
     "EnergyModel",
     "EnergyReport",
-    "EventStreamingMultiprocessor",
     "FastStreamingMultiprocessor",
     "GPU",
     "GPUConfig",

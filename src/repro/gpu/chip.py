@@ -3,8 +3,8 @@
 ``Chip`` instantiates ``num_sms`` cores of the selected engine class and
 wires them all to a *single* L2/DRAM busy-server pair
 (:class:`~repro.gpu.memory.MemorySubsystem` for the legacy engine,
-:class:`~repro.gpu.fastcore.FastMemorySubsystem` for the fast/event
-engines), so the interleaved request streams contend for the same service
+:class:`~repro.gpu.fastcore.FastMemorySubsystem` for the fast engine),
+so the interleaved request streams contend for the same service
 intervals — inter-SM contention becomes a first-class measurable instead of
 a constant folded into the per-SM bandwidth share.
 
@@ -19,10 +19,10 @@ each quantum slice SMs run in ascending ``sm_id`` order.  Two consequences:
   controller's ``run_cycles`` window pattern, so windowed (profiled,
   controller-driven) runs and straight ``run_to_completion`` runs see the
   same contention;
-* since every engine is bit-identical per window given identical memory
+* since both engines are bit-identical per window given identical memory
   responses, and the two memory-subsystem implementations are op-for-op
-  identical arithmetic, all three engines produce bit-identical counters
-  for the same chip configuration (pinned by ``tests/engine_conformance``).
+  identical arithmetic, both engines produce bit-identical counters for
+  the same chip configuration (pinned by ``tests/engine_conformance``).
 
 The chip exposes the single-SM controller protocol (``cycle``, ``counters``,
 ``done``, ``warp_tuple``, ``set_warp_tuple``, ``snapshot``, ``run_cycles``,
@@ -166,16 +166,14 @@ def shared_memory_for_engine(config: GPUConfig, resolved_engine: str):
 
 
 def core_class_for_engine(resolved_engine: str):
-    from repro.gpu.engine import ENGINE_EVENT, ENGINE_LEGACY
+    """The SM class that simulates ``resolved_engine`` — the one place
+    engine names map to cores."""
+    from repro.gpu.engine import ENGINE_LEGACY
 
     if resolved_engine == ENGINE_LEGACY:
         from repro.gpu.sm import StreamingMultiprocessor
 
         return StreamingMultiprocessor
-    if resolved_engine == ENGINE_EVENT:
-        from repro.gpu.eventcore import EventStreamingMultiprocessor
-
-        return EventStreamingMultiprocessor
     from repro.gpu.fastcore import FastStreamingMultiprocessor
 
     return FastStreamingMultiprocessor

@@ -1,26 +1,21 @@
 """Simulator-engine selection.
 
-Three engines execute kernels, bit-identically:
+Two engines execute kernels, bit-identically:
 
 * ``legacy`` — :class:`repro.gpu.sm.StreamingMultiprocessor`, the original
   object-per-warp cycle loop.  It is the *oracle*: readable, heavily
-  unit-tested, and the reference every other engine is differentially
+  unit-tested, and the reference the optimised engine is differentially
   verified against.
 * ``fast`` — :class:`repro.gpu.fastcore.FastStreamingMultiprocessor`, a
   struct-of-arrays rewrite of the same loop (flat warp/L1/MSHR state, fused
-  cycle function, ALU-run batching).  It is the default because every
-  counter it produces is pinned to the legacy core by the golden-counter
-  tests and the differential Hypothesis suite.
-* ``event`` — :class:`repro.gpu.eventcore.EventStreamingMultiprocessor`,
-  the fast core with a next-event horizon: spans of dead cycles (no-ready
-  stalls *and* MSHR-full retry loops) advance the clock in one jump to the
-  next observable event, with every counter credited for the skipped span
-  exactly as if ticked.  Verified by the same N-way conformance harness
-  (``tests/engine_conformance.py``).
+  cycle function, ALU-run batching, and one-jump spans over no-ready stalls
+  and MSHR-full retries).  It is the default because every counter it
+  produces is pinned to the legacy core by the golden-counter tests and the
+  N-way conformance harness (``tests/engine_conformance.py``).
 
-Adding a fourth engine is one registry entry here plus a branch in
-:meth:`repro.gpu.gpu.GPU.build_sm`: the conformance harness, golden replay
-and scenario engine axes all enumerate :data:`ENGINES`.
+Adding an engine is one registry entry here plus a branch in
+:func:`repro.gpu.chip.core_class_for_engine`: the conformance harness,
+golden replay and scenario engine axes all enumerate :data:`ENGINES`.
 
 Selection is the ``REPRO_ENGINE`` environment variable (``fast`` when
 unset), overridable per call wherever a simulation is built
@@ -41,10 +36,9 @@ ENGINE_ENV = "REPRO_ENGINE"
 
 ENGINE_FAST = "fast"
 ENGINE_LEGACY = "legacy"
-ENGINE_EVENT = "event"
 
 #: Every recognised engine name.
-ENGINES = (ENGINE_FAST, ENGINE_LEGACY, ENGINE_EVENT)
+ENGINES = (ENGINE_FAST, ENGINE_LEGACY)
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:

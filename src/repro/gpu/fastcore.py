@@ -36,6 +36,34 @@ issue changes nothing but ``pc``, the cycle counter and three counters, so
 ``k`` sticky ALU issues commute with the loop as long as no response is due
 and the warp stays schedulable — both of which bound ``k``).
 
+Two classes of dead cycle advance the clock in one jump instead of one tick
+each, both to ``min(next memory completion, run limit)``:
+
+* **no-ready stalls** — no vital warp can issue, credited to
+  ``cycles`` and ``stall_cycles``;
+* **MSHR-full retries** — the greedy-then-oldest pick lands on a load that
+  would miss while every MSHR entry is in flight, so the slot is wasted and
+  the warp retries.  Memory-sensitive kernels spend most of their cycles
+  here.  The span is credited to ``cycles``, ``busy_cycles`` and
+  ``mshr_stall_cycles``.
+
+The retry jump is exact because nothing a retry observes can move before
+the next completion-heap head:
+
+* no response is delivered, so no MSHR entry is released, no outstanding
+  load completes and no warp's min-first-dependent index changes;
+* the scheduler state is frozen, so the pick returns the *same* warp with
+  the *same* blocked load every cycle of the span;
+* the retry path mutates nothing: the legacy oracle rolls back its
+  ``instructions`` increment and touches neither the L1 nor the MSHR file,
+  and the cache policy's ``allow_allocate`` is a query.
+
+Each cycle of the span is therefore an identical MSHR-stall cycle.  Every
+jump target is clamped to the run limit, so a jump never crosses a
+controller window boundary (``run_cycles`` / ``snapshot`` /
+``set_warp_tuple``) and windowed controllers see the oracle's per-window
+counter deltas.
+
 Bit-identity with the legacy core — every counter, every cycle — is pinned
 by the golden-counter fixtures and by the differential Hypothesis suite in
 ``tests/test_fastcore_differential.py``.
@@ -561,96 +589,105 @@ class FastStreamingMultiprocessor:
                 and line not in mshr_lines
                 and len(mshr_lines) >= mshr_cap
             ):
-                # Structural hazard: a would-be miss with no MSHR entry (new
-                # or merged) cannot issue; the slot is wasted and the warp
-                # retries.  No cache or counter state changes (the legacy
-                # core's ``instructions`` increment is rolled back on this
-                # path, so the fast core never counts it at all).
-                mshr_stall += 1
+                # ---- MSHR-retry span: jump to the next fill -----------------
+                # A would-be miss with no MSHR entry (new or merged) wastes
+                # the slot, and every cycle up to the next response is the
+                # same wasted slot (see the module docstring), so the span is
+                # credited in one jump, clamped to ``limit`` so no window
+                # boundary is crossed.  A full MSHR file means a response is
+                # in flight, and the delivery loop above left it in the
+                # future, so the jump is at least one cycle.
+                target = next_completion if next_completion < limit else limit
+                k = target - cycle
+                mshr_stall += k
+                cycle += k
+                cycles_c += k
+                busy_c += k
+                continue
+
+            instr_c += 1
+            loads_c += 1
+            l1_acc += 1
+            if polluting:
+                pol_acc += 1
             else:
-                instr_c += 1
-                loads_c += 1
-                l1_acc += 1
+                npol_acc += 1
+            if reuse_record is not None:
+                reuse_record(wid, line)
+            if policy_active:
+                observe_access(inst, wid, hit_way >= 0)
+            acc_counter += 1
+            npc = pc + 1
+            pcs[wid] = npc
+            if hit_way >= 0:
+                l1_hit += 1
                 if polluting:
-                    pol_acc += 1
+                    pol_hit += 1
                 else:
-                    npol_acc += 1
-                if reuse_record is not None:
-                    reuse_record(wid, line)
-                if policy_active:
-                    observe_access(inst, wid, hit_way >= 0)
-                acc_counter += 1
-                npc = pc + 1
-                pcs[wid] = npc
-                if hit_way >= 0:
-                    l1_hit += 1
-                    if polluting:
-                        pol_hit += 1
-                    else:
-                        npol_hit += 1
-                    if lastw[hit_way] == wid:
-                        intra_c += 1
-                    else:
-                        inter_c += 1
-                    lastw[hit_way] = wid
-                    stamps[hit_way] = acc_counter
+                    npol_hit += 1
+                if lastw[hit_way] == wid:
+                    intra_c += 1
                 else:
-                    l1_miss += 1
-                    if allocate:
-                        # LRU victim: invalid ways carry stamp 0 (< any valid
-                        # stamp), ties resolve to the lowest way — the same
-                        # order as the legacy ``min`` over (valid, stamp).
-                        vic = base
-                        best = stamps[base]
-                        if best:
-                            for way in range(base + 1, base + assoc):
-                                s = stamps[way]
-                                if s < best:
-                                    vic = way
-                                    best = s
-                                    if not s:
-                                        break
-                        tags[vic] = line
-                        lastw[vic] = wid
-                        stamps[vic] = acc_counter
+                    inter_c += 1
+                lastw[hit_way] = wid
+                stamps[hit_way] = acc_counter
+            else:
+                l1_miss += 1
+                if allocate:
+                    # LRU victim: invalid ways carry stamp 0 (< any valid
+                    # stamp), ties resolve to the lowest way — the same
+                    # order as the legacy ``min`` over (valid, stamp).
+                    vic = base
+                    best = stamps[base]
+                    if best:
+                        for way in range(base + 1, base + assoc):
+                            s = stamps[way]
+                            if s < best:
+                                vic = way
+                                best = s
+                                if not s:
+                                    break
+                    tags[vic] = line
+                    lastw[vic] = wid
+                    stamps[vic] = acc_counter
+                else:
+                    l1_byp += 1
+                token = next_token
+                next_token += 1
+                fd = pc + inst.dep_distance + 1
+                out_w[token] = (fd, cycle)
+                if fd < minfd[wid]:
+                    minfd[wid] = fd
+                if line in mshr_lines:
+                    # Merged miss: attach to the in-flight response.
+                    waiters_map[line].append((wid, token))
+                else:
+                    mshr_lines.add(line)
+                    completion, served_by_l2 = memory_request(line, cycle, wid)
+                    l2_acc += 1
+                    if served_by_l2:
+                        l2_hit += 1
                     else:
-                        l1_byp += 1
-                    token = next_token
-                    next_token += 1
-                    fd = pc + inst.dep_distance + 1
-                    out_w[token] = (fd, cycle)
-                    if fd < minfd[wid]:
-                        minfd[wid] = fd
-                    if line in mshr_lines:
-                        # Merged miss: attach to the in-flight response.
-                        waiters_map[line].append((wid, token))
-                    else:
-                        mshr_lines.add(line)
-                        completion, served_by_l2 = memory_request(line, cycle, wid)
-                        l2_acc += 1
-                        if served_by_l2:
-                            l2_hit += 1
-                        else:
-                            dram_c += 1
-                        seq += 1
-                        entry_waiters = [(wid, token)]
-                        waiters_map[line] = entry_waiters
-                        heappush(responses, (completion, seq, line, entry_waiters))
-                        if completion < next_completion:
-                            next_completion = completion
-                if tc_record is not None:
-                    tc_record(wid, inst)
-                if npc >= plen_w or npc >= minfd[wid]:
-                    ready[wid] = False
-                    if vital[wid]:
-                        ready_vital -= 1
-                if npc >= plen_w and not out_w:
-                    alive[wid] = False
-                    unfinished -= 1
-                    refresh()
-                    vital_list = self._vital_list
-                    ready_vital = self._ready_vital
-                last = wid
+                        dram_c += 1
+                    seq += 1
+                    entry_waiters = [(wid, token)]
+                    waiters_map[line] = entry_waiters
+                    heappush(responses, (completion, seq, line, entry_waiters))
+                    if completion < next_completion:
+                        next_completion = completion
+            if tc_record is not None:
+                tc_record(wid, inst)
+            if npc >= plen_w or npc >= minfd[wid]:
+                ready[wid] = False
+                if vital[wid]:
+                    ready_vital -= 1
+            if npc >= plen_w and not out_w:
+                alive[wid] = False
+                unfinished -= 1
+                refresh()
+                vital_list = self._vital_list
+                ready_vital = self._ready_vital
+            last = wid
 
             cycle += 1
             cycles_c += 1

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+from repro.gpu.chip import build_chip, core_class_for_engine, shared_memory_for_engine
 from repro.gpu.config import GPUConfig, baseline_config
 from repro.gpu.counters import PerfCounters
 from repro.gpu.energy import EnergyModel, EnergyReport
-from repro.gpu.engine import ENGINE_EVENT, ENGINE_LEGACY, resolve_engine
-from repro.gpu.eventcore import EventStreamingMultiprocessor
-from repro.gpu.fastcore import FastStreamingMultiprocessor
+from repro.gpu.engine import resolve_engine
 from repro.gpu.isa import Instruction
-from repro.gpu.sm import CacheManagementPolicy, StreamingMultiprocessor
+from repro.gpu.sm import CacheManagementPolicy
 
 
 @dataclass
@@ -74,11 +73,11 @@ class GraphRunResult:
 class GPU:
     """Facade that runs kernels on the simulated SM.
 
-    ``engine`` selects the simulator core (``"fast"``/``"legacy"``/
-    ``"event"``); when ``None`` the choice is deferred to build time so the
-    ``REPRO_ENGINE`` environment variable is honoured even if it changes
-    after construction.  All engines are bit-identical on every counter, so
-    the choice never affects results — only wall-clock.
+    ``engine`` selects the simulator core (``"fast"``/``"legacy"``); when
+    ``None`` the choice is deferred to build time so the ``REPRO_ENGINE``
+    environment variable is honoured even if it changes after construction.
+    Both engines are bit-identical on every counter, so the choice never
+    affects results — only wall-clock.
     """
 
     def __init__(self, config: Optional[GPUConfig] = None, engine: Optional[str] = None) -> None:
@@ -100,8 +99,6 @@ class GPU:
             # Chip model: num_sms cores of the resolved engine sharing one
             # L2/DRAM busy-server pair.  num_sms == 1 keeps the plain-SM
             # path, so single-SM runs stay bit-for-bit the seed's.
-            from repro.gpu.chip import build_chip
-
             return build_chip(
                 self.config,
                 programs,
@@ -109,13 +106,7 @@ class GPU:
                 cache_policy=cache_policy,
                 trace_capture=trace_capture,
             )
-        if resolved == ENGINE_LEGACY:
-            core = StreamingMultiprocessor
-        elif resolved == ENGINE_EVENT:
-            core = EventStreamingMultiprocessor
-        else:
-            core = FastStreamingMultiprocessor
-        return core(
+        return core_class_for_engine(resolved)(
             self.config, programs, cache_policy=cache_policy, trace_capture=trace_capture
         )
 
@@ -141,8 +132,8 @@ class GPU:
             cache_policy: optional instruction-based cache management hook.
             trace_capture: optional issued-stream recorder
                 (:class:`repro.trace.capture.TraceCapture`).
-            engine: simulator core override
-                (``"fast"``/``"legacy"``/``"event"``).
+            engine: simulator core override (``"fast"``/``"legacy"``);
+                both engines produce the same counters.
         """
         sm = self.build_sm(
             programs, cache_policy=cache_policy, trace_capture=trace_capture, engine=engine
@@ -188,11 +179,10 @@ class GPU:
             max_cycles: *total* chip-cycle budget; defaults to the config's
                 per-kernel budget times the node count so serial chains can
                 finish.
-            engine: simulator core override; all engines are bit-identical.
+            engine: simulator core override; both engines are bit-identical.
             capture_factory: optional ``name -> TraceCapture`` hook used by
                 graph trace capture.
         """
-        from repro.gpu.chip import core_class_for_engine, shared_memory_for_engine
         from repro.workloads.generator import generate_kernel_programs
         from repro.workloads.graph import ScheduledNode
 

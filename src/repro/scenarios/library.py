@@ -113,11 +113,11 @@ def _builtin_grids() -> List[ScenarioGrid]:
         ScenarioGrid(
             "engine-parity",
             {
-                "engine": ("fast", "legacy", "event"),
+                "engine": ("fast", "legacy"),
                 "scheme": ("gto", "ccws"),
                 "benchmark": ("mvt", "stencil"),
             },
-            description="All simulator engines over the same points (caches bypassed) "
+            description="Both simulator engines over the same points (caches bypassed) "
             "— their metrics must be identical",
         ),
         ScenarioGrid(
@@ -125,12 +125,12 @@ def _builtin_grids() -> List[ScenarioGrid]:
             {
                 "scheme": ("gto", "ccws"),
                 "benchmark": ("gather", "mvt"),
-                "engine": ("fast", "event"),
+                "engine": ("fast", "legacy"),
                 "num_sms": (None, 2),
             },
             description="Tiny 2×2×2×2 grid for CI shard/union checks "
-            "(engine-pinned, so shards also exercise both hot-loop cores; "
-            "the num_sms axis covers the single-SM and 2-SM chip paths)",
+            "(engine-pinned, so shards exercise the fast core and the legacy "
+            "oracle; the num_sms axis covers the single-SM and 2-SM chip paths)",
         ),
     ]
 

@@ -9,7 +9,8 @@ shared verification layer that proves it:
 * :data:`ORACLE` / :data:`CANDIDATE_ENGINES` enumerate the registry, so a
   newly registered engine is covered by every conformance test with **zero
   new test code** — registering the name in ``ENGINES`` (plus its branch in
-  ``GPU.build_sm``) is the entire integration surface;
+  ``repro.gpu.chip.core_class_for_engine``) is the entire integration
+  surface;
 * :func:`assert_conformance` runs the oracle once and every candidate
   engine against it, failing with the first drifting counter *named* (the
   differential debugging entry point);
@@ -27,7 +28,7 @@ shared verification layer that proves it:
   future engine's targeted tests.
 
 To run the harness against a new engine: add its name to ``ENGINES``, map
-it in ``GPU.build_sm``, then ``PYTHONPATH=src python -m pytest
+it in ``core_class_for_engine``, then ``PYTHONPATH=src python -m pytest
 tests/test_fastcore_differential.py tests/test_golden_counters.py`` — every
 test in those files parameterizes over the registry.
 """

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import main as repro_main
+from repro.gpu.engine import ENGINES
 
 
 @pytest.fixture()
@@ -181,5 +182,19 @@ def test_unknown_ambient_engine_fails_fast(sweep_cache, capsys, monkeypatch):
     assert code == 2
     assert "REPRO_ENGINE" in captured.err
     assert "unknown simulator engine 'turbo'" in captured.err
-    for engine in ("fast", "legacy", "event"):
+    for engine in ENGINES:
+        assert engine in captured.err
+
+
+def test_unknown_bench_engine_is_a_usage_error(capsys):
+    """`repro bench --engines` with an unknown name is a usage error (exit 2,
+    valid names listed) raised before anything is measured, like a bad
+    REPRO_ENGINE or `--set engine=`."""
+    with pytest.raises(SystemExit) as excinfo:
+        repro_main(["bench", "--engines", "fast,turbo", "--dry-run"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "unknown simulator engine 'turbo'" in captured.err
+    for engine in ENGINES:
         assert engine in captured.err

@@ -3,9 +3,9 @@
 Built on :mod:`engine_conformance`: each scenario below runs the ``legacy``
 oracle once and then *every* other engine registered in
 ``repro.gpu.engine.ENGINES`` — currently the struct-of-arrays ``fast`` core
-and the event-skipping ``event`` core — asserting bit-identical counters,
-cycles, warp tuple, completion flag and telemetry.  A newly registered
-engine is covered by this entire file with zero new test code.
+— asserting bit-identical counters, cycles, warp tuple, completion flag and
+telemetry.  A newly registered engine is covered by this entire file with
+zero new test code.
 
 Scenario coverage:
 
@@ -13,14 +13,12 @@ Scenario coverage:
   (gto/swl/pcal/poise/static_best) plus CCWS and the APCM cache policy,
 * random architecture variations (L1 geometry, hash vs linear indexing,
   MSHR pressure small enough to exercise the structural-hazard retry path
-  — the spans the event engine jumps over),
+  — the spans the fast engine jumps over),
 * the five trace-native families,
 * adversarial controller scripts: random interleavings of warp-tuple
   changes, run windows and counter snapshots (the access pattern of the
   PCAL/Poise sampling loops),
-* degenerate shapes (empty warp programs, single-warp kernels),
-* the event engine's skip-span accounting invariant: jumped plus ticked
-  cycles exactly reconstruct the oracle's cycle count.
+* degenerate shapes (empty warp programs, single-warp kernels).
 
 Any divergence found here is a bug in the optimised engine by definition:
 the legacy core is the specification.
@@ -51,7 +49,6 @@ from repro.gpu.config import (
     SMConfig,
     baseline_config,
 )
-from repro.gpu.engine import ENGINE_EVENT
 from repro.gpu.gpu import GPU
 from repro.gpu.isa import alu, load
 from repro.runtime import serialization
@@ -63,13 +60,13 @@ from repro.workloads.spec import KernelSpec
 
 def test_harness_covers_all_registered_engines() -> None:
     """The conformance harness must track the registry: every engine except
-    the oracle is a candidate, and there are at least two candidates (fast
-    and event) — a registry edit can't silently shrink coverage."""
+    the oracle is a candidate — a registry edit can't silently shrink
+    coverage."""
     from repro.gpu.engine import ENGINES
 
     assert ORACLE in ENGINES
     assert set(CANDIDATE_ENGINES) == set(ENGINES) - {ORACLE}
-    assert {"fast", "event"} <= set(CANDIDATE_ENGINES)
+    assert CANDIDATE_ENGINES == ("fast",)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +174,9 @@ def test_windowed_control_differential(
 ) -> None:
     """Random interleavings of set_warp_tuple / run_cycles / snapshot must
     produce identical per-window counter deltas on every engine.  For the
-    event engine this is the sharpest invariant: a jump may never cross a
-    ``run_cycles`` window boundary, or the per-window deltas would smear."""
+    fast engine's stall and MSHR-retry jumps this is the sharpest invariant:
+    a jump may never cross a ``run_cycles`` window boundary, or the
+    per-window deltas would smear."""
     config = baseline_config(max_cycles=60_000)
     programs = generate_kernel_programs(spec)
     oracle_trail = drive_windowed(ORACLE, config, programs, script)
@@ -278,69 +276,5 @@ def test_engine_selection_rejects_unknown_names() -> None:
         resolve_engine("warp-speed")
     assert resolve_engine("FAST") == "fast"
     assert resolve_engine(" legacy ") == "legacy"
-    assert resolve_engine(" Event ") == "event"
+    assert resolve_engine(" Fast ") == "fast"
 
-
-# ---------------------------------------------------------------------------
-# Event-engine skip-span accounting
-# ---------------------------------------------------------------------------
-
-
-def _event_accounting(config: GPUConfig, programs, max_cycles: int) -> None:
-    """Shared body: run the event engine, check its span ledger closes, and
-    check its stall counters equal the oracle's tick-by-tick tally."""
-    oracle_sm = GPU(config).build_sm([list(p) for p in programs], engine=ORACLE)
-    oracle_sm.run_to_completion(max_cycles)
-    event_sm = GPU(config).build_sm([list(p) for p in programs], engine=ENGINE_EVENT)
-    event_sm.run_to_completion(max_cycles)
-
-    # Every simulated cycle is accounted for exactly once: either advanced
-    # in a multi-cycle jump over a dead span, or ticked through an issue.
-    assert (
-        event_sm.jumped_cycles + event_sm.ticked_cycles == event_sm.counters.cycles
-    ), (
-        f"span ledger leaks cycles: jumped={event_sm.jumped_cycles} "
-        f"ticked={event_sm.ticked_cycles} total={event_sm.counters.cycles}"
-    )
-    assert event_sm.jump_spans <= event_sm.jumped_cycles
-
-    # The jumps credit skipped cycles exactly as the oracle ticks them.
-    assert event_sm.counters.cycles == oracle_sm.counters.cycles
-    assert event_sm.counters.stall_cycles == oracle_sm.counters.stall_cycles
-    assert event_sm.counters.mshr_stall_cycles == oracle_sm.counters.mshr_stall_cycles
-    assert event_sm.counters.busy_cycles == oracle_sm.counters.busy_cycles
-
-
-@settings(max_examples=20, deadline=None)
-@given(spec=kernel_specs)
-def test_event_skip_span_accounting(spec: KernelSpec) -> None:
-    """For random kernels: jumped spans + ticked cycles == the oracle's total
-    cycle count, and the stalled-cycle counters match the oracle exactly."""
-    programs = generate_kernel_programs(spec)
-    _event_accounting(baseline_config(max_cycles=30_000), programs, 16_000)
-
-
-@settings(max_examples=15, deadline=None)
-@given(spec=kernel_specs, config=small_archs)
-def test_event_skip_span_accounting_mshr_starved(
-    spec: KernelSpec, config: GPUConfig
-) -> None:
-    """Same ledger under MSHR-starved architectures, where the dominant spans
-    are structural-hazard retries (the multi-cycle MSHR-full jumps)."""
-    programs = generate_kernel_programs(spec)
-    _event_accounting(config, programs, 12_000)
-
-
-def test_event_engine_actually_jumps() -> None:
-    """Guard against the accounting trivially passing because the event
-    engine never skips: on a load-heavy kernel it must take multi-cycle
-    jumps (jumped_cycles strictly greater than jump_spans)."""
-    programs = [
-        [load((1 << 30) + 64 * warp + i, dep_distance=1, pc=i) for i in range(64)]
-        for warp in range(4)
-    ]
-    config = baseline_config(max_cycles=40_000)
-    sm = GPU(config).build_sm([list(p) for p in programs], engine=ENGINE_EVENT)
-    sm.run_to_completion(40_000)
-    assert sm.jump_spans > 0
-    assert sm.jumped_cycles > sm.jump_spans

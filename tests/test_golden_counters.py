@@ -173,8 +173,8 @@ def test_counters_replay_bit_identical(golden_replay, scheme):
 def test_base_counters_replay_under_every_engine(engine, tmp_path):
     """The base golden section replays byte-identically under every
     registered engine, against the committed fixture as-is.  This is the
-    strongest form of the engine-parity guarantee: ``legacy``, ``fast`` and
-    ``event`` all serialize to the very bytes already on disk."""
+    strongest form of the engine-parity guarantee: ``legacy`` and ``fast``
+    both serialize to the very bytes already on disk."""
     fixture = json.loads(FIXTURE_PATH.read_text())
     config = golden_config(tmp_path / "cache")
     with pinned_engine(engine):

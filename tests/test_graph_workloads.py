@@ -4,8 +4,8 @@ Covers the multi-SM / kernel-graph subsystem end to end:
 
 * :class:`~repro.workloads.graph.KernelGraph` validation (duplicate names,
   unknown edges, self-edges, cycles) and the standard mix shapes;
-* engine conformance — the legacy N-SM chip is the oracle and fast/event
-  must reproduce it bit for bit, both for plain multi-SM kernel runs and
+* engine conformance — the legacy N-SM chip is the oracle and fast must
+  reproduce it bit for bit, both for plain multi-SM kernel runs and
   for whole DAG schedules (Hypothesis over small graphs, ``num_sms`` ∈
   {1, 2, 4});
 * the single-SM escape hatch: ``num_sms=1`` replays the committed golden
@@ -165,8 +165,8 @@ class TestKernelGraph:
 
 @pytest.mark.parametrize("num_sms", [2, 4])
 def test_chip_engines_bit_identical(num_sms):
-    """The legacy N-SM chip is the oracle; fast and event must reproduce
-    every counter of a plain kernel run on a shared-memory chip."""
+    """The legacy N-SM chip is the oracle; fast must reproduce every
+    counter of a plain kernel run on a shared-memory chip."""
     spec = _spec("chipk", seed=23, num_warps=8, instructions_per_warp=400)
     assert_conformance(
         _chip_config(num_sms=num_sms),
