@@ -14,11 +14,13 @@ state:
   length, the incrementally maintained minimum first-dependent index, one
   pending-load dict (token → ``(first_dep, issue_cycle)``) per warp, and an
   alive flag;
-* **programs** stay as tuples of (slotted, frozen)
-  :class:`~repro.gpu.isa.Instruction` objects read directly by the loop —
-  ``line_addr is None`` doubles as the ALU test, so no decode pass is ever
-  paid for instructions that never issue (profiling windows touch a few
-  percent of a kernel's stream);
+* **programs** are read in place, without a copy, as lists of (slotted,
+  frozen) :class:`~repro.gpu.isa.Instruction` objects — ``line_addr is
+  None`` doubles as the ALU test, so no decode pass is paid.  A lazily
+  filled synthetic program (:class:`~repro.workloads.generator.WarpProgram`)
+  is read through its growing ``filled`` list and refilled when a warp's
+  pc reaches its end, so instructions that never issue are never built
+  (profiling windows touch a few percent of a kernel's stream);
 * **the L1** becomes three flat lists (``tag``, ``lru_stamp``,
   ``last_warp``) of length ``num_sets * assoc``; a line is invalid iff its
   stamp is 0, which preserves the legacy victim order exactly (invalid
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import PerfCounters
@@ -242,13 +244,21 @@ class FastStreamingMultiprocessor:
                 f"{config.sm.max_warps}"
             )
         self.config = config
-        #: Immutable per-warp instruction streams.  ``len(sm.warps)`` is part
-        #: of the controller protocol; the instruction objects themselves are
-        #: only consulted by the trace-capture and cache-policy hooks.
-        self.warps: Tuple[Tuple[Instruction, ...], ...] = tuple(
-            tuple(program) for program in programs
-        )
+        #: The per-warp programs as given.  ``len(sm.warps)`` is part of the
+        #: controller protocol; the loop reads the instruction lists bound
+        #: below.
+        self.warps: Tuple[Sequence[Instruction], ...] = tuple(programs)
         num_warps = len(self.warps)
+        # A lazily filled program (one with ``fill``) is read through its
+        # growing ``filled`` prefix and refilled when the pc reaches its end;
+        # any other program is read as it is.
+        self._fills: List[Optional[Callable[[int], int]]] = [
+            getattr(program, "fill", None) for program in self.warps
+        ]
+        self._rows: List[Sequence[Instruction]] = [
+            program if fill is None else program.filled
+            for program, fill in zip(self.warps, self._fills)
+        ]
 
         # -- warp state (struct of arrays, indexed by warp id) -----------------
         self._pcs: List[int] = [0] * num_warps
@@ -408,7 +418,8 @@ class FastStreamingMultiprocessor:
         ready = self._ready
         ready_vital = self._ready_vital
         last = self._last
-        progs = self.warps
+        progs = self._rows
+        fills = self._fills
         tags = self._l1_tags
         stamps = self._l1_stamps
         lastw = self._l1_lastw
@@ -441,10 +452,13 @@ class FastStreamingMultiprocessor:
         # always come from the same warp and the row locals stay hot.
         # Instructions are read straight off the (slotted, frozen) objects —
         # ``line_addr is None`` doubles as the ALU test, so no decode pass is
-        # ever paid for instructions that never issue.
+        # ever paid for instructions that never issue.  ``filled_w`` is how
+        # much of the row exists; a lazily filled program is refilled when
+        # the pc reaches it (a fully built one is filled to ``plen_w``).
         cur = -1
-        prog_w: Tuple[Instruction, ...] = ()
+        prog_w: Sequence[Instruction] = ()
         plen_w = 0
+        filled_w = 0
         out_w: Dict[int, Tuple[int, int]] = {}
 
         while cycle < limit and unfinished:
@@ -513,8 +527,11 @@ class FastStreamingMultiprocessor:
                 cur = wid
                 prog_w = progs[wid]
                 plen_w = plens[wid]
+                filled_w = len(prog_w)
                 out_w = outstanding[wid]
 
+            if pc >= filled_w:
+                filled_w = fills[wid](pc)
             inst = prog_w[pc]
             line = inst.line_addr
             if line is None:
@@ -522,10 +539,12 @@ class FastStreamingMultiprocessor:
                 # Bounds: the warp must stay schedulable (pc < minfd, < plen),
                 # no response may become due (cycle < next_completion) and the
                 # budget holds (cycle < limit).  Within those bounds each step
-                # is exactly one legacy ALU issue.
+                # is exactly one legacy ALU issue; a burst that stops at the
+                # filled length (<= plen) resumes, after a refill, on the next
+                # iteration — the sticky pick returns the same warp.
                 stop = minfd[wid]
-                if plen_w < stop:
-                    stop = plen_w
+                if filled_w < stop:
+                    stop = filled_w
                 bound = pc + (limit - cycle)
                 if bound < stop:
                     stop = bound

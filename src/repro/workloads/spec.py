@@ -52,8 +52,12 @@ class KernelSpec:
             raise ValueError("locality fractions must sum to at most 1")
         if self.num_warps < 1:
             raise ValueError("a kernel needs at least one warp")
+        if self.instructions_per_warp < 0:
+            raise ValueError("instructions_per_warp must be non-negative")
         if self.instructions_per_load < 1:
             raise ValueError("instructions_per_load must be at least 1")
+        if self.dep_distance < 0:
+            raise ValueError("dep_distance must be non-negative")
         if self.private_lines < 1 or self.shared_lines < 1:
             raise ValueError("working-set sizes must be positive")
 

@@ -18,6 +18,7 @@ Scenario coverage:
 * adversarial controller scripts: random interleavings of warp-tuple
   changes, run windows and counter snapshots (the access pattern of the
   PCAL/Poise sampling loops),
+* lazily filled programs refilled mid-run, every few instructions,
 * degenerate shapes (empty warp programs, single-warp kernels).
 
 Any divergence found here is a bug in the optimised engine by definition:
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from typing import List, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +42,7 @@ from engine_conformance import (
     drive_windowed,
     kernel_specs,
     make_controller,
+    run_snapshot,
     small_archs,
 )
 from repro.gpu.config import (
@@ -54,7 +57,12 @@ from repro.gpu.isa import alu, load
 from repro.runtime import serialization
 from repro.schedulers import APCMPolicy, CCWSController, GTOController
 from repro.trace.families import family_kernel, family_names
-from repro.workloads.generator import generate_kernel_programs
+from repro.workloads import generator
+from repro.workloads.generator import (
+    WarpProgram,
+    generate_kernel_programs,
+    generate_warp_program,
+)
 from repro.workloads.spec import KernelSpec
 
 
@@ -184,6 +192,38 @@ def test_windowed_control_differential(
         assert drive_windowed(engine, config, programs, script) == oracle_trail, (
             f"engine {engine!r} window trail drifted from {ORACLE}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Lazily filled programs
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=kernel_specs, scheme=st.sampled_from(SCHEMES), chunk=st.integers(1, 40))
+def test_lazy_programs_refilled_mid_run_match_the_oracle(
+    spec: KernelSpec, scheme: str, chunk: int
+) -> None:
+    """Every engine, run on fresh lazily filled programs that refill every
+    ``chunk`` instructions (so ALU bursts are cut at each chunk edge and
+    resumed), matches the oracle run on fully built lists."""
+    config = baseline_config(max_cycles=30_000)
+    built = [generate_warp_program(spec, warp_id) for warp_id in range(spec.num_warps)]
+    oracle = run_snapshot(
+        ORACLE, config, built,
+        controller=make_controller(scheme, spec.seed), max_cycles=16_000,
+    )
+    with mock.patch.object(generator, "FILL_CHUNK", chunk):
+        for engine in (ORACLE, *CANDIDATE_ENGINES):
+            lazy = [WarpProgram(spec, warp_id) for warp_id in range(spec.num_warps)]
+            result = GPU(config).run_kernel(
+                lazy, controller=make_controller(scheme, spec.seed),
+                max_cycles=16_000, engine=engine,
+            )
+            assert serialization.counters_to_dict(result.counters) == oracle["counters"]
+            assert (result.cycles, result.warp_tuple, result.completed) == (
+                oracle["cycles"], oracle["warp_tuple"], oracle["completed"],
+            )
 
 
 # ---------------------------------------------------------------------------

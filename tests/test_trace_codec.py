@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu.isa import Instruction, alu, load
+from repro.gpu.isa import Instruction, Opcode, alu, load
 from repro.trace.codec import (
     FORMAT_VERSION,
     MAGIC,
@@ -82,6 +82,19 @@ def test_sequential_alu_runs_collapse_and_restore(tmp_path):
     path = tmp_path / "runs.trc"
     write_trace(path, [program], meta={"kernel": "runs"})
     assert read_trace_programs(path) == [program]
+
+
+def test_decoded_alus_are_the_interned_table(tmp_path):
+    # Single ALU records and ALU_RUN records both decode to the shared
+    # one-object-per-pc instructions, not to fresh copies.
+    program = [Instruction(Opcode.ALU, pc=pc) for pc in range(40)]
+    program.append(load(5, dep_distance=1, pc=3))
+    program.append(Instruction(Opcode.ALU, pc=9))
+    path = tmp_path / "interned.trc"
+    write_trace(path, [program], meta={"kernel": "interned"})
+    (decoded,) = read_trace_programs(path)
+    assert decoded == program
+    assert all(inst is alu(inst.pc) for inst in decoded if not inst.is_load)
 
 
 def test_identical_content_identical_bytes_and_hash(tmp_path):

@@ -308,6 +308,20 @@ class TestBoundedProgramCache:
         assert generate_kernel_programs(spec) == first
         _PROGRAM_CACHE.clear()
 
+    def test_hits_share_the_programs_without_a_copy(self):
+        """Every caller gets the cached program objects themselves, so what
+        one run generated is there for the next."""
+        _PROGRAM_CACHE.clear()
+        spec = KernelSpec(name="shared", num_warps=2, instructions_per_warp=1000)
+        first = generate_kernel_programs(spec)
+        first[0][700]  # generates warp 0 through the chunk holding 700
+        second = generate_kernel_programs(spec)
+        assert second is not first  # a fresh outer list: callers may edit it
+        assert all(a is b for a, b in zip(first, second))
+        assert len(second[0].filled) > 700
+        assert len(second[1].filled) == 0
+        _PROGRAM_CACHE.clear()
+
     def test_trace_replay_bypasses_the_cache(self, tmp_path):
         _PROGRAM_CACHE.clear()
         path = tmp_path / "bypass.trc"

@@ -1,9 +1,22 @@
 """Unit tests for workload specs, the trace generator and the registry."""
 
-import pytest
+import random
+import sys
+import threading
+from unittest import mock
 
-from repro.gpu.isa import Opcode
-from repro.workloads.generator import generate_kernel_programs, generate_warp_program
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.gpu.config import baseline_config
+from repro.gpu.isa import Opcode, alu
+from repro.profiling.profiler import KernelProfiler
+from repro.workloads import generator
+from repro.workloads.generator import (
+    WarpProgram,
+    generate_kernel_programs,
+    generate_warp_program,
+)
 from repro.workloads.registry import (
     EVALUATION_ORDER,
     TRAINING_ORDER,
@@ -30,6 +43,16 @@ class TestKernelSpec:
             KernelSpec(name="bad", num_warps=0)
         with pytest.raises(ValueError):
             KernelSpec(name="bad", instructions_per_load=0)
+
+    def test_rejects_negative_dep_distance(self):
+        with pytest.raises(ValueError, match="dep_distance"):
+            KernelSpec(name="bad", dep_distance=-1)
+
+    def test_rejects_negative_program_length(self):
+        with pytest.raises(ValueError, match="instructions_per_warp"):
+            KernelSpec(name="bad", instructions_per_warp=-1)
+        empty = KernelSpec(name="empty", instructions_per_warp=0)
+        assert generate_warp_program(empty, 0) == []
 
     def test_streaming_fraction_is_complement(self):
         spec = KernelSpec(name="k", intra_warp_fraction=0.6, inter_warp_fraction=0.3)
@@ -118,6 +141,110 @@ class TestGenerator:
         programs = generate_kernel_programs(spec)
         assert len(programs) == 6
         assert all(p[0].opcode in (Opcode.ALU, Opcode.LOAD) for p in programs)
+
+
+lazy_specs = st.builds(
+    KernelSpec,
+    name=st.just("lazy"),
+    num_warps=st.just(4),
+    instructions_per_warp=st.integers(0, 6000),
+    instructions_per_load=st.integers(1, 60),
+    dep_distance=st.integers(0, 12),
+    intra_warp_fraction=st.sampled_from([0.0, 0.3, 0.6, 0.8]),
+    inter_warp_fraction=st.sampled_from([0.0, 0.2]),
+    private_lines=st.integers(1, 700),
+    shared_lines=st.integers(1, 600),
+    seed=st.integers(0, 1000),
+)
+
+
+class TestLazyPrograms:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=lazy_specs,
+        warp_id=st.integers(0, 3),
+        chunk=st.integers(1, 700),
+        order_seed=st.integers(0, 2**16),
+    )
+    @example(
+        spec=KernelSpec(name="loads-only", instructions_per_warp=257, instructions_per_load=1),
+        warp_id=1, chunk=16, order_seed=0,
+    )
+    @example(
+        spec=KernelSpec(name="ragged", instructions_per_warp=6000, instructions_per_load=7),
+        warp_id=2, chunk=256, order_seed=1,
+    )
+    @example(
+        spec=KernelSpec(name="empty", instructions_per_warp=0), warp_id=0, chunk=1, order_seed=2,
+    )
+    def test_reads_in_any_order_match_the_eager_program(
+        self, spec, warp_id, chunk, order_seed
+    ):
+        """Any fill chunk size and any read order build exactly the list
+        ``generate_warp_program`` returns."""
+        expected = generate_warp_program(spec, warp_id)
+        rng = random.Random(order_seed)
+        with mock.patch.object(generator, "FILL_CHUNK", chunk):
+            program = WarpProgram(spec, warp_id)
+            assert len(program) == len(expected)
+            for index in rng.sample(range(len(expected)), min(len(expected), 40)):
+                assert program[index] == expected[index]
+                assert program[index - len(expected)] == expected[index]
+            assert len(program.filled) <= len(expected)
+            assert program == expected
+            assert list(program) == expected
+            with pytest.raises(IndexError):
+                program[len(expected)]
+
+    def test_alus_are_the_interned_table(self):
+        program = generate_warp_program(KernelSpec(name="k", instructions_per_warp=600), 0)
+        assert all(inst is alu(inst.pc) for inst in program if not inst.is_load)
+
+    def test_one_profiling_window_fills_a_prefix_and_shares_it(self):
+        """A measurement window generates only the instructions it issues,
+        and the cached programs are handed out again without a copy."""
+        generator._PROGRAM_CACHE.clear()
+        spec = KernelSpec(name="window")
+        profiler = KernelProfiler(
+            config=baseline_config(), cycles_per_point=4_000, warmup_cycles=2_000
+        )
+        profiler.measure_point(spec, 24, 24)
+        programs = generate_kernel_programs(spec)
+        assert all(len(program.filled) < spec.instructions_per_warp for program in programs)
+        again = generate_kernel_programs(spec)
+        assert all(a is b for a, b in zip(programs, again))
+        generator._PROGRAM_CACHE.clear()
+
+    def test_concurrent_readers_fill_a_shared_program_once(self):
+        """Threads racing to fill one shared program (more threads than
+        cores, a tiny switch interval) leave exactly the eager stream."""
+        spec = KernelSpec(name="shared", instructions_per_warp=6000, instructions_per_load=4)
+        expected = generate_warp_program(spec, 0)
+        program = WarpProgram(spec, 0)
+
+        reads = {}
+
+        def read(seed):
+            rng = random.Random(seed)
+            indices = [rng.randrange(len(expected)) for _ in range(300)]
+            reads[seed] = (indices, [program[index] for index in indices])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(reads) == list(range(8))
+        for indices, instructions in reads.values():
+            assert instructions == [expected[index] for index in indices]
+        assert program.filled == expected[: len(program.filled)]
+        assert program == expected
 
 
 class TestRegistry:
