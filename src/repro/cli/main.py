@@ -7,8 +7,6 @@ Examples::
     python -m repro sweep run l1-trace --fast --shard 1/2 --resume
     python -m repro trace gen --out /tmp/traces
     python -m repro run-all --fast --jobs 4 --cache-dir /tmp/poise
-    python -m repro serve start --workers 2 --cache-dir /tmp/poise
-    python -m repro serve submit l1-trace --fast --wait
     python -m repro cache gc --max-age 7d --dry-run
     python -m repro report --fast
     python -m repro bench --dry-run
@@ -143,12 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser(
         "analyze",
         help="longitudinal perf/regression observatory (trajectory|compare|regress|ci)",
-        add_help=False,
-    )
-    subparsers.add_parser(
-        "serve",
-        help="crash-safe simulation-as-a-service daemon "
-        "(start|submit|status|result|cancel|jobs|health|drain)",
         add_help=False,
     )
     subparsers.add_parser(
@@ -348,10 +340,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.cli.analyze import main as analyze_main
 
         return analyze_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.cli.serve import main as serve_main
-
-        return serve_main(argv[1:])
     if argv and argv[0] == "cache":
         from repro.cli.cache_cli import main as cache_main
 

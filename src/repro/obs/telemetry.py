@@ -22,13 +22,6 @@ cache-counter delta home in a worker envelope, surfaced as
 ``run_telemetry.json`` — so a ``--jobs N`` sweep now reports both the
 parent's share (``cache``) and the workers' (``cache_workers``).
 
-The ``repro serve`` daemon additionally accumulates service counters here
-(:func:`record_serve` / :func:`record_serve_gauge`): jobs submitted,
-deduplicated, completed and requeued, worker restarts, dispatch latency
-and peak queue depth.  They ride the same snapshot/delta machinery, so
-health endpoints and drain summaries report exactly what happened inside
-a bracketed window.
-
 This module must not import anything above :mod:`repro.runtime` — the
 bench layer imports it, so a heavier import here would be circular.
 """
@@ -41,13 +34,6 @@ from typing import Dict, Iterator, Mapping, Optional
 
 #: Accumulated per-phase totals of this process: name -> {seconds, calls}.
 _PHASES: Dict[str, Dict[str, float]] = {}
-
-#: Accumulated serve-daemon counters of this process (see record_serve).
-_SERVE: Dict[str, float] = {}
-
-#: Serve metrics that are high-water gauges, not monotone counters: a
-#: delta reports their *current* value rather than a subtraction.
-SERVE_GAUGES = frozenset({"queue_depth_peak"})
 
 TELEMETRY_FORMAT_VERSION = 1
 
@@ -95,35 +81,13 @@ def phases_delta(
     return delta
 
 
-def record_serve(name: str, value: float = 1.0) -> None:
-    """Add ``value`` to the process-wide serve counter ``name``."""
-    _SERVE[name] = _SERVE.get(name, 0.0) + value
-
-
-def record_serve_gauge(name: str, value: float) -> None:
-    """Raise the high-water gauge ``name`` to ``value`` if it is higher."""
-    if value > _SERVE.get(name, 0.0):
-        _SERVE[name] = value
-
-
-def serve_totals() -> Dict[str, float]:
-    """A sorted copy of this process's accumulated serve metrics."""
-    return {name: _SERVE[name] for name in sorted(_SERVE)}
-
-
-def reset_serve() -> None:
-    """Drop all accumulated serve metrics (tests and fresh measurements)."""
-    _SERVE.clear()
-
-
 def telemetry_snapshot() -> Dict[str, Dict]:
-    """The current phase totals + cache + serve counters of this process."""
+    """The current phase totals + cache counters of this process."""
     from repro.runtime.cache import cache_stats
 
     return {
         "phases": phase_totals(),
         "cache": cache_stats().to_dict(),
-        "serve": serve_totals(),
     }
 
 
@@ -131,22 +95,12 @@ def telemetry_delta(before: Mapping[str, Mapping]) -> Dict[str, Dict]:
     """What accumulated since ``before`` (a :func:`telemetry_snapshot`)."""
     after = telemetry_snapshot()
     cache_before = before.get("cache", {})
-    serve_before = before.get("serve", {})
-    serve: Dict[str, float] = {}
-    for name, value in after["serve"].items():
-        if name in SERVE_GAUGES:
-            serve[name] = float(value)  # high-water mark: report the level
-        else:
-            delta = float(value) - float(serve_before.get(name, 0.0))
-            if delta:
-                serve[name] = delta
     return {
         "phases": phases_delta(before.get("phases", {}), after["phases"]),
         "cache": {
             key: int(value) - int(cache_before.get(key, 0))
             for key, value in after["cache"].items()
         },
-        "serve": serve,
     }
 
 

@@ -7,15 +7,15 @@ runs one per (scheme, kernel) pair.  The points are independent, so the
 returns results in submission order — aggregation stays deterministic and
 the counters are bit-identical to a serial run.
 
-On top of the fan-out sits the fault-tolerance layer every later
-service/dispatcher piece builds on:
+On top of the fan-out sits the fault-tolerance layer:
 
 * **per-job wall-clock timeouts** (``timeout=``/``REPRO_TIMEOUT``) — a hung
   or stalled worker is abandoned, the pool restarted, and the job retried;
 * **bounded retry with deterministic jittered backoff**
-  (``retries=``/``REPRO_RETRIES``) — transient failures (``OSError``,
-  timeouts, worker death) are retried; exceptions raised by the job
-  function itself (anything else) propagate unchanged;
+  (``retries=``/``REPRO_RETRIES``; the backoff base is the fixed
+  :data:`BACKOFF_BASE`) — transient failures (``OSError``, timeouts,
+  worker death) are retried; exceptions raised by the job function itself
+  (anything else) propagate unchanged;
 * **partial-result salvage** — when the pool breaks (OOM-killed worker,
   sandbox reaping) every future that already completed keeps its result and
   only the missing jobs are recomputed;
@@ -57,12 +57,11 @@ from repro.runtime import faults
 JOBS_ENV = "REPRO_JOBS"
 TIMEOUT_ENV = "REPRO_TIMEOUT"
 RETRIES_ENV = "REPRO_RETRIES"
-BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
 
 #: Default retry budget per job (attempts = retries + 1, then escalation).
 DEFAULT_RETRIES = 2
-#: Default backoff base in seconds (exponential, jittered, capped).
-DEFAULT_BACKOFF = 0.05
+#: Backoff base in seconds before a retry round (exponential, jittered, capped).
+BACKOFF_BASE = 0.05
 _BACKOFF_CAP = 2.0
 
 #: Exceptions treated as transient (retryable).  ``FaultInjectedError`` is an
@@ -93,11 +92,11 @@ def env_number(
 ) -> Any:
     """Parse a numeric environment variable with warn-once fallback.
 
-    The single policy for every ``REPRO_*`` runtime knob (and the serve
-    daemon's knobs): an unset/blank variable silently takes the fallback,
-    while a value ``cast`` rejects warns once — naming the bad value and
-    what is used instead — and then takes the fallback.  Never raises,
-    never silently swallows a typo.
+    The single policy for every numeric ``REPRO_*`` runtime knob: an
+    unset/blank variable silently takes the fallback, while a value
+    ``cast`` rejects warns once — naming the bad value and what is used
+    instead — and then takes the fallback.  Never raises, never silently
+    swallows a typo.
     """
     raw = os.environ.get(env_var, "").strip()
     if not raw:
@@ -145,18 +144,6 @@ def resolve_retries(retries: Optional[int] = None) -> int:
         lambda raw: max(0, int(raw)),
         DEFAULT_RETRIES,
         f"{DEFAULT_RETRIES} retries",
-    )
-
-
-def resolve_backoff(backoff: Optional[float] = None) -> float:
-    """Backoff base in seconds (0 disables sleeping between retries)."""
-    if backoff is not None:
-        return max(0.0, float(backoff))
-    return env_number(
-        BACKOFF_ENV,
-        lambda raw: max(0.0, float(raw)),
-        DEFAULT_BACKOFF,
-        f"{DEFAULT_BACKOFF}s backoff base",
     )
 
 
@@ -298,12 +285,10 @@ class SweepExecutor:
         jobs: Optional[int] = None,
         timeout: Optional[float] = None,
         retries: Optional[int] = None,
-        backoff_base: Optional[float] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.timeout = resolve_timeout(timeout)
         self.retries = resolve_retries(retries)
-        self.backoff_base = resolve_backoff(backoff_base)
         #: The :class:`JobReport` of the most recent map call (or ``run_one``
         #: sequence); ``None`` until something has executed.
         self.last_report: Optional[JobReport] = None
@@ -380,12 +365,10 @@ class SweepExecutor:
 
     def _sleep_backoff(self, round_index: int, salt: int = 0) -> None:
         """Deterministic jittered exponential backoff before a retry round."""
-        if self.backoff_base <= 0:
-            return
         spec = faults.active_spec()
         seed = spec.seed if spec is not None else 0
         jitter = random.Random(f"{seed}:{round_index}:{salt}").random()
-        delay = self.backoff_base * (2 ** (round_index - 1)) * (0.5 + jitter)
+        delay = BACKOFF_BASE * (2 ** (round_index - 1)) * (0.5 + jitter)
         time.sleep(min(delay, _BACKOFF_CAP))
 
     # -- parallel path ------------------------------------------------------------

@@ -45,16 +45,6 @@ Sites and modes:
     a transient :class:`FaultInjectedError`.  The cache is best-effort by
     contract, so these prove that a flaky disk degrades to recomputation,
     never to a wrong or missing result.
-``serve.worker``
-    ``crash`` / ``stall`` / ``oserror`` — the ``repro serve`` dispatcher
-    consumes ``COUNT`` units of budget (via :func:`take_action`) and ships
-    the action to the shard worker it dispatches to, which applies it
-    before running the job.  Budget is consumed in the *daemon* process, so
-    a restarted worker does not re-fire an already-spent fault.
-``serve.journal``
-    ``torn`` — the next ``COUNT`` job-journal appends write only half their
-    bytes (no newline) and then fail, simulating a daemon killed mid-append;
-    recovery must seal the torn tail and lose no acknowledged job.
 """
 
 from __future__ import annotations
@@ -75,8 +65,6 @@ SITES: Mapping[str, Tuple[str, ...]] = {
     "runner.write": ("truncate", "corrupt"),
     "cache.store": ("oserror",),
     "cache.load": ("oserror",),
-    "serve.worker": ("crash", "stall", "oserror"),
-    "serve.journal": ("torn",),
 }
 
 DEFAULT_STALL_SECONDS = 30.0
@@ -296,32 +284,6 @@ def maybe_raise(site: str) -> None:
             raise FaultInjectedError(
                 f"injected {mode} at {site} ({fired + 1}/{budget})"
             )
-
-
-def take_action(site: str) -> Optional[str]:
-    """Consume one unit of counter-based budget at ``site``; return the mode.
-
-    The serve dispatcher's injection hook: budgets live in the consuming
-    process (the daemon), so the first ``COUNT`` consultations return the
-    injected mode (in the site's priority order) and every later one
-    returns ``None``.  No-op when ``REPRO_FAULTS`` is unset.
-    """
-    if FAULTS_ENV not in os.environ:
-        return None
-    spec = active_spec()
-    if spec is None:
-        return None
-    raw = os.environ[FAULTS_ENV]
-    for mode in SITES.get(site, ()):
-        budget = spec.count(site, mode)
-        if budget <= 0:
-            continue
-        key = (raw, site, mode)
-        fired = _fired.get(key, 0)
-        if fired < budget:
-            _fired[key] = fired + 1
-            return mode
-    return None
 
 
 def corrupt_artifact(path, mode: str) -> None:

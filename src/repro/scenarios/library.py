@@ -156,7 +156,7 @@ def get_grid(name: str) -> ScenarioGrid:
 
 
 # ---------------------------------------------------------------------------
-# axis overrides (shared by ``repro sweep --set`` and the serve job API)
+# axis overrides (``repro sweep --set``)
 # ---------------------------------------------------------------------------
 
 def parse_override_value(axis: str, token: str):
@@ -195,7 +195,7 @@ def apply_overrides(grid: ScenarioGrid, overrides: Sequence[str]) -> ScenarioGri
     An overridden grid is a *different* grid, so it gets its own artifact
     tree (``<name>@<axes-digest>``): override runs can never mix points into
     — or clobber the ``sweep.json`` of — the canonical named grid, and the
-    digest is deterministic, so sharded/resumed/served runs of the same
+    digest is deterministic, so sharded and resumed runs of the same
     overrides still converge on one directory.
     """
     import hashlib

@@ -184,7 +184,7 @@ def test_sweep_run_writes_telemetry_sidecar_outside_points(tmp_path):
     assert payload["kind"] == "sweep-run-telemetry"
     assert payload["grid"] == "telemetry-grid"
     assert payload["computed"] == 2
-    assert set(payload["telemetry"]) == {"phases", "cache", "serve"}
+    assert set(payload["telemetry"]) == {"phases", "cache"}
     # The content-stable tree stays content-stable: nothing new in points/.
     assert sorted(p.name for p in (runner.root / "points").glob("*")) == sorted(
         f"{point.point_id}.json" for point in runner.grid.points())

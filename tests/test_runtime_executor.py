@@ -316,24 +316,18 @@ class TestEnvNumber:
             warnings.simplefilter("error")
             assert env_number("REPRO_TEST_KNOB", int, 3, "the default of 3") == 3
 
-    def test_timeout_retries_backoff_share_the_parser(self, monkeypatch):
+    def test_timeout_and_retries_share_the_parser(self, monkeypatch):
         from repro.runtime import executor as executor_module
-        from repro.runtime.executor import (
-            resolve_backoff,
-            resolve_retries,
-            resolve_timeout,
-        )
+        from repro.runtime.executor import resolve_retries, resolve_timeout
 
         monkeypatch.setattr(executor_module, "_warned_env", set())
         monkeypatch.setenv("REPRO_TIMEOUT", "forever")
         monkeypatch.setenv("REPRO_RETRIES", "many")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "soon")
         with pytest.warns(RuntimeWarning) as caught:
             assert resolve_timeout() is None
             assert resolve_retries() == 2
-            assert resolve_backoff() == 0.05
         names = {str(warning.message).split("=")[0] for warning in caught}
-        assert names == {"REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_RETRY_BACKOFF"}
+        assert names == {"REPRO_TIMEOUT", "REPRO_RETRIES"}
         # Semantics preserved: non-positive timeout means "no timeout",
         # negative retries clamp to zero.
         monkeypatch.setenv("REPRO_TIMEOUT", "0")

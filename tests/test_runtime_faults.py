@@ -76,6 +76,8 @@ class TestFaultSpec:
             ("bogus=1,executor:crash", "unknown REPRO_FAULTS parameter"),
             ("seed=x,executor:crash", "not numeric"),
             ("nowhere:crash", "unknown fault site"),
+            ("serve.worker:crash", "unknown fault site"),
+            ("serve.journal:torn", "unknown fault site"),
             ("executor:melt", "no mode 'melt'"),
             ("executor", "expected SITE:MODE"),
             ("executor:crash:zero", "neither a count nor 'all'"),
@@ -183,7 +185,7 @@ class TestExecutorUnderFaults:
         # sibling worker time to finish jobs 1-5, so they are salvaged from
         # the broken pool and only the crashed job reruns.
         monkeypatch.setenv("REPRO_FAULTS", "seed=0,executor:crash:1,crash_delay=1.0")
-        executor = SweepExecutor(jobs=2, backoff_base=0.0)
+        executor = SweepExecutor(jobs=2)
         args = [(str(tmp_path), i) for i in range(6)]
         results, report = executor.map_with_report(_marked_square, args)
         assert results == [i * i for i in range(6)]
@@ -201,7 +203,7 @@ class TestExecutorUnderFaults:
         # seed=0 stalls job 5 of 6 for 30s; the 0.75s per-job timeout fires,
         # the wedged pool is torn down and the job reruns cleanly.
         monkeypatch.setenv("REPRO_FAULTS", "seed=0,executor:stall:1,stall=30")
-        executor = SweepExecutor(jobs=2, timeout=0.75, retries=2, backoff_base=0.0)
+        executor = SweepExecutor(jobs=2, timeout=0.75, retries=2)
         start = time.monotonic()
         results, report = executor.map_with_report(
             _marked_square, [(str(tmp_path), i) for i in range(6)]
@@ -218,7 +220,7 @@ class TestExecutorUnderFaults:
         # ':all' re-injects on every pool attempt, so the target job can only
         # succeed on the in-parent escalation path.
         monkeypatch.setenv("REPRO_FAULTS", "seed=0,executor:oserror:1:all")
-        executor = SweepExecutor(jobs=2, retries=1, backoff_base=0.0)
+        executor = SweepExecutor(jobs=2, retries=1)
         results, report = executor.map_with_report(
             _square_job, [(i,) for i in range(4)]
         )
