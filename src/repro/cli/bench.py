@@ -49,6 +49,7 @@ from repro.gpu.engine import resolve_engine
 from repro.obs.schema import BENCH_SCHEMA_VERSION, BenchSchemaError, validate_bench_entry
 from repro.obs.telemetry import telemetry_delta, telemetry_snapshot
 from repro.runtime.bench import (
+    BENCH_ROUNDS,
     GATE_KERNELS,
     MSHR_GATE_KERNEL,
     MSHR_GATE_RATIO,
@@ -143,7 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             (memory_stall_kernel(), stall_config),
         ):
             result = measure_throughput(
-                spec, max_cycles=args.max_cycles, engine=engine, rounds=3,
+                spec, max_cycles=args.max_cycles, engine=engine, rounds=BENCH_ROUNDS,
                 config=config,
             )
             rows[spec.name] = result

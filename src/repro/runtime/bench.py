@@ -39,11 +39,11 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.gpu.config import GPUConfig, MemoryConfig, baseline_config
 from repro.gpu.engine import resolve_engine
-from repro.gpu.gpu import GPU
+from repro.gpu.gpu import GPU, RunResult
 from repro.obs.telemetry import phase
 from repro.profiling.profiler import KernelProfiler
 from repro.runtime.executor import SweepExecutor
@@ -52,6 +52,10 @@ from repro.workloads.spec import KernelSpec
 
 #: The scheme matrix benchmarked by ``measure_matrix`` / ``repro bench``.
 MATRIX_SCHEMES = ("gto", "swl", "pcal", "poise", "static_best")
+
+#: Timed rounds behind every hot-loop row and matrix cell ``repro bench``
+#: records; each keeps its fastest round.
+BENCH_ROUNDS = 3
 
 #: The two bracket kernels perf gates compare across engines/baselines.
 GATE_KERNELS = ("bench_memory_divergent", "bench_compute_intensive")
@@ -235,6 +239,37 @@ def memory_stall_config(max_cycles: int = 80_000) -> GPUConfig:
     )
 
 
+def _fastest_round(rounds: int, run: Callable[[], RunResult]) -> Tuple[RunResult, float]:
+    """Call ``run`` ``rounds`` times (at least once) and return its last
+    result with the fastest round's wall-clock seconds.
+
+    Simulated counters are deterministic, so extra rounds only reduce timer
+    noise.  A cyclic-GC pass triggered by unrelated live heaps (e.g. earlier
+    tests in the same process) can land inside the timed region and dominate
+    a ~20 ms run, so the collector runs up front and stays paused while
+    timing.
+    """
+    elapsed = None
+    result = None
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        # The phase timer brackets the whole rounds loop — never the timed
+        # region itself, whose cycles/s feed absolute-threshold gates.
+        with phase("simulate"):
+            for _ in range(max(1, rounds)):
+                start = time.perf_counter()
+                result = run()
+                round_elapsed = max(time.perf_counter() - start, 1e-9)
+                if elapsed is None or round_elapsed < elapsed:
+                    elapsed = round_elapsed
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return result, elapsed
+
+
 def measure_throughput(
     spec: KernelSpec,
     max_cycles: int = 80_000,
@@ -254,27 +289,9 @@ def measure_throughput(
     gpu = GPU(config, engine=engine)
     programs = generate_kernel_programs(spec)
     fill_programs(programs)  # time the cycle loop, not lazy generation
-    elapsed = None
-    result = None
-    # A cyclic-GC pass triggered by unrelated live heaps (e.g. earlier tests
-    # in the same process) can land inside the timed region and dominate a
-    # ~20 ms run; collect up front and pause the collector while timing.
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        # The phase timer brackets the whole rounds loop — never the timed
-        # region itself, whose cycles/s feed absolute-threshold gates.
-        with phase("simulate"):
-            for _ in range(max(1, rounds)):
-                start = time.perf_counter()
-                result = gpu.run_kernel(programs, max_cycles=max_cycles)
-                round_elapsed = max(time.perf_counter() - start, 1e-9)
-                if elapsed is None or round_elapsed < elapsed:
-                    elapsed = round_elapsed
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    result, elapsed = _fastest_round(
+        rounds, lambda: gpu.run_kernel(programs, max_cycles=max_cycles)
+    )
     record = {
         "kernel": spec.name,
         "cycles": result.counters.cycles,
@@ -422,11 +439,12 @@ def measure_matrix(
     """Benchmark every scheme × kernel × engine combination.
 
     Returns one record per combination with simulated cycles per wall-clock
-    second and host metadata.  Profile-based schemes (swl/pcal/static_best)
-    share one subsampled static profile per kernel, computed outside the
-    timed region with the fast engine (profiles are engine-agnostic by
-    bit-identity); Poise uses the fixed-weight model, so the matrix needs no
-    training pipeline and is deterministic end to end.
+    second and host metadata; like a hot-loop row, each cell keeps the
+    fastest of :data:`BENCH_ROUNDS` rounds.  Profile-based schemes
+    (swl/pcal/static_best) share one subsampled static profile per kernel,
+    computed outside the timed region with the fast engine (profiles are
+    engine-agnostic by bit-identity); Poise uses the fixed-weight model, so
+    the matrix needs no training pipeline and is deterministic end to end.
     """
     kernels = list(kernels if kernels is not None else matrix_kernels())
     engines = [resolve_engine(engine) for engine in engines]
@@ -454,13 +472,16 @@ def measure_matrix(
         for scheme in schemes:
             for engine in engines:
                 gpu = GPU(config, engine=engine)
-                controller = _matrix_controller(scheme, profile, model)
-                with phase("simulate"):
-                    start = time.perf_counter()
-                    result = gpu.run_kernel(
-                        programs, controller=controller, max_cycles=max_cycles
-                    )
-                    elapsed = max(time.perf_counter() - start, 1e-9)
+                # A controller is stateful: every round runs a fresh one.
+                controllers = iter(
+                    [_matrix_controller(scheme, profile, model) for _ in range(BENCH_ROUNDS)]
+                )
+                result, elapsed = _fastest_round(
+                    BENCH_ROUNDS,
+                    lambda: gpu.run_kernel(
+                        programs, controller=next(controllers), max_cycles=max_cycles
+                    ),
+                )
                 row = {
                     "kernel": spec.name,
                     "kind": entry["kind"],

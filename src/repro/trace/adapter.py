@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.trace.codec import (
     TRACE_SUFFIX,
@@ -85,8 +85,9 @@ class TraceKernelSpec(KernelSpec):
 
     # -- program materialisation --------------------------------------------------
 
-    def materialise_programs(self) -> List[List["object"]]:
-        """Produce the per-warp instruction streams for this kernel.
+    def materialise_programs(self) -> List[Sequence["object"]]:
+        """Produce the per-warp instruction streams for this kernel: a trace
+        file decoded in full, or a family's lazily filled streams.
 
         This is the dispatch point ``generate_kernel_programs`` looks for;
         its presence marks the spec as trace-backed.

@@ -19,10 +19,11 @@ but appends instructions only when a reader reaches the end of what it has
 generated so far, :data:`FILL_CHUNK` at a time.  Simulations sample short
 windows of long kernels (profiling points, the inference engine's epochs,
 cycle-capped runs), so most of a stream is never issued and never built.
-The ALU at index ``i`` has pc ``i``, so ALU runs are slices of the interned
-table in :mod:`repro.gpu.isa` and only the loads are constructed.  Each
-warp's stream is a sequential function of ``(spec, warp_id)``, so the
-result is the same however the reads are split.
+The trace families (:mod:`repro.trace.families`) use the same class with a
+generator as each warp's source.  The ALU at index ``i`` has pc ``i``, so
+ALU runs are slices of the interned table in :mod:`repro.gpu.isa` and only
+the loads are constructed.  Each warp's stream is a sequential function of
+``(spec, warp_id)``, so the result is the same however the reads are split.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import random
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
+from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
 from repro.gpu.isa import Instruction, alu_run, load
@@ -59,39 +61,37 @@ _FILL_LOCK = threading.Lock()
 class WarpProgram(Sequence):
     """One warp's instruction stream, generated as it is read.
 
-    ``len()`` is the spec's ``instructions_per_warp``.  Indexing and
+    ``len()`` is known before anything is generated: ``length``, or the
+    spec's ``instructions_per_warp`` when it is not given.  Indexing and
     iteration generate instructions in whole :data:`FILL_CHUNK` chunks up to
-    the position read and keep them, so the program equals the list
-    :func:`generate_warp_program` returns.  ``filled`` is the generated
+    the position read and keep them, so the program equals the list an
+    eager build of the same stream returns.  ``filled`` is the generated
     prefix, a list that only grows; the fast core reads it directly and
     calls :meth:`fill` when its pc reaches the end.
+
+    Without a ``stream`` the source is the warp's synthetic stream; a trace
+    family passes its warp's generator, which must yield ``length``
+    instructions or more.
     """
 
-    __slots__ = (
-        "filled",
-        "_length",
-        "_spec",
-        "_rng",
-        "_private_base",
-        "_stream_base",
-        "_stream_cursor",
-        "_dep",
-        "_load_sites",
-    )
+    __slots__ = ("filled", "_length", "_name", "_source")
 
-    def __init__(self, spec: KernelSpec, warp_id: int) -> None:
+    def __init__(
+        self,
+        spec: KernelSpec,
+        warp_id: int,
+        stream: Optional[Iterator[Instruction]] = None,
+        length: Optional[int] = None,
+    ) -> None:
         self.filled: List[Instruction] = []
-        self._length = spec.instructions_per_warp
-        self._spec = spec
-        self._rng = random.Random((spec.seed << 20) ^ (warp_id * 0x9E3779B1))
-        self._private_base = (warp_id + 1) * _PRIVATE_REGION_STRIDE + spec.seed * 131
-        self._stream_base = (
-            _STREAM_REGION_BASE + warp_id * _PRIVATE_REGION_STRIDE + spec.seed * 977
-        )
-        self._stream_cursor = 0
-        group = spec.instructions_per_load
-        self._dep = min(spec.dep_distance, group - 1)
-        self._load_sites = max(1, min(8, spec.private_lines // 64 + 1))
+        self._length = spec.instructions_per_warp if length is None else length
+        self._name = spec.name
+        # ``_source(start, stop)`` yields the instructions at indices
+        # ``start`` to ``stop - 1``; fills call it on consecutive ranges.
+        if stream is None:
+            self._source = _SyntheticStream(spec, warp_id).chunk
+        else:
+            self._source = lambda start, stop: islice(stream, stop - start)
 
     def fill(self, index: int) -> int:
         """Generate through the chunk holding ``index`` (clamped to the
@@ -100,33 +100,9 @@ class WarpProgram(Sequence):
         with _FILL_LOCK:
             start = len(filled)
             if start <= index and start < self._length:
-                self._generate(start, min(self._length, (index // FILL_CHUNK + 1) * FILL_CHUNK))
+                stop = min(self._length, (index // FILL_CHUNK + 1) * FILL_CHUNK)
+                filled.extend(self._source(start, stop))
         return len(filled)
-
-    def _generate(self, start: int, stop: int) -> None:
-        """Append the instructions at indices ``start`` to ``stop - 1``: the
-        ALU run of the whole range, with every ``In``-th slot a load."""
-        spec = self._spec
-        rng = self._rng
-        group = spec.instructions_per_load
-        intra = spec.intra_warp_fraction
-        local = intra + spec.inter_warp_fraction
-        shared_base = _SHARED_REGION_BASE + spec.seed * 7919
-        chunk = alu_run(start, stop)
-        for index in range(start + (group - 1 - start) % group, stop, group):
-            draw = rng.random()
-            if draw < intra:
-                line = self._private_base + rng.randrange(spec.private_lines)
-                pc_tag = _PC_LOAD_BASE + (index % self._load_sites)
-            elif draw < local:
-                line = shared_base + rng.randrange(spec.shared_lines)
-                pc_tag = _PC_LOAD_BASE + 100 + (index % self._load_sites)
-            else:
-                line = self._stream_base + self._stream_cursor
-                self._stream_cursor += 1
-                pc_tag = _PC_LOAD_BASE + 200  # a single streaming load site
-            chunk[index - start] = load(line, dep_distance=self._dep, pc=pc_tag)
-        self.filled.extend(chunk)
 
     def __len__(self) -> int:
         return self._length
@@ -157,10 +133,59 @@ class WarpProgram(Sequence):
         return self._length == len(other) and list(self) == other
 
     def __repr__(self) -> str:
-        return (
-            f"WarpProgram({self._spec.name!r}, filled {len(self.filled)} "
-            f"of {self._length})"
+        return f"WarpProgram({self._name!r}, filled {len(self.filled)} of {self._length})"
+
+
+class _SyntheticStream:
+    """The generator state of one synthetic warp: its RNG, streaming cursor
+    and load-site layout, resumed by every :meth:`chunk`."""
+
+    __slots__ = (
+        "_spec",
+        "_rng",
+        "_private_base",
+        "_stream_base",
+        "_stream_cursor",
+        "_dep",
+        "_load_sites",
+    )
+
+    def __init__(self, spec: KernelSpec, warp_id: int) -> None:
+        self._spec = spec
+        self._rng = random.Random((spec.seed << 20) ^ (warp_id * 0x9E3779B1))
+        self._private_base = (warp_id + 1) * _PRIVATE_REGION_STRIDE + spec.seed * 131
+        self._stream_base = (
+            _STREAM_REGION_BASE + warp_id * _PRIVATE_REGION_STRIDE + spec.seed * 977
         )
+        self._stream_cursor = 0
+        group = spec.instructions_per_load
+        self._dep = min(spec.dep_distance, group - 1)
+        self._load_sites = max(1, min(8, spec.private_lines // 64 + 1))
+
+    def chunk(self, start: int, stop: int) -> List[Instruction]:
+        """The instructions at indices ``start`` to ``stop - 1``: the ALU run
+        of the whole range, with every ``In``-th slot a load."""
+        spec = self._spec
+        rng = self._rng
+        group = spec.instructions_per_load
+        intra = spec.intra_warp_fraction
+        local = intra + spec.inter_warp_fraction
+        shared_base = _SHARED_REGION_BASE + spec.seed * 7919
+        chunk = alu_run(start, stop)
+        for index in range(start + (group - 1 - start) % group, stop, group):
+            draw = rng.random()
+            if draw < intra:
+                line = self._private_base + rng.randrange(spec.private_lines)
+                pc_tag = _PC_LOAD_BASE + (index % self._load_sites)
+            elif draw < local:
+                line = shared_base + rng.randrange(spec.shared_lines)
+                pc_tag = _PC_LOAD_BASE + 100 + (index % self._load_sites)
+            else:
+                line = self._stream_base + self._stream_cursor
+                self._stream_cursor += 1
+                pc_tag = _PC_LOAD_BASE + 200  # a single streaming load site
+            chunk[index - start] = load(line, dep_distance=self._dep, pc=pc_tag)
+        return chunk
 
 
 def generate_warp_program(spec: KernelSpec, warp_id: int) -> List[Instruction]:
@@ -217,10 +242,11 @@ def generate_kernel_programs(spec: KernelSpec) -> List[Sequence[Instruction]]:
     """Produce the per-warp programs of a kernel.
 
     Trace-backed specs (anything exposing ``materialise_programs``, i.e.
-    :class:`repro.trace.adapter.TraceKernelSpec`) are decoded or synthesised
-    on demand and bypass the program cache entirely.  Synthetic specs get
-    lazily filled :class:`WarpProgram` streams, memoised in the bounded LRU
-    above: every caller gets the same program objects.
+    :class:`repro.trace.adapter.TraceKernelSpec`) bypass the program cache
+    entirely: a trace file is decoded in full, and a trace family gets fresh
+    lazily filled :class:`WarpProgram` streams on every call.  Synthetic
+    specs get lazily filled streams memoised in the bounded LRU above:
+    every caller gets the same program objects.
     """
     materialise = getattr(spec, "materialise_programs", None)
     if materialise is not None:
