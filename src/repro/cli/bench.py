@@ -65,7 +65,7 @@ from repro.runtime.bench import (
     memory_stall_config,
     memory_stall_kernel,
 )
-from repro.runtime.executor import resolve_jobs
+from repro.runtime.executor import jobs_arg, resolve_jobs
 from repro.version import __version__
 
 DEFAULT_OUTPUT = Path("BENCH_throughput.json")
@@ -78,8 +78,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="trajectory file to append to (default: ./BENCH_throughput.json)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker count for the parallel sweep measurement (default 4)",
+        "--jobs", type=jobs_arg, default=4,
+        help="worker count for the parallel sweep measurement; 0 or 'auto' = "
+        "one per CPU core (default 4)",
     )
     parser.add_argument(
         "--max-cycles", type=int, default=80_000,

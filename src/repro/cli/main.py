@@ -18,34 +18,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import closing
 from typing import List, Optional, Sequence
 
 from repro.analysis.tables import Table
 from repro.cli import runner
 from repro.experiments import registry
 from repro.experiments.common import default_cache_dir
-from repro.runtime.executor import SweepExecutor
+from repro.runtime.executor import SweepExecutor, jobs_arg
 from repro.version import __version__
-
-
-def _jobs_arg(raw: str) -> int:
-    """``--jobs``: a non-negative integer or ``auto``; 0/auto = one per core.
-
-    Matches the semantics of the ``REPRO_JOBS`` environment variable and of
-    ``repro pretrain --jobs``.
-    """
-    value = raw.strip().lower()
-    if value == "auto":
-        return os.cpu_count() or 1
-    try:
-        parsed = int(value)
-        if parsed < 0:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be a non-negative integer or 'auto', got {raw!r}"
-        )
-    return parsed if parsed > 0 else (os.cpu_count() or 1)
 
 
 def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,15 +44,17 @@ def _add_scale_flags(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_scale_flags(parser)
     parser.add_argument(
-        "--jobs", type=_jobs_arg, default=None, metavar="N",
-        help="fan experiments out over N worker processes; 0 or 'auto' = one "
-        "per CPU core (default: serial, or the REPRO_JOBS environment variable)",
+        "--jobs", type=jobs_arg, default=None, metavar="N",
+        help="fan experiments out over N worker processes, writing each "
+        "artifact as it lands; 0 or 'auto' = one per CPU core (default: "
+        "serial, or the REPRO_JOBS environment variable)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECS",
-        help="per-experiment wall-clock timeout when running in parallel; a "
-        "stalled worker is abandoned and the experiment retried (default: "
-        "REPRO_TIMEOUT, or no timeout)",
+        help="per-experiment wall-clock timeout when running in parallel: a "
+        "worker still busy after SECS of waiting on its experiment is "
+        "abandoned and the experiment retried (default: REPRO_TIMEOUT, or "
+        "no timeout)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -225,41 +208,33 @@ def _cmd_run(ids: Sequence[str], args: argparse.Namespace) -> int:
             print(ExperimentResult.from_dict(payload).to_text())
             print()
 
-    from repro.obs.telemetry import describe_cache, describe_phases, telemetry_delta, telemetry_snapshot
+    from repro.obs.telemetry import (
+        add_worker_cache,
+        describe_phases,
+        describe_run_cache,
+        telemetry_delta,
+        telemetry_snapshot,
+    )
 
     telemetry_before = telemetry_snapshot()
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout, retries=args.retries)
     job_args = [(experiment_id, label, cache_dir) for experiment_id in ordered]
-    if executor.parallel and len(job_args) > 1:
-        for experiment_id, payload in zip(
-            ordered, executor.map(runner.run_experiment_job, job_args)
-        ):
+    with closing(executor.imap(runner.run_experiment, job_args)) as payloads:
+        for experiment_id, payload in zip(ordered, payloads):
             _finish(experiment_id, payload)
-        if executor.last_report is not None and not executor.last_report.clean:
-            print(f"\n{executor.last_report.summary()}")
-    else:
-        for experiment_id, job in zip(ordered, job_args):
-            _finish(experiment_id, runner.run_experiment_job(*job))
+    report = executor.last_report
+    if report is not None and not report.clean:
+        print(f"\n{report.summary()}")
 
     # Run telemetry.  The phase timers are per-process (a parallel run
     # reports the parent's share), but the cache counters are complete:
-    # pool workers ship their deltas home through the job envelopes
+    # pool workers ship their deltas home with their results
     # (JobReport.worker_cache), merged into the line printed here.
-    delta = telemetry_delta(telemetry_before)
-    worker_cache = (
-        executor.last_report.worker_cache if executor.last_report is not None else None
+    delta = add_worker_cache(
+        telemetry_delta(telemetry_before),
+        report.worker_cache if report is not None else None,
     )
-    if worker_cache:
-        combined = {
-            key: int(delta["cache"].get(key, 0)) + int(worker_cache.get(key, 0))
-            for key in sorted(set(delta["cache"]) | set(worker_cache))
-        }
-        print(
-            f"cache: {describe_cache(combined)} "
-            f"(workers: {describe_cache(worker_cache)})"
-        )
-    else:
-        print(f"cache: {describe_cache(delta['cache'])}")
+    print(f"cache: {describe_run_cache(delta)}")
     if delta["phases"]:
         print(f"phases: {describe_phases(delta['phases'])}")
 

@@ -24,22 +24,8 @@ from typing import Optional, Sequence
 from repro.core.model_store import save_model
 from repro.core.training import prediction_errors
 from repro.experiments.common import ExperimentConfig, PRETRAINED_MODEL_PATH
+from repro.runtime.executor import JOBS_ENV, jobs_arg
 from repro.workloads.registry import training_benchmarks
-
-
-def _jobs_value(raw: str) -> str:
-    """Accept a non-negative integer or 'auto' (rejects typos loudly)."""
-    value = raw.strip().lower()
-    if value == "auto":
-        return value
-    try:
-        if int(value) < 0:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--jobs must be a non-negative integer or 'auto', got {raw!r}"
-        )
-    return value
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -55,7 +41,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=_jobs_value,
+        type=jobs_arg,
         default=None,
         metavar="N",
         help="profile training kernels over N worker processes "
@@ -63,7 +49,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = args.jobs
+        os.environ[JOBS_ENV] = str(args.jobs)
 
     config = ExperimentConfig.fast() if args.fast else ExperimentConfig.full()
     pipeline = config.training_pipeline()

@@ -7,8 +7,8 @@ cache key, package version, wall-clock).  Artifacts live under
     <cache_dir>/artifacts/<label>/<experiment_id>.json
 
 and are written atomically, like the result cache.  The module-level
-:func:`run_experiment_job` is the picklable worker the CLI fans out over
-:class:`~repro.runtime.executor.SweepExecutor` for ``--jobs N``.
+:func:`run_experiment` is the picklable job the CLI streams through
+:meth:`~repro.runtime.executor.SweepExecutor.imap`, serial or ``--jobs N``.
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ def run_experiment(
     }
     payload.update(result.to_dict())
     return payload
-
-
-def run_experiment_job(
-    experiment_id: str, label: str, cache_dir: Optional[str]
-) -> Dict[str, object]:
-    """Module-level sweep worker: one experiment per process."""
-    return run_experiment(experiment_id, label=label, cache_dir=cache_dir)
 
 
 def write_artifact(

@@ -28,6 +28,7 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table
+from repro.runtime.executor import jobs_arg
 from repro.scenarios.grid import ScenarioError, ScenarioGrid, parse_shard
 from repro.scenarios.library import apply_overrides, get_grid, named_grids
 from repro.scenarios.report import (
@@ -73,12 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--resume", action="store_true",
                      help="skip points whose artifact already validates; corrupt "
                      "artifacts are quarantined and recomputed")
-    run.add_argument("--jobs", type=int, default=None, metavar="N",
-                     help="fan points out over N worker processes")
+    run.add_argument("--jobs", type=jobs_arg, default=None, metavar="N",
+                     help="fan points out over N worker processes, writing each "
+                     "artifact as it lands; 0 or 'auto' = one per CPU core "
+                     "(default: serial, or the REPRO_JOBS environment variable)")
     run.add_argument("--timeout", type=float, default=None, metavar="SECS",
-                     help="per-job wall-clock timeout in seconds; a stalled worker "
-                     "is abandoned and its point retried (default: REPRO_TIMEOUT, "
-                     "or no timeout)")
+                     help="per-point wall-clock timeout in seconds: a worker still "
+                     "busy after SECS of waiting on its point is abandoned and the "
+                     "point retried (default: REPRO_TIMEOUT, or no timeout)")
     run.add_argument("--retries", type=int, default=None, metavar="N",
                      help="retry budget per point for transient failures — worker "
                      "death, timeouts, OSError (default: REPRO_RETRIES, or 2)")

@@ -175,19 +175,16 @@ class TrainingPipeline:
 
         Each example needs a full warp-tuple-grid profile plus a feature
         sample — independent simulations, so the kernels fan out over the
-        sweep executor when ``REPRO_JOBS`` allows.  Results come back in
-        submission order, keeping the example list (and therefore the fitted
-        model) identical to a serial pass.
+        sweep executor when ``REPRO_JOBS`` allows (and run in-process, with
+        the executor's retry of transient ``OSError``s, when it does not).
+        Results come back in submission order, keeping the example list (and
+        therefore the fitted model) identical to a serial pass.
         """
-        tasks = [
-            (benchmark, spec) for benchmark in benchmarks for spec in benchmark.kernels
-        ]
         executor = self.executor or SweepExecutor()
-        if executor.parallel and len(tasks) > 1:
-            return executor.map(
-                _build_example_job, [(self, benchmark, spec) for benchmark, spec in tasks]
-            )
-        return [self.build_example(benchmark, spec) for benchmark, spec in tasks]
+        return executor.map(
+            self.build_example,
+            [(benchmark, spec) for benchmark in benchmarks for spec in benchmark.kernels],
+        )
 
     # -- fitting ---------------------------------------------------------------------
 
@@ -237,13 +234,6 @@ class TrainingPipeline:
         examples = self.collect_examples(benchmarks)
         model = self.fit(examples)
         return model, examples
-
-
-def _build_example_job(
-    pipeline: "TrainingPipeline", benchmark: BenchmarkSpec, spec: KernelSpec
-) -> TrainingExample:
-    """Module-level sweep worker for one training example (must pickle)."""
-    return pipeline.build_example(benchmark, spec)
 
 
 def prediction_errors(

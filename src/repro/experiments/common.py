@@ -484,16 +484,6 @@ def run_scheme_on_kernel(
     return result
 
 
-def _run_scheme_job(
-    scheme: str,
-    spec: KernelSpec,
-    config: ExperimentConfig,
-    model: Optional[TrainedModel],
-) -> RunResult:
-    """Module-level sweep worker for one (scheme, kernel) run."""
-    return run_scheme_on_kernel(scheme, spec, config, model=model, use_cache=True)
-
-
 #: Schemes whose controller consumes a static profile of the kernel.
 _PROFILE_BASED_SCHEMES = frozenset({"swl", "pcal", "static_best"})
 
@@ -536,7 +526,7 @@ def prefetch_runs(
             get_profile(spec, config)
         fan_out.append((scheme, spec))
     results = executor.map(
-        _run_scheme_job, [(scheme, spec, config, model) for scheme, spec in fan_out]
+        run_scheme_on_kernel, [(scheme, spec, config, model) for scheme, spec in fan_out]
     )
     for (scheme, spec), result in zip(fan_out, results):
         _RUN_CACHE[_run_cache_key(scheme, spec, config, model)] = result

@@ -17,10 +17,11 @@ touching any content-stable artifact:
 All counters are **per process**: parallel sweep workers accumulate their
 own totals, which never reach the parent through this module.  The
 executor closes that gap at its own layer — every pool job ships its
-cache-counter delta home in a worker envelope, surfaced as
-:attr:`~repro.runtime.executor.JobReport.worker_cache` and merged into
-``run_telemetry.json`` — so a ``--jobs N`` sweep now reports both the
-parent's share (``cache``) and the workers' (``cache_workers``).
+cache-counter delta home with its result, surfaced as
+:attr:`~repro.runtime.executor.JobReport.worker_cache` — and
+:func:`add_worker_cache` folds those counters into a delta, so a
+``--jobs N`` run reports both the parent's share (``cache``) and the
+workers' (``cache_workers``).
 
 This module must not import anything above :mod:`repro.runtime` — the
 bench layer imports it, so a heavier import here would be circular.
@@ -102,6 +103,35 @@ def telemetry_delta(before: Mapping[str, Mapping]) -> Dict[str, Dict]:
             for key, value in after["cache"].items()
         },
     }
+
+
+def add_worker_cache(
+    telemetry: Dict[str, Dict], worker_cache: Optional[Mapping[str, int]]
+) -> Dict[str, Dict]:
+    """Fold pool workers' cache counters into a :func:`telemetry_delta`.
+
+    With any worker counters the delta gains ``cache_workers`` (their sum)
+    and ``cache_combined`` (the parent's ``cache`` plus the workers');
+    ``telemetry`` is updated in place and returned.
+    """
+    if worker_cache:
+        parent = telemetry.get("cache", {})
+        telemetry["cache_workers"] = dict(worker_cache)
+        telemetry["cache_combined"] = {
+            key: int(parent.get(key, 0)) + int(worker_cache.get(key, 0))
+            for key in sorted(set(parent) | set(worker_cache))
+        }
+    return telemetry
+
+
+def describe_run_cache(telemetry: Mapping[str, Mapping[str, int]]) -> str:
+    """The cache line of a run: the combined counters with the workers'
+    share in parentheses, or the parent's alone when no worker reported."""
+    combined = telemetry.get("cache_combined")
+    if combined is None:
+        return describe_cache(telemetry.get("cache", {}))
+    workers = describe_cache(telemetry.get("cache_workers", {}))
+    return f"{describe_cache(combined)} (workers: {workers})"
 
 
 def describe_cache(cache: Mapping[str, int]) -> str:

@@ -102,9 +102,6 @@ class KernelProfiler:
         # time.  Both engines are bit-identical, so a profile never records
         # which one measured it.
         self.engine = engine
-        #: Failure accounting of the most recent parallel :meth:`profile`
-        #: fan-out (``None`` for serial profiles or before the first one).
-        self.last_report = None
 
     def _grid_points(self, max_warps: int) -> List[Tuple[int, int]]:
         points: List[Tuple[int, int]] = []
@@ -198,7 +195,6 @@ class KernelProfiler:
             )
             for (n, p), result in zip(points, results):
                 profile.ipc[(n, p)] = result.ipc
-            self.last_report = executor.last_report
         else:
             for n, p in points:
                 result = self.measure_point(spec, n, p, programs=programs)

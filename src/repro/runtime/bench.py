@@ -533,16 +533,9 @@ def measure_sweep(
         warm_seconds = max(time.perf_counter() - start, 1e-9)
 
     start = time.perf_counter()
-    parallel_profile = config.profiler().profile(spec) if parallel_jobs <= 1 else (
-        KernelProfiler(
-            config=config.gpu,
-            cycles_per_point=config.profile_cycles,
-            warmup_cycles=config.profile_warmup,
-            n_step=config.profile_n_step,
-            p_step=config.profile_p_step,
-            executor=SweepExecutor(jobs=parallel_jobs),
-        ).profile(spec)
-    )
+    profiler = config.profiler()
+    profiler.executor = SweepExecutor(jobs=parallel_jobs)
+    parallel_profile = profiler.profile(spec)
     parallel_seconds = time.perf_counter() - start
 
     clear_caches()

@@ -2,35 +2,42 @@
 
 Every figure of the paper is a sweep: the profiler runs one full cycle-level
 simulation per point of the ``(N, p)`` warp-tuple grid, and the evaluation
-runs one per (scheme, kernel) pair.  The points are independent, so the
-:class:`SweepExecutor` fans them out over a ``ProcessPoolExecutor`` and
-returns results in submission order — aggregation stays deterministic and
-the counters are bit-identical to a serial run.
+runs one per (scheme, kernel) pair.  The points are independent, so
+:meth:`SweepExecutor.imap` fans them out over a ``ProcessPoolExecutor`` and
+streams the results back in submission order, each as soon as it and every
+earlier result are final: callers checkpoint as results land, aggregation
+stays deterministic and the counters are bit-identical to a serial run.
+``map`` is ``list(imap(...))``.  Closing the stream early (a stop request,
+an exception in the consumer) starts no further job: queued jobs are
+cancelled and the workers killed.
 
 On top of the fan-out sits the fault-tolerance layer:
 
-* **per-job wall-clock timeouts** (``timeout=``/``REPRO_TIMEOUT``) — a hung
-  or stalled worker is abandoned, the pool restarted, and the job retried;
+* **per-job wall-clock timeouts** (``timeout=``/``REPRO_TIMEOUT``) — the
+  parent waits up to ``timeout`` on each job in turn, so time a job spends
+  queued behind others never counts against it; a job still running after
+  that wait is declared stalled, the pool restarted and the job retried;
 * **bounded retry with deterministic jittered backoff**
   (``retries=``/``REPRO_RETRIES``; the backoff base is the fixed
   :data:`BACKOFF_BASE`) — transient failures (``OSError``, timeouts,
   worker death) are retried; exceptions raised by the job function itself
-  (anything else) propagate unchanged;
+  (anything else) propagate unchanged, after every earlier result;
 * **partial-result salvage** — when the pool breaks (OOM-killed worker,
   sandbox reaping) every future that already completed keeps its result and
   only the missing jobs are recomputed;
 * **serial escalation** — a job that exhausts its pool attempts runs one
   final time in the parent process, which always works;
 * a structured :class:`JobReport` (attempts, retries, timeouts, salvaged,
-  escalated, pool restarts) surfaced to callers via
-  :meth:`SweepExecutor.map_with_report` / ``last_report``.
+  escalated, pool restarts) in ``last_report``, current as of the latest
+  result, and from :meth:`SweepExecutor.map_with_report`.
 
-The worker count comes from the ``REPRO_JOBS`` environment variable:
+The worker count comes from ``jobs=`` or the ``REPRO_JOBS`` environment
+variable, whose grammar every ``--jobs`` flag shares (:func:`jobs_arg`):
 
 * unset or ``1`` — serial execution in-process (the default; this is also
   what tests use for determinism-by-construction),
 * ``0`` or ``auto`` — one worker per CPU core,
-* any other integer — that many workers,
+* any other positive integer — that many workers,
 * anything else — a one-time warning naming the bad value, then serial.
 
 Worker processes force ``REPRO_JOBS=1`` for themselves so nested sweeps
@@ -41,15 +48,18 @@ abandon); serial execution still retries transient ``OSError``s.
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime import faults
 
@@ -68,20 +78,8 @@ _BACKOFF_CAP = 2.0
 #: ``OSError`` subclass, so injected faults ride the same policy as real ones.
 RETRYABLE = (OSError,)
 
+#: The (variable, bad value) pairs already warned about in this process.
 _warned_env: Set[Tuple[str, str]] = set()
-
-
-def _warn_once(env_var: str, raw: str, fallback: str) -> None:
-    """One warning per (variable, bad value) per process — loud, not fatal."""
-    key = (env_var, raw)
-    if key in _warned_env:
-        return
-    _warned_env.add(key)
-    warnings.warn(
-        f"{env_var}={raw!r} is not a valid value — falling back to {fallback}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def env_number(
@@ -104,47 +102,60 @@ def env_number(
     try:
         return cast(raw)
     except (TypeError, ValueError):
-        _warn_once(env_var, raw, fallback_desc)
+        if (env_var, raw) not in _warned_env:
+            _warned_env.add((env_var, raw))
+            warnings.warn(
+                f"{env_var}={raw!r} is not a valid value — falling back to "
+                f"{fallback_desc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return fallback
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve an explicit or environment-provided worker count to an int."""
-    if jobs is not None:
-        return max(1, int(jobs))
+    """The worker count: ``jobs``, else ``REPRO_JOBS``, else 1.
 
-    def cast(raw: str) -> int:
-        raw = raw.lower()
-        if raw in ("0", "auto"):
-            return os.cpu_count() or 1
-        return max(1, int(raw))
+    0 means one worker per CPU core, as ``auto`` does in the environment.
+    """
+    if jobs is None:
+        return env_number(JOBS_ENV, _parse_jobs, 1, "serial execution (1 job)")
+    jobs = int(jobs)
+    return max(1, jobs) if jobs else (os.cpu_count() or 1)
 
-    return env_number(JOBS_ENV, cast, 1, "serial execution (1 job)")
+
+def _parse_jobs(raw: str) -> int:
+    """A worker count from text: a non-negative integer or ``auto``."""
+    value = raw.strip().lower()
+    count = 0 if value == "auto" else int(value)
+    if count < 0:
+        raise ValueError(f"negative worker count {raw!r}")
+    return resolve_jobs(count)
+
+
+def jobs_arg(raw: str) -> int:
+    """The argparse ``type`` of every ``--jobs`` flag: ``REPRO_JOBS``'s grammar."""
+    try:
+        return _parse_jobs(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--jobs must be a non-negative integer or 'auto', got {raw!r}"
+        ) from None
 
 
 def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
     """Per-job wall-clock timeout in seconds; ``None``/``0`` disables."""
-    if timeout is not None:
-        timeout = float(timeout)
-        return timeout if timeout > 0 else None
-
-    def cast(raw: str) -> Optional[float]:
-        value = float(raw)
-        return value if value > 0 else None
-
-    return env_number(TIMEOUT_ENV, cast, None, "no per-job timeout")
+    if timeout is None:
+        timeout = env_number(TIMEOUT_ENV, float, 0.0, "no per-job timeout")
+    timeout = float(timeout)
+    return timeout if timeout > 0 else None
 
 
 def resolve_retries(retries: Optional[int] = None) -> int:
     """Retry budget per job (on top of the first attempt)."""
-    if retries is not None:
-        return max(0, int(retries))
-    return env_number(
-        RETRIES_ENV,
-        lambda raw: max(0, int(raw)),
-        DEFAULT_RETRIES,
-        f"{DEFAULT_RETRIES} retries",
-    )
+    if retries is None:
+        retries = env_number(RETRIES_ENV, int, DEFAULT_RETRIES, f"{DEFAULT_RETRIES} retries")
+    return max(0, int(retries))
 
 
 def _worker_init() -> None:
@@ -152,47 +163,24 @@ def _worker_init() -> None:
     os.environ[JOBS_ENV] = "1"
 
 
-@dataclass
-class _WorkerEnvelope:
-    """A pool-worker result plus the cache counters it accumulated.
+def _job_with_cache_delta(fn: Callable, *args) -> Tuple[Any, Dict[str, int]]:
+    """Run one pool job; return its result and the cache counters it moved.
 
-    ``CacheStats`` counters are per process, so a parallel sweep's worker-side
-    hits and misses would otherwise never reach the parent (the documented
-    blind spot of the telemetry layer).  Every pool job is wrapped in
-    :func:`_job_with_cache_delta`, which brackets the job with a counter
-    snapshot and ships the delta home inside this envelope; the parent
-    unwraps it and folds the deltas into :attr:`JobReport.worker_cache`.
+    ``CacheStats`` counters are per process, so a parallel sweep's
+    worker-side hits and misses would otherwise never reach the parent (the
+    documented blind spot of the telemetry layer); the parent folds the
+    shipped deltas into :attr:`JobReport.worker_cache`.
     """
-
-    result: Any
-    cache: Dict[str, int]
-
-
-def _job_with_cache_delta(fn: Callable, *args) -> "_WorkerEnvelope":
-    """Module-level (picklable) pool-job wrapper measuring cache counters."""
     from repro.runtime.cache import cache_stats
 
     before = cache_stats().snapshot()
     result = fn(*args)
-    return _WorkerEnvelope(result, cache_stats().delta(before).to_dict())
-
-
-@dataclass
-class JobRecord:
-    """Per-job bookkeeping accumulated while a map call executes."""
-
-    index: int
-    attempts: int = 0
-    timeouts: int = 0
-    transient_errors: int = 0
-    salvaged: bool = False
-    escalated: bool = False
-    injected: Optional[str] = None  # first injected fault action, if any
+    return result, cache_stats().delta(before).to_dict()
 
 
 @dataclass(frozen=True)
 class JobReport:
-    """Structured failure accounting of one :meth:`SweepExecutor.map` call."""
+    """Structured failure accounting of one :meth:`SweepExecutor.imap` call."""
 
     jobs: int
     attempts: int
@@ -207,26 +195,6 @@ class JobReport:
     #: or ``None`` for a serial run (the parent's own counters already
     #: account for everything).  Closes the per-process counter blind spot.
     worker_cache: Optional[Dict[str, int]] = None
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[JobRecord],
-        pool_restarts: int = 0,
-        worker_cache: Optional[Dict[str, int]] = None,
-    ) -> "JobReport":
-        return cls(
-            jobs=len(records),
-            attempts=sum(record.attempts for record in records),
-            retries=sum(max(0, record.attempts - 1) for record in records),
-            timeouts=sum(record.timeouts for record in records),
-            transient_errors=sum(record.transient_errors for record in records),
-            salvaged=sum(record.salvaged for record in records),
-            escalated=sum(record.escalated for record in records),
-            pool_restarts=pool_restarts,
-            injected=sum(record.injected is not None for record in records),
-            worker_cache=dict(worker_cache) if worker_cache else None,
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """The plain-dict form telemetry sidecars and bench entries embed."""
@@ -267,17 +235,18 @@ class JobReport:
 
 
 class SweepExecutor:
-    """Order-preserving, fault-tolerant map over independent simulation jobs.
+    """Order-preserving, fault-tolerant, streamed map over independent jobs.
 
-    ``map(fn, args_list)`` behaves like ``[fn(*args) for args in args_list]``
-    but fans the calls out over ``jobs`` worker processes when ``jobs > 1``.
-    ``fn`` must be a module-level function and every argument picklable
-    (an unpicklable argument raises, loudly — it is a programming error,
-    not an environment problem).  Pool-*infrastructure* failures — a
-    sandbox that forbids subprocesses, a fork failure, workers dying,
-    stalls past the per-job timeout — are retried, salvaged around and
-    ultimately escalated to the serial path, which always works;
-    exceptions raised by ``fn`` itself propagate unchanged.
+    ``imap(fn, args_list)`` yields what ``(fn(*args) for args in args_list)``
+    would, but fans the calls out over ``jobs`` worker processes when
+    ``jobs > 1``.  ``fn`` must be picklable (a module-level function, or a
+    bound method of a picklable object) and so must every argument (an
+    unpicklable argument raises, loudly — it is a programming error, not an
+    environment problem).  Pool-*infrastructure* failures — a sandbox that
+    forbids subprocesses, a fork failure, workers dying, stalls past the
+    per-job timeout — are retried, salvaged around and ultimately escalated
+    to the serial path, which always works; exceptions raised by ``fn``
+    itself propagate unchanged.
     """
 
     def __init__(
@@ -289,79 +258,98 @@ class SweepExecutor:
         self.jobs = resolve_jobs(jobs)
         self.timeout = resolve_timeout(timeout)
         self.retries = resolve_retries(retries)
-        #: The :class:`JobReport` of the most recent map call (or ``run_one``
-        #: sequence); ``None`` until something has executed.
-        self.last_report: Optional[JobReport] = None
-        self._records: List[JobRecord] = []
-        self._pool_restarts = 0
-        self._worker_cache: Dict[str, int] = {}
+        # The latest imap's accounting: attempts per job, the jobs a fault
+        # was injected into, event counts, and the cache counters pool
+        # workers shipped home.
+        self._attempts: Optional[List[int]] = None
+        self._injected: Set[int] = set()
+        self._events: Counter = Counter()
+        self._worker_cache: Counter = Counter()
 
     @property
     def parallel(self) -> bool:
         return self.jobs > 1
 
+    @property
+    def last_report(self) -> Optional[JobReport]:
+        """The :class:`JobReport` of the latest :meth:`imap` (or ``map``),
+        current as of its latest result; ``None`` before the first."""
+        if self._attempts is None:
+            return None
+        events = self._events
+        return JobReport(
+            jobs=len(self._attempts),
+            attempts=sum(self._attempts),
+            retries=sum(max(0, count - 1) for count in self._attempts),
+            timeouts=events["timeouts"],
+            transient_errors=events["transient_errors"],
+            salvaged=events["salvaged"],
+            escalated=events["escalated"],
+            pool_restarts=events["pool_restarts"],
+            injected=len(self._injected),
+            worker_cache=dict(self._worker_cache) or None,
+        )
+
     # -- public API ---------------------------------------------------------------
 
+    def imap(self, fn: Callable, args_list: Sequence[Tuple]) -> Iterator[Any]:
+        """Yield ``fn(*args)`` for every ``args``, in submission order.
+
+        Each result is yielded as soon as it and every earlier result are
+        final.  Jobs run in-process when ``jobs <= 1`` (or there is only
+        one), otherwise on the pool.  Closing the generator before it is
+        exhausted starts no further job.
+        """
+        args_list = list(args_list)
+        self._attempts = [0] * len(args_list)
+        self._injected = set()
+        self._events = Counter()
+        self._worker_cache = Counter()
+        if self.jobs <= 1 or len(args_list) <= 1:
+            landed = (
+                (index, self._run_serial(fn, args, index))
+                for index, args in enumerate(args_list)
+            )
+        else:
+            landed = self._run_pool(fn, args_list)
+        finished: Dict[int, Any] = {}
+        ready = 0
+        with closing(landed):
+            for index, result in landed:
+                finished[index] = result
+                while ready in finished:
+                    if ready == len(args_list) - 1:
+                        # Every job is done: let the pool shut down cleanly
+                        # before the last result goes out, since a consumer
+                        # that stops after it closes rather than exhausts us.
+                        next(landed, None)
+                    yield finished.pop(ready)
+                    ready += 1
+
     def map(self, fn: Callable, args_list: Sequence[Tuple]) -> List[Any]:
-        results, self.last_report = self.map_with_report(fn, args_list)
-        return results
+        """Every result of :meth:`imap`, in submission order."""
+        return list(self.imap(fn, args_list))
 
     def map_with_report(
         self, fn: Callable, args_list: Sequence[Tuple]
     ) -> Tuple[List[Any], JobReport]:
         """Like :meth:`map`, returning the failure accounting alongside."""
-        args_list = list(args_list)
-        self._records = [JobRecord(index) for index in range(len(args_list))]
-        self._pool_restarts = 0
-        self._worker_cache = {}
-        if self.jobs <= 1 or len(args_list) <= 1:
-            results = [
-                self._run_serial(fn, args, record)
-                for args, record in zip(args_list, self._records)
-            ]
-        else:
-            results = self._map_parallel(fn, args_list)
-        report = JobReport.from_records(
-            self._records, self._pool_restarts, self._worker_cache
-        )
-        self.last_report = report
-        return results, report
-
-    def run_one(self, fn: Callable, args: Tuple) -> Any:
-        """Execute a single job serially under the retry policy.
-
-        Used by callers that stream results one at a time (so artifacts can
-        checkpoint as they land) while still accumulating a report: each
-        call appends to the running accounting in ``last_report``.
-        """
-        if self.last_report is None:
-            self._records = []
-            self._pool_restarts = 0
-            self._worker_cache = {}
-        record = JobRecord(len(self._records))
-        self._records.append(record)
-        try:
-            return self._run_serial(fn, args, record)
-        finally:
-            self.last_report = JobReport.from_records(
-                self._records, self._pool_restarts, self._worker_cache
-            )
+        results = self.map(fn, args_list)
+        return results, self.last_report
 
     # -- serial path --------------------------------------------------------------
 
-    def _run_serial(self, fn: Callable, args: Tuple, record: JobRecord) -> Any:
+    def _run_serial(self, fn: Callable, args: Tuple, index: int) -> Any:
         """In-process execution with bounded retry on transient errors."""
-        attempt = 0
-        while True:
-            record.attempts += 1
+        for attempt in range(self.retries + 1):
+            self._attempts[index] += 1
             try:
                 return fn(*args)
             except RETRYABLE:
-                record.transient_errors += 1
-                if attempt >= self.retries:
+                self._events["transient_errors"] += 1
+                if attempt == self.retries:
                     raise
-                self._sleep_backoff(attempt + 1, record.index)
-                attempt += 1
+                self._sleep_backoff(attempt + 1, index)
 
     def _sleep_backoff(self, round_index: int, salt: int = 0) -> None:
         """Deterministic jittered exponential backoff before a retry round."""
@@ -373,188 +361,168 @@ class SweepExecutor:
 
     # -- parallel path ------------------------------------------------------------
 
-    def _map_parallel(self, fn: Callable, args_list: List[Tuple]) -> List[Any]:
-        population = len(args_list)
+    def _run_pool(self, fn: Callable, args_list: List[Tuple]) -> Iterator[Tuple[int, Any]]:
+        """Yield ``(index, result)`` as pool rounds finish jobs.
+
+        Each round submits one attempt of every pending job.  On the way
+        out — exhausted, closed early or failed — the pool is shut down, and
+        killed unless every job finished.
+        """
         spec = faults.active_spec()
-        records = self._records
-        results: Dict[int, Any] = {}
-        pending = list(range(population))
+        pending = list(range(len(args_list)))
         pool: Optional[ProcessPoolExecutor] = None
-        max_attempts = self.retries + 1
         round_index = 0
         try:
             while pending:
                 # Jobs that exhausted their pool attempts run one final time
                 # in this process — the path that cannot be OOM-killed.
-                exhausted = [
-                    index for index in pending if records[index].attempts >= max_attempts
-                ]
-                for index in exhausted:
-                    records[index].escalated = True
-                    records[index].attempts += 1
-                    results[index] = fn(*args_list[index])
-                if exhausted:
-                    pending = [index for index in pending if index not in set(exhausted)]
-                    if not pending:
-                        break
+                for index in [i for i in pending if self._attempts[i] > self.retries]:
+                    self._events["escalated"] += 1
+                    self._attempts[index] += 1
+                    pending.remove(index)
+                    yield index, fn(*args_list[index])
+                if not pending:
+                    break
                 if round_index:
                     self._sleep_backoff(round_index)
-                if pool is None:
-                    try:
+                round_index += 1
+                try:
+                    if pool is None:
                         pool = ProcessPoolExecutor(
                             max_workers=min(self.jobs, len(pending)),
                             initializer=_worker_init,
                         )
-                    except (OSError, PermissionError, ValueError):
-                        # The environment cannot spawn worker processes at
-                        # all — finish everything on the serial path.
-                        for index in pending:
-                            results[index] = self._run_serial(
-                                fn, args_list[index], records[index]
-                            )
-                        pending = []
-                        break
-                pending = self._run_round(
-                    pool, fn, args_list, pending, records, results, spec
-                )
-                if self._pool_abandoned:
+                    futures = [
+                        self._submit(pool, fn, args_list, index, spec) for index in pending
+                    ]
+                except (OSError, ValueError):
+                    # The environment cannot start worker processes (a
+                    # sandbox without semaphores, a failed fork: workers are
+                    # spawned on submission) — finish on the serial path.
+                    if pool is not None:
+                        self._teardown(pool)
+                        pool = None
+                    for index in pending:
+                        yield index, self._run_serial(fn, args_list[index], index)
+                    return
+                pending, abandoned = yield from self._run_round(pool, pending, futures)
+                if abandoned:
                     pool = None
-                round_index += 1
-        finally:
+                    self._events["pool_restarts"] += 1
+        except BaseException:
             if pool is not None:
-                pool.shutdown(wait=True)
-        return [results[index] for index in range(population)]
-
-    _pool_abandoned = False
+                self._teardown(pool)
+            raise
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def _run_round(
-        self,
-        pool: ProcessPoolExecutor,
-        fn: Callable,
-        args_list: List[Tuple],
-        pending: List[int],
-        records: List[JobRecord],
-        results: Dict[int, Any],
-        spec: Optional[faults.FaultSpec],
-    ) -> List[int]:
-        """Submit one attempt for every pending job; return the jobs to retry."""
-        self._pool_abandoned = False
-        population = len(args_list)
-        futures = []
-        for index in pending:
-            action = None
-            if spec is not None:
-                action = spec.executor_action(index, records[index].attempts, population)
-                if action is not None and records[index].injected is None:
-                    records[index].injected = action
-            if action is None:
-                futures.append(
-                    pool.submit(_job_with_cache_delta, fn, *args_list[index])
-                )
-            else:
-                futures.append(
-                    pool.submit(
-                        faults.invoke_with_fault,
-                        action,
-                        spec.stall_seconds,
-                        spec.crash_delay_seconds,
-                        _job_with_cache_delta,
-                        fn,
-                        *args_list[index],
-                    )
-                )
-        submitted = time.monotonic()
+        self, pool: ProcessPoolExecutor, pending: List[int], futures: List[Future]
+    ):
+        """Wait on each submitted attempt of the pending jobs in turn.
+
+        Yields ``(index, result)`` as results land and returns the jobs to
+        retry plus whether the pool was abandoned.  A stall or a broken pool
+        abandons it: the parent stops waiting, salvages every result that
+        already exists (those jobs are done, not recomputed) and kills the
+        pool.  An exception from ``fn`` is raised after the same salvage, so
+        the attempts of the jobs that completed are still counted.
+        """
+        retry: List[int] = []
+        salvaged: List[Tuple[int, Any]] = []
         abandon = False
         fatal: Optional[BaseException] = None
-        retry: List[int] = []
         for index, future in zip(pending, futures):
-            record = records[index]
-            if abandon or fatal is not None:
-                # The pool is compromised (stall or break) or a job failed
-                # fatally: stop waiting, but salvage every result that
-                # already exists — those jobs are done, not recomputed.
-                if future.done() and not future.cancelled():
-                    error = future.exception()
-                    if error is None:
-                        record.attempts += 1
-                        record.salvaged = True
-                        results[index] = self._absorb(future.result())
-                    elif isinstance(error, BrokenProcessPool):
-                        record.attempts += 1
-                        retry.append(index)
-                    elif isinstance(error, RETRYABLE):
-                        record.attempts += 1
-                        record.transient_errors += 1
-                        retry.append(index)
-                    elif fatal is None:
-                        record.attempts += 1
-                        fatal = error
-                else:
-                    future.cancel()
-                    retry.append(index)  # never ran: no attempt consumed
+            salvaging = abandon or fatal is not None
+            if salvaging and (not future.done() or future.cancelled()):
+                future.cancel()
+                retry.append(index)  # never ran: no attempt consumed
                 continue
+            self._attempts[index] += 1
             try:
-                if self.timeout is not None:
-                    remaining = max(0.0, submitted + self.timeout - time.monotonic())
-                    results[index] = self._absorb(future.result(timeout=remaining))
-                else:
-                    results[index] = self._absorb(future.result())
-                record.attempts += 1
+                result = self._absorb(
+                    future.result(timeout=None if salvaging else self.timeout)
+                )
             except FutureTimeoutError:
-                record.attempts += 1
-                record.timeouts += 1
+                self._events["timeouts"] += 1
                 retry.append(index)
                 future.cancel()
                 # A stalled worker still occupies its slot; the only way to
                 # reclaim it is to abandon this pool and start fresh.
                 abandon = True
             except BrokenProcessPool:
-                record.attempts += 1
                 retry.append(index)
                 abandon = True
             except RETRYABLE:
-                record.attempts += 1
-                record.transient_errors += 1
+                self._events["transient_errors"] += 1
                 retry.append(index)
             except BaseException as error:
-                # fn's own failure: propagate unchanged (after salvaging the
-                # jobs that already completed, so their attempts are logged).
-                record.attempts += 1
-                fatal = error
-        if abandon or fatal is not None:
-            self._teardown(pool)
-            self._pool_abandoned = True
-            if abandon:
-                self._pool_restarts += 1
+                # fn's own failure: propagates unchanged once the jobs that
+                # already completed are salvaged.
+                if fatal is None:
+                    fatal = error
+            else:
+                if salvaging:
+                    self._events["salvaged"] += 1
+                    salvaged.append((index, result))
+                else:
+                    yield index, result
         if fatal is not None:
             raise fatal
-        return retry
+        if abandon:
+            self._teardown(pool)
+        yield from salvaged
+        return retry, abandon
 
-    def _absorb(self, value: Any) -> Any:
-        """Unwrap a pool-worker envelope, folding its cache delta home."""
-        if isinstance(value, _WorkerEnvelope):
-            for key, count in value.cache.items():
-                if count:
-                    self._worker_cache[key] = self._worker_cache.get(key, 0) + count
-            return value.result
-        return value
+    def _submit(
+        self,
+        pool: ProcessPoolExecutor,
+        fn: Callable,
+        args_list: List[Tuple],
+        index: int,
+        spec: Optional[faults.FaultSpec],
+    ) -> Future:
+        """Submit one attempt of job ``index``, with its injected fault if any."""
+        action = None
+        if spec is not None:
+            action = spec.executor_action(index, self._attempts[index], len(args_list))
+        if action is None:
+            return pool.submit(_job_with_cache_delta, fn, *args_list[index])
+        future = pool.submit(
+            faults.invoke_with_fault,
+            action,
+            spec.stall_seconds,
+            spec.crash_delay_seconds,
+            _job_with_cache_delta,
+            fn,
+            *args_list[index],
+        )
+        self._injected.add(index)
+        return future
+
+    def _absorb(self, shipped: Tuple[Any, Dict[str, int]]) -> Any:
+        """Unpack a pool job's ``(result, cache delta)``, folding the delta home."""
+        result, cache = shipped
+        self._worker_cache.update({key: count for key, count in cache.items() if count})
+        return result
 
     @staticmethod
     def _teardown(pool: ProcessPoolExecutor) -> None:
-        """Abandon a pool without waiting on hung workers.
+        """Abandon a pool without waiting on its jobs.
 
-        ``shutdown(wait=False)`` alone would leave a stalled worker running
-        (and the interpreter joining it at exit), so any processes still
-        alive are killed outright — exactly what the fault model assumes an
-        operator or the kernel OOM-killer does to a wedged job.
+        Queued jobs are cancelled.  ``shutdown(wait=False)`` alone would
+        leave a stalled worker running (and the interpreter joining it at
+        exit), so the workers are killed outright — exactly what the fault
+        model assumes an operator or the kernel OOM-killer does to a wedged
+        job — and reaped, so none outlives the pool.
         """
         # Snapshot the workers first: shutdown(wait=False) drops the pool's
-        # ``_processes`` reference, and a stalled worker that outlives it
-        # would be joined at interpreter exit — hanging the whole run.
+        # ``_processes`` reference.
         processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         for process in processes:
             try:
                 process.kill()
+                process.join()
             except Exception:  # pragma: no cover - best-effort teardown
                 pass

@@ -24,10 +24,12 @@ reported in the run's failure accounting.  Aggregation
 (:func:`repro.scenarios.report.aggregate`) still *raises* on a corrupt
 artifact: a report must never silently paper over bad inputs.
 
-Each run also checkpoints defensively: stale atomic-write temp files left
-by writers that died mid-write are swept on entry, every artifact is
-validated immediately after it is written (a torn write is quarantined and
-rewritten from the in-memory metrics), and the executor's per-job
+Each run also checkpoints defensively.  Stale atomic-write temp files left
+by writers that died mid-write are swept on entry.  Points stream through
+one :meth:`~repro.runtime.executor.SweepExecutor.imap`, serial or pooled,
+so every artifact is written as soon as its point's metrics are final and
+validated by reading it back (a torn write is quarantined and rewritten
+from the in-memory metrics).  The executor's per-job
 timeout/retry/salvage accounting is surfaced through
 :class:`SweepRunReport`.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -43,8 +46,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.gpu.engine import pinned_engine
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT_VERSION,
-    describe_cache,
+    add_worker_cache,
     describe_phases,
+    describe_run_cache,
     telemetry_delta,
     telemetry_snapshot,
 )
@@ -165,11 +169,6 @@ def evaluate_grid(
     return {point: evaluate_point(point, base_config) for point in grid.points()}
 
 
-def _point_job(point: ScenarioPoint, base_config) -> Dict[str, Any]:
-    """Module-level sweep worker: one scenario point per process."""
-    return evaluate_point(point, base_config)
-
-
 @dataclass(frozen=True)
 class PointStatus:
     """What happened to one point during a :meth:`SweepRunner.run`."""
@@ -200,7 +199,7 @@ class SweepRunReport:
     job_report: Optional[JobReport] = None
     #: Cache counters + phase wall-clock accumulated by this run.  The
     #: ``cache`` section is the parent's share; for a parallel run the
-    #: worker-side deltas shipped home through the job envelopes appear as
+    #: worker-side deltas shipped home with the job results appear as
     #: ``cache_workers`` and the sum of both as ``cache_combined``.
     telemetry: Optional[Dict[str, Any]] = None
     #: True when a graceful-stop request (SIGINT/SIGTERM) ended the run
@@ -238,15 +237,7 @@ class SweepRunReport:
         if spec is not None:
             lines.append(f"faults injected: {spec.describe()}")
         if self.telemetry is not None:
-            combined = self.telemetry.get("cache_combined")
-            if combined is not None:
-                workers = self.telemetry.get("cache_workers", {})
-                lines.append(
-                    f"cache: {describe_cache(combined)} "
-                    f"(workers: {describe_cache(workers)})"
-                )
-            else:
-                lines.append(f"cache: {describe_cache(self.telemetry.get('cache', {}))}")
+            lines.append(f"cache: {describe_run_cache(self.telemetry)}")
             phases = self.telemetry.get("phases") or {}
             if phases:
                 lines.append(f"phases: {describe_phases(phases)}")
@@ -402,12 +393,15 @@ class SweepRunner:
     ) -> SweepRunReport:
         """Like :meth:`run`, returning the full failure accounting.
 
-        ``stop`` is a graceful-interrupt predicate checked between points on
-        the serial streaming path (and before the parallel fan-out starts):
-        once it returns True no further point is *started*, the in-flight
-        artifact write completes, the telemetry sidecar is still written and
-        the report comes back with ``interrupted=True`` — nothing is ever
-        torn, so a later ``resume`` run completes byte-identically.
+        Points stream through one executor whatever ``jobs`` is, and each
+        artifact is written as soon as its metrics are final.  ``stop`` is
+        a graceful-interrupt predicate checked before each point's result
+        is taken: once it returns True no further point is *started* (the
+        pool's queued points are cancelled and its workers stopped), the
+        in-flight artifact write completes, the telemetry sidecar is still
+        written and the report comes back with ``interrupted=True`` —
+        nothing is ever torn, so a later ``resume`` run completes
+        byte-identically.
         """
         points = self.grid.shard(*shard) if shard is not None else self.grid.points()
         telemetry_before = telemetry_snapshot()
@@ -436,30 +430,29 @@ class SweepRunner:
             todo.append(point)
         spec = faults.active_spec()
         write_plan = spec.site_plan("runner.write", len(todo)) if spec else {}
-        executor: Optional[SweepExecutor] = None
-        for index, (point, metrics) in enumerate(
-            zip(todo, self._compute(todo, jobs, timeout, retries, stop))
-        ):
-            path = self._write_point(point, metrics, report, write_plan.pop(index, None))
-            statuses[point] = PointStatus(point, path, "computed")
-            if progress is not None:
-                progress(statuses[point])
-            executor = self._last_executor
-        if executor is not None:
-            report.job_report = executor.last_report
+        if self._evaluate is not None:
+            evaluate, job_args = self._evaluate, [(point,) for point in todo]
+        else:
+            self._prefetch_models(todo)
+            evaluate, job_args = evaluate_point, [(point, self.config) for point in todo]
+        executor = SweepExecutor(jobs=jobs, timeout=timeout, retries=retries)
+        with closing(executor.imap(evaluate, job_args)) as results:
+            for index, point in enumerate(todo):
+                if stop is not None and stop():
+                    break
+                path = self._write_point(
+                    point, next(results), report, write_plan.pop(index, None)
+                )
+                statuses[point] = PointStatus(point, path, "computed")
+                if progress is not None:
+                    progress(statuses[point])
+        report.job_report = executor.last_report
         report.statuses = [statuses[point] for point in points if point in statuses]
         report.interrupted = len(report.statuses) < len(points)
-        report.telemetry = telemetry_delta(telemetry_before)
-        worker_cache = (
-            report.job_report.worker_cache if report.job_report is not None else None
+        report.telemetry = add_worker_cache(
+            telemetry_delta(telemetry_before),
+            report.job_report.worker_cache if report.job_report is not None else None,
         )
-        if worker_cache:
-            parent = report.telemetry.get("cache", {})
-            report.telemetry["cache_workers"] = dict(worker_cache)
-            report.telemetry["cache_combined"] = {
-                key: int(parent.get(key, 0)) + int(worker_cache.get(key, 0))
-                for key in sorted(set(parent) | set(worker_cache))
-            }
         self._write_telemetry(report)
         return report
 
@@ -524,43 +517,6 @@ class SweepRunner:
                 )
                 report.repaired_writes += 1
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _compute(
-        self,
-        todo: Sequence[ScenarioPoint],
-        jobs: Optional[int],
-        timeout: Optional[float] = None,
-        retries: Optional[int] = None,
-        stop: Optional[Callable[[], bool]] = None,
-    ):
-        def stopped() -> bool:
-            return stop is not None and stop()
-
-        self._last_executor: Optional[SweepExecutor] = None
-        if self._evaluate is not None:
-            for point in todo:
-                if stopped():
-                    return
-                yield self._evaluate(point)
-            return
-        executor = SweepExecutor(jobs=jobs, timeout=timeout, retries=retries)
-        self._last_executor = executor
-        if executor.parallel and len(todo) > 1:
-            # The parallel fan-out is all-or-nothing: a stop request that
-            # arrives before it starts skips it entirely; one that arrives
-            # mid-map takes effect when the map returns.
-            if stopped():
-                return
-            self._prefetch_models(todo)
-            yield from executor.map(_point_job, [(point, self.config) for point in todo])
-            return
-        # Serial path streams through the executor one job at a time so the
-        # artifacts checkpoint as they land (an interrupt loses at most the
-        # in-flight point) while retaining the retry policy and accounting.
-        for point in todo:
-            if stopped():
-                return
-            yield executor.run_one(evaluate_point, (point, self.config))
 
     def _prefetch_models(self, todo: Sequence[ScenarioPoint]) -> None:
         """Resolve every model the shard needs once, in this process, so the

@@ -6,6 +6,9 @@ profiles) are session-scoped so the integration tests share them.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import pytest
 
 from repro.experiments.common import ExperimentConfig, clear_caches, train_model
@@ -24,6 +27,23 @@ def fast_config() -> ExperimentConfig:
 def tiny_model(fast_config):
     """A model trained once per session on the fast configuration."""
     return train_model(fast_config)
+
+
+@pytest.fixture
+def no_children_left():
+    """A check that this process has no live multiprocessing child left.
+
+    A killed pool worker is reaped by whichever of the executor's teardown
+    and the pool's own management thread gets to it first, so the check
+    waits up to ``timeout`` seconds for the reaping to finish."""
+
+    def check(timeout: float = 5.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return not multiprocessing.active_children()
+
+    return check
 
 
 @pytest.fixture(autouse=True)

@@ -9,11 +9,14 @@ to act, and on the absence of a Python traceback.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.cli.main import build_parser
 from repro.cli.main import main as repro_main
+from repro.cli.sweep import build_parser as build_sweep_parser
 from repro.gpu.engine import ENGINES
 
 
@@ -198,3 +201,33 @@ def test_unknown_bench_engine_is_a_usage_error(capsys):
     assert "unknown simulator engine 'turbo'" in captured.err
     for engine in ENGINES:
         assert engine in captured.err
+
+
+JOBS_COMMANDS = [
+    ["run", "fig04", "--fast"],
+    ["run-all", "--fast"],
+    ["sweep", "run", "smoke", "--fast"],
+    ["pretrain", "--fast"],
+    ["bench", "--dry-run"],
+]
+
+
+@pytest.mark.parametrize("argv", JOBS_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("bad", ["-1", "lots"])
+def test_bad_jobs_value_is_the_same_usage_error_everywhere(sweep_cache, capsys, argv, bad):
+    """Every ``--jobs`` flag shares REPRO_JOBS's grammar and rejects a bad
+    value before anything runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        repro_main([*argv, "--jobs", bad])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert f"--jobs must be a non-negative integer or 'auto', got '{bad}'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "auto"])
+def test_zero_and_auto_jobs_mean_one_worker_per_core(monkeypatch, value):
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert build_parser().parse_args(["run", "fig04", "--jobs", value]).jobs == 6
+    assert build_parser().parse_args(["run-all", "--jobs", value]).jobs == 6
+    assert build_sweep_parser().parse_args(["run", "smoke", "--jobs", value]).jobs == 6

@@ -10,8 +10,11 @@ The two load-bearing guarantees of the runtime subsystem:
 from __future__ import annotations
 
 import json
+import os
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +28,7 @@ from repro.experiments.common import (
 from repro.gpu.config import baseline_config
 from repro.profiling.profiler import KernelProfiler
 from repro.runtime.cache import DiskCache, content_key
-from repro.runtime.executor import SweepExecutor, resolve_jobs
+from repro.runtime.executor import SweepExecutor, jobs_arg, resolve_jobs
 from repro.runtime.serialization import (
     decode_value,
     encode_value,
@@ -69,6 +72,24 @@ def _boom(x):
     raise RuntimeError(f"boom {x}")
 
 
+def _square_unless_odd(x):
+    if x % 2:
+        raise RuntimeError(f"boom {x}")
+    return x * x
+
+
+def _sleepy_square(x, seconds):
+    time.sleep(seconds)
+    return x * x
+
+
+def _slow_marked_square(marker_dir, x):
+    """Sleeps, then leaves one marker file per *completed* call."""
+    time.sleep(0.3)
+    Path(marker_dir, f"{x}.marker").touch()
+    return x * x
+
+
 class TestSweepExecutor:
     def test_resolve_jobs(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -91,6 +112,43 @@ class TestSweepExecutor:
             warnings.simplefilter("error")
             assert resolve_jobs() == 1
 
+    def test_zero_jobs_means_one_per_core(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_jobs(0) == 6
+        assert SweepExecutor(jobs=0).jobs == 6
+        assert jobs_arg("0") == jobs_arg("auto") == jobs_arg(" AUTO ") == 6
+        assert jobs_arg("3") == 3
+        monkeypatch.setenv("REPRO_JOBS", "0")
+        assert resolve_jobs() == 6
+        monkeypatch.setenv("REPRO_JOBS", "auto")
+        assert SweepExecutor().jobs == 6
+
+    def test_negative_jobs_in_the_environment_warn_and_run_serially(self, monkeypatch):
+        from repro.runtime import executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_warned_env", set())
+        monkeypatch.setenv("REPRO_JOBS", "-2")
+        with pytest.warns(RuntimeWarning, match="REPRO_JOBS='-2'.*serial"):
+            assert resolve_jobs() == 1
+
+    @pytest.mark.parametrize("raw", ["-1", "lots", "", "2.5"])
+    def test_jobs_arg_rejects_what_the_environment_rejects(self, raw):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError, match="non-negative integer or 'auto'"):
+            jobs_arg(raw)
+
+    def test_timeout_is_per_job_not_per_round(self):
+        """Time queued behind other jobs never counts against a job: eight
+        0.5 s jobs on two workers take about 2 s, past the 1.5 s timeout,
+        but the parent never waits on any one of them for that long."""
+        executor = SweepExecutor(jobs=2, timeout=1.5)
+        results, report = executor.map_with_report(
+            _sleepy_square, [(i, 0.5) for i in range(8)]
+        )
+        assert results == [i * i for i in range(8)]
+        assert report.clean, report.summary()
+
     def test_serial_map_preserves_order(self):
         executor = SweepExecutor(jobs=1)
         assert executor.map(_square, [(i,) for i in range(6)]) == [0, 1, 4, 9, 16, 25]
@@ -99,10 +157,82 @@ class TestSweepExecutor:
         executor = SweepExecutor(jobs=2)
         assert executor.map(_square, [(i,) for i in range(6)]) == [0, 1, 4, 9, 16, 25]
 
+    def test_a_pool_that_cannot_spawn_workers_finishes_serially(
+        self, monkeypatch, no_children_left
+    ):
+        """Workers are forked on submission, not when the pool is built: a
+        failed fork there must fall back to the serial path too."""
+        from concurrent.futures import process
+
+        def refuse(pool):
+            raise BlockingIOError(11, "simulated fork failure")
+
+        monkeypatch.setattr(process.ProcessPoolExecutor, "_spawn_process", refuse)
+        executor = SweepExecutor(jobs=2)
+        results, report = executor.map_with_report(_square, [(i,) for i in range(4)])
+        assert results == [0, 1, 4, 9]
+        assert report.attempts == 4 and report.clean
+        assert no_children_left()
+
     def test_worker_exception_propagates(self):
         executor = SweepExecutor(jobs=2)
         with pytest.raises(RuntimeError, match="boom"):
             executor.map(_boom, [(1,), (2,)])
+
+
+class TestStreaming:
+    """``imap`` hands out each result as soon as it and every earlier one
+    are final, and closing it early starts no further job."""
+
+    def test_pooled_imap_yields_earlier_results_before_a_job_error(self, no_children_left):
+        executor = SweepExecutor(jobs=2)
+        stream = executor.imap(_square_unless_odd, [(0,), (1,), (2,)])
+        assert next(stream) == 0
+        assert executor.last_report.jobs == 3
+        assert executor.last_report.attempts >= 1
+        with pytest.raises(RuntimeError, match="boom 1"):
+            next(stream)
+        assert no_children_left()
+
+    def test_closing_a_pooled_imap_early_stops_its_workers(self, tmp_path, no_children_left):
+        executor = SweepExecutor(jobs=2)
+        stream = executor.imap(
+            _slow_marked_square, [(str(tmp_path), i) for i in range(8)]
+        )
+        assert next(stream) == 0
+        stream.close()
+        assert no_children_left()
+        finished = len(list(tmp_path.glob("*.marker")))
+        assert finished < 8
+        time.sleep(0.5)
+        assert len(list(tmp_path.glob("*.marker"))) == finished
+
+    def test_taking_every_result_shuts_the_pool_down_without_killing_it(self, monkeypatch):
+        killed = []
+        teardown = SweepExecutor._teardown
+
+        def recording_teardown(pool):
+            killed.append(pool)
+            teardown(pool)
+
+        monkeypatch.setattr(SweepExecutor, "_teardown", staticmethod(recording_teardown))
+        executor = SweepExecutor(jobs=2)
+        stream = executor.imap(_square, [(i,) for i in range(4)])
+        # zip stops after the fourth result without asking for a fifth.
+        assert [result for _, result in zip(range(4), stream)] == [0, 1, 4, 9]
+        stream.close()
+        assert killed == []
+
+    def test_serial_imap_runs_each_job_when_its_result_is_taken(self, tmp_path):
+        executor = SweepExecutor(jobs=1)
+        stream = executor.imap(
+            _slow_marked_square, [(str(tmp_path), i) for i in range(3)]
+        )
+        assert list(tmp_path.glob("*.marker")) == []
+        assert next(stream) == 0
+        assert [path.name for path in tmp_path.glob("*.marker")] == ["0.marker"]
+        stream.close()
+        assert executor.last_report.attempts == 1
 
 
 class TestSerialParallelEquivalence:
@@ -354,9 +484,9 @@ class TestWorkerCacheTelemetry:
         assert worker_cache["hits"] == 4
         assert executor.last_report.to_dict()["worker_cache"] == worker_cache
 
-    def test_serial_run_one_reports_no_worker_cache(self, tmp_path):
+    def test_serial_map_reports_no_worker_cache(self, tmp_path):
         executor = SweepExecutor(jobs=1)
-        executor.run_one(_touch_disk_cache, (str(tmp_path), 99))
+        executor.map(_touch_disk_cache, [(str(tmp_path), 99)])
         # Serial execution happens in-parent: the global counters already
-        # saw it, so an envelope would double-count.
+        # saw it, so shipping a worker delta home would double-count.
         assert executor.last_report.worker_cache in (None, {})

@@ -346,6 +346,38 @@ def test_real_parallel_jobs_match_serial_bytes(tmp_path, monkeypatch):
     assert artifact_bytes(parallel) == artifact_bytes(serial)
 
 
+def test_real_pooled_stop_checkpoints_and_resume_is_byte_identical(
+    tmp_path, monkeypatch, no_children_left
+):
+    """A stop request under ``jobs=2`` starts no further point: the run
+    reports ``interrupted``, every artifact it wrote is whole and equal to
+    a clean run's, and a ``resume`` run finishes the grid byte-identically."""
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    grid = ScenarioGrid("stop", {"benchmark": ["mvt", "bfs"], "scheme": ["gto", "ccws"]})
+    clean = SweepRunner(grid, tiny_config(tmp_path / "clean"), cache_dir=tmp_path / "clean")
+    clean.run()
+    reference = artifact_bytes(clean)
+    assert len(reference) == grid.size == 4
+
+    runner = SweepRunner(grid, tiny_config(tmp_path / "stopped"), cache_dir=tmp_path / "stopped")
+    landed = []
+    report = runner.run_report(jobs=2, progress=landed.append, stop=lambda: bool(landed))
+    assert report.interrupted
+    assert report.computed == len(landed) == 1
+    partial = artifact_bytes(runner)
+    assert list(partial) == [f"{landed[0].point.point_id}.json"]
+    assert all(payload == reference[name] for name, payload in partial.items())
+    assert not list(runner.root.rglob("*.tmp"))
+    assert no_children_left()
+    telemetry = json.loads((runner.root / "run_telemetry.json").read_text())
+    assert telemetry["interrupted"] is True and telemetry["computed"] == 1
+
+    resumed = runner.run_report(jobs=2, resume=True)
+    assert not resumed.interrupted
+    assert (resumed.skipped, resumed.computed) == (1, grid.size - 1)
+    assert artifact_bytes(runner) == reference
+
+
 def test_engine_axis_points_have_identical_metrics(tmp_path):
     """The engine-parity grid's reason to exist: the same scenario pinned to
     each registered engine must produce identical metrics (caches are
