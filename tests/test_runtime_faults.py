@@ -356,10 +356,13 @@ def _artifact_bytes(runner: SweepRunner):
 
 
 def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
-    """The PR's headline guarantee on the real simulator: a parallel sweep
-    surviving a worker crash, an injected transient error, a torn artifact
-    write and flaky cache I/O produces byte-identical artifacts — and a
-    byte-identical aggregated ``sweep.json`` — to a clean serial run."""
+    """The headline guarantee on the real simulator: a parallel sweep
+    surviving a worker crash, an injected transient error and a torn
+    artifact write produces byte-identical artifacts — and a byte-identical
+    aggregated ``sweep.json`` — to a clean serial run.  The smoke grid pins
+    ``engine``, and pinned points skip the result cache, so the
+    ``cache.store`` faults in this spec never fire; the test below covers
+    them on a cached grid."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     grid = get_grid("smoke")
 
@@ -369,7 +372,7 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
     clean_sweep = write_sweep_artifact(clean_payload, tmp_path / "clean")
 
     # seed=0 over the 16 smoke points: crash and oserror target distinct
-    # points (so both fire); one torn write and two cache faults on top.
+    # points (so both fire); one torn write on top.
     monkeypatch.setenv(
         "REPRO_FAULTS",
         "seed=0,crash_delay=1.0,executor:crash:1,executor:oserror:1,"
@@ -395,3 +398,32 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
     chaos_payload = aggregate(grid, chaos.config)
     chaos_sweep = write_sweep_artifact(chaos_payload, tmp_path / "chaos")
     assert chaos_sweep.read_bytes() == clean_sweep.read_bytes()
+
+
+def test_cache_store_faults_fire_on_a_cached_grid(tmp_path, monkeypatch):
+    """Flaky cache stores on a grid whose points use the result cache (no
+    ``engine`` axis): both injected store failures are counted, and the
+    point artifacts are byte-identical to a fault-free run."""
+    from repro.experiments.common import clear_caches
+    from repro.scenarios.grid import ScenarioGrid
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+    grid = ScenarioGrid("cached", {"scheme": ["gto", "ccws"], "benchmark": ["gather", "mvt"]})
+
+    # Each run starts with empty in-process caches, so it computes and
+    # stores every result instead of reusing the other run's.
+    clear_caches()
+    clean = SweepRunner(grid, _tiny_config(tmp_path / "clean"))
+    clean_cache = clean.run_report().telemetry["cache"]
+    assert clean_cache["stores"] > 2
+    assert clean_cache["store_failures"] == 0
+
+    monkeypatch.setenv("REPRO_FAULTS", "cache.store:oserror:2")
+    reset_fault_state()
+    clear_caches()
+    chaos = SweepRunner(grid, _tiny_config(tmp_path / "chaos"))
+    chaos_cache = chaos.run_report().telemetry["cache"]
+    assert chaos_cache["store_failures"] == 2
+    assert chaos_cache["stores"] == clean_cache["stores"] - 2
+    assert _artifact_bytes(chaos) == _artifact_bytes(clean)

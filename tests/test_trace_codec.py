@@ -12,12 +12,14 @@ from __future__ import annotations
 import gzip
 import json
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.isa import Instruction, Opcode, alu, load
+from repro.trace import codec
 from repro.trace.codec import (
     FORMAT_VERSION,
     MAGIC,
@@ -26,6 +28,7 @@ from repro.trace.codec import (
     TraceWriter,
     read_trace_meta,
     read_trace_programs,
+    read_trace_programs_with_hash,
     trace_content_hash,
     trace_stats,
     write_trace,
@@ -57,6 +60,17 @@ def test_roundtrip_arbitrary_streams(tmp_path_factory, programs):
     path = tmp_path_factory.mktemp("codec") / "t.trc"
     write_trace(path, programs, meta={"kernel": "hyp"})
     assert read_trace_programs(path) == programs
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs=_programs, block_size=st.integers(min_value=1, max_value=16))
+def test_roundtrip_with_tiny_blocks(tmp_path_factory, programs, block_size):
+    # Blocks of 1-16 bytes put block edges inside records, inside the
+    # header and between a record's kind byte and its body.
+    path = tmp_path_factory.mktemp("codec") / "t.trc"
+    content_hash = write_trace(path, programs, meta={"kernel": "hyp"})
+    with mock.patch.object(codec, "_BLOCK_SIZE", block_size):
+        assert read_trace_programs_with_hash(path) == (programs, content_hash)
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,6 +109,36 @@ def test_decoded_alus_are_the_interned_table(tmp_path):
     (decoded,) = read_trace_programs(path)
     assert decoded == program
     assert all(inst is alu(inst.pc) for inst in decoded if not inst.is_load)
+
+
+def test_equal_loads_decode_to_one_object(tmp_path):
+    # LOAD records are interned per reader: equal records, in one warp or
+    # across warps, decode to one instruction; different ones stay apart.
+    programs = [
+        [load(5, dep_distance=1, pc=3), alu(pc=4), load(5, dep_distance=1, pc=3)],
+        [load(5, dep_distance=1, pc=3), load(5, dep_distance=2, pc=3), load(6, dep_distance=1, pc=3)],
+    ]
+    path = tmp_path / "loads.trc"
+    write_trace(path, programs, meta={"kernel": "loads"})
+    decoded = read_trace_programs(path)
+    assert decoded == programs
+    first = decoded[0][0]
+    assert decoded[0][2] is first and decoded[1][0] is first
+    assert decoded[1][1] is not first and decoded[1][2] is not first
+
+
+def test_level_9_stream_decodes_identically(tmp_path):
+    # Files compressed at level 9, as earlier writers made them, decode to
+    # the same programs and the same content hash: the hash covers the
+    # uncompressed payload only.
+    programs = [[alu(pc=pc) for pc in range(12)] + [load(77, dep_distance=4, pc=12), alu(pc=3)]]
+    path = tmp_path / "level6.trc"
+    content_hash = write_trace(path, programs, meta={"kernel": "levels"})
+    payload = gzip.decompress(path.read_bytes())
+    level9 = tmp_path / "level9.trc"
+    level9.write_bytes(gzip.compress(payload, 9, mtime=0))
+    assert read_trace_programs_with_hash(level9) == (programs, content_hash)
+    assert trace_content_hash(level9) == content_hash
 
 
 def test_identical_content_identical_bytes_and_hash(tmp_path):
@@ -158,9 +202,53 @@ def test_writer_enforces_declared_warp_count(tmp_path):
         writer.write_warp(1, [])
 
 
+def test_writer_rejects_bad_warp_ids(tmp_path):
+    writer = TraceWriter(tmp_path / "ids.trc", meta={}, num_warps=2)
+    writer.write_warp(0, [alu(pc=0)])
+    with pytest.raises(ValueError, match=r"warp id 7 outside \[0, 2\)"):
+        writer.write_warp(7, [alu(pc=0)])
+    with pytest.raises(ValueError, match="duplicate warp id 0"):
+        writer.write_warp(0, [alu(pc=0)])
+    writer.write_warp(1, [alu(pc=0)])
+    writer.close()
+    assert read_trace_programs(tmp_path / "ids.trc") == [[alu(pc=0)], [alu(pc=0)]]
+
+
 # ---------------------------------------------------------------------------
 # Malformed files
 # ---------------------------------------------------------------------------
+
+
+def _raw_trace(path, warp_ids, num_warps):
+    """A hand-built trace whose sections carry ``warp_ids``, bypassing the
+    writer's checks."""
+    meta = json.dumps({}).encode()
+    payload = struct.pack("<8sHHI", MAGIC, FORMAT_VERSION, 0, len(meta)) + meta
+    payload += struct.pack("<I", num_warps)
+    for warp_id in warp_ids:
+        payload += bytes((0xA0,)) + struct.pack("<I", warp_id)
+        payload += bytes((0x01,)) + struct.pack("<I", 0) + bytes((0xAF,))
+    payload += bytes((0xEE,))
+    path.write_bytes(gzip.compress(payload, mtime=0))
+    return path
+
+
+@pytest.mark.parametrize(
+    "warp_ids, message",
+    [((0, 7), r"warp id 7 outside \[0, 2\)"), ((1, 1), "duplicate warp id 1")],
+)
+def test_reader_rejects_bad_warp_ids(tmp_path, warp_ids, message):
+    path = _raw_trace(tmp_path / "ids.trc", warp_ids, num_warps=2)
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace_programs(path)
+    with pytest.raises(TraceFormatError, match=message):
+        trace_content_hash(path)
+
+
+def test_out_of_order_warp_ids_decode_in_id_order(tmp_path):
+    # The hand-built file itself is valid: sections may come in any order.
+    path = _raw_trace(tmp_path / "ids.trc", (1, 0), num_warps=2)
+    assert read_trace_programs(path) == [[alu(pc=0)], [alu(pc=0)]]
 
 
 def _valid_trace(tmp_path, warps: int = 3):
@@ -180,6 +268,29 @@ def test_truncated_file_raises(tmp_path):
         (tmp_path / "cut.trc").write_bytes(data[:cut])
         with pytest.raises(TraceFormatError):
             read_trace_programs(tmp_path / "cut.trc")
+
+
+def test_every_truncated_payload_raises(tmp_path):
+    # Cut the *uncompressed* payload at every byte and re-gzip it cleanly:
+    # each cut lands in the header, the metadata, a warp header, the middle
+    # of an ALU, ALU_RUN or LOAD record, or on a record boundary, and every
+    # one must be reported, at any block size.
+    programs = [
+        [alu(pc=pc) for pc in range(6)] + [load(9, dep_distance=2, pc=6), alu(pc=40)],
+        [load(9, dep_distance=2, pc=6), alu(pc=1)],
+    ]
+    path = tmp_path / "whole.trc"
+    write_trace(path, programs, meta={"kernel": "cut"})
+    payload = gzip.decompress(path.read_bytes())
+    target = tmp_path / "cut.trc"
+    for block_size in (1, 7, codec._BLOCK_SIZE):
+        with mock.patch.object(codec, "_BLOCK_SIZE", block_size):
+            for cut in range(len(payload)):
+                target.write_bytes(gzip.compress(payload[:cut], mtime=0))
+                with pytest.raises(TraceFormatError):
+                    read_trace_programs(target)
+            target.write_bytes(gzip.compress(payload, mtime=0))
+            assert read_trace_programs(target) == programs
 
 
 def test_not_a_gzip_file_raises(tmp_path):
