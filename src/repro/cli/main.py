@@ -25,7 +25,7 @@ from repro.analysis.tables import Table
 from repro.cli import runner
 from repro.experiments import registry
 from repro.experiments.common import default_cache_dir
-from repro.runtime.executor import SweepExecutor, jobs_arg
+from repro.runtime.executor import SweepExecutor, jobs_arg, jobs_budget
 from repro.version import __version__
 
 
@@ -45,9 +45,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_scale_flags(parser)
     parser.add_argument(
         "--jobs", type=jobs_arg, default=None, metavar="N",
-        help="fan experiments out over N worker processes, writing each "
-        "artifact as it lands; 0 or 'auto' = one per CPU core (default: "
-        "serial, or the REPRO_JOBS environment variable)",
+        help="the REPRO_JOBS budget of the whole command: experiments fan out "
+        "over N worker processes, writing each artifact as it lands, and a "
+        "lone experiment fans out its own runs; 0 or 'auto' = one per CPU "
+        "core (default: serial, or the REPRO_JOBS environment variable)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECS",
@@ -219,7 +220,9 @@ def _cmd_run(ids: Sequence[str], args: argparse.Namespace) -> int:
     telemetry_before = telemetry_snapshot()
     executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout, retries=args.retries)
     job_args = [(experiment_id, label, cache_dir) for experiment_id in ordered]
-    with closing(executor.imap(runner.run_experiment, job_args)) as payloads:
+    with jobs_budget(args.jobs), closing(
+        executor.imap(runner.run_experiment, job_args)
+    ) as payloads:
         for experiment_id, payload in zip(ordered, payloads):
             _finish(experiment_id, payload)
     report = executor.last_report

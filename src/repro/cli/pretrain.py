@@ -15,7 +15,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 from repro.core.model_store import save_model
 from repro.core.training import prediction_errors
 from repro.experiments.common import ExperimentConfig, PRETRAINED_MODEL_PATH
-from repro.runtime.executor import JOBS_ENV, jobs_arg
+from repro.runtime.executor import jobs_arg, jobs_budget
 from repro.workloads.registry import training_benchmarks
 
 
@@ -48,8 +47,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(0 or 'auto' = one per CPU core; overrides REPRO_JOBS)",
     )
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        os.environ[JOBS_ENV] = str(args.jobs)
 
     config = ExperimentConfig.fast() if args.fast else ExperimentConfig.full()
     pipeline = config.training_pipeline()
@@ -61,7 +58,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"profiling {total_kernels} training kernels ({config.label} configuration)...")
 
     start = time.perf_counter()
-    examples = pipeline.collect_examples(benchmarks)
+    with jobs_budget(args.jobs):
+        examples = pipeline.collect_examples(benchmarks)
     model = pipeline.fit(examples)
     elapsed = time.perf_counter() - start
 

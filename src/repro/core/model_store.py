@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Union
 
 from repro.core.training import TrainedModel
 
 _FORMAT_VERSION = 1
 
 
-def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
-    """Serialise a trained model to JSON; returns the path written."""
-    path = Path(path)
-    payload = {
+def model_to_dict(model: TrainedModel) -> Dict[str, Any]:
+    """The JSON document of a trained model."""
+    return {
         "format_version": _FORMAT_VERSION,
         "alpha_weights": list(model.alpha_weights),
         "beta_weights": list(model.beta_weights),
@@ -32,15 +31,10 @@ def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
         "num_training_kernels": model.num_training_kernels,
         "metadata": model.metadata,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return path
 
 
-def load_model(path: Union[str, Path]) -> TrainedModel:
-    """Load a trained model previously written by :func:`save_model`."""
-    path = Path(path)
-    payload = json.loads(path.read_text())
+def model_from_dict(payload: Dict[str, Any]) -> TrainedModel:
+    """Rebuild a model from :func:`model_to_dict`'s document."""
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
@@ -54,3 +48,16 @@ def load_model(path: Union[str, Path]) -> TrainedModel:
         num_training_kernels=int(payload.get("num_training_kernels", 0)),
         metadata=dict(payload.get("metadata", {})),
     )
+
+
+def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
+    """Serialise a trained model to JSON; returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True))
+    return path
+
+
+def load_model(path: Union[str, Path]) -> TrainedModel:
+    """Load a trained model previously written by :func:`save_model`."""
+    return model_from_dict(json.loads(Path(path).read_text()))

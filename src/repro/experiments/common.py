@@ -1,9 +1,10 @@
 """Shared infrastructure for the experiment modules.
 
-The heavy inputs of the evaluation — static profiles of kernels and the
-trained regression model — are cached (in memory per process, and the model
-on disk) so that the eighteen experiment modules can be run independently
-without repeating work.  ``ExperimentConfig.fast()`` provides a scaled-down
+The heavy inputs of the evaluation — static profiles of kernels, scheme
+runs, graph runs and the trained regression model — share one result cache
+(a per-process memo in front of the content-addressed disk cache) so that
+the eighteen experiment modules can be run independently without repeating
+work.  ``ExperimentConfig.fast()`` provides a scaled-down
 setup for tests; ``ExperimentConfig.full()`` is used by the benchmark
 harness and reproduces the paper-shaped results.
 """
@@ -14,11 +15,11 @@ import hashlib
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import ExperimentResult
 from repro.core.inference import PoiseParameters
-from repro.core.model_store import load_model, save_model
+from repro.core.model_store import load_model, model_from_dict, model_to_dict
 from repro.core.poise import PoiseController
 from repro.core.training import TrainedModel, TrainingPipeline, TrainingThresholds
 from repro.core.features import FeatureSampler
@@ -28,7 +29,7 @@ from repro.obs.telemetry import phase
 from repro.profiling.metrics import harmonic_mean
 from repro.profiling.profiler import KernelProfiler, StaticProfile
 from repro.runtime import serialization
-from repro.runtime.cache import DiskCache
+from repro.runtime.cache import DiskCache, content_key
 from repro.runtime.executor import SweepExecutor
 from repro.version import __version__
 from repro.schedulers import (
@@ -139,17 +140,19 @@ class ExperimentConfig:
 
     @property
     def cache_key(self) -> str:
-        """A short string identifying results produced under this config.
+        """A short string labelling the artifacts produced under this config.
 
-        Every run-affecting knob is folded in: two configs that differ only
-        in ``run_max_cycles``, ``kernels_per_benchmark``, the feature-sampling
-        window or the Poise parameters must not share cached ``RunResult``s.
-        The Poise parameters are summarised by a content digest to keep the
-        key readable, and the *entire* GPU configuration by another — the
+        It only labels: each experiment artifact records it in its
+        ``config`` block, and no cache is keyed by it (the result cache keys
+        every entry by the content of the payload naming it).  Every
+        run-affecting knob is folded in, so two artifacts made under
+        different ``run_max_cycles``, ``kernels_per_benchmark``, feature
+        windows or Poise parameters carry different labels.  The Poise
+        parameters are summarised by a content digest to keep the label
+        readable, and the *entire* GPU configuration by another — the
         readable ``l1…`` tokens cover only the axes sweeps vary by name, so
-        any other architecture change (``num_sms``, memory timings, a field
-        added next year) must perturb the key through the digest (guarded by
-        ``tests/test_graph_workloads.py``).
+        any other architecture change must perturb the label through the
+        digest (guarded by ``tests/test_graph_workloads.py``).
         """
         l1 = self.gpu.l1
         run_knobs = repr((self.poise_params, self.feature_warmup, self.feature_cycles))
@@ -214,90 +217,85 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Caches (per process memory + content-addressed disk)
+# The result cache: one per-process memo in front of the content-addressed disk
 # ---------------------------------------------------------------------------
 
-_PROFILE_CACHE: Dict[Tuple[KernelSpec, str], StaticProfile] = {}
-_RUN_CACHE: Dict[Tuple[str, KernelSpec, str, Optional[str]], RunResult] = {}
-_MODEL_CACHE: Dict[str, TrainedModel] = {}
+#: Every profile, scheme run, graph run and trained model this process has
+#: computed or loaded, keyed by ``content_key`` of the payload that also
+#: names its disk entry.
+_MEMO: Dict[str, object] = {}
+
+#: How each payload ``kind`` is written to and read from its disk entry.
+_CODECS: Dict[str, Tuple[Callable, Callable]] = {
+    "profile": (serialization.profile_to_dict, serialization.profile_from_dict),
+    "run": (serialization.run_result_to_dict, serialization.run_result_from_dict),
+    "graph-run": (serialization.graph_result_to_dict, serialization.graph_result_from_dict),
+    "model": (model_to_dict, model_from_dict),
+}
 
 
-def _run_cache_key(
-    scheme: str,
-    spec: KernelSpec,
-    config: ExperimentConfig,
-    model: Optional[TrainedModel],
-) -> Tuple[str, KernelSpec, str, Optional[str]]:
-    """In-memory run-cache key.
+def _disk(kind: str, cache_dir: Path) -> DiskCache:
+    """Where entries of ``kind`` live: ``runs/<key>.json``, except trained
+    models, which sit directly under the cache dir as ``model-<key>.json``
+    so a fresh cache dir can be seeded with them alone."""
+    if kind == "model":
+        return DiskCache(cache_dir, subdir="", prefix="model-")
+    return DiskCache(cache_dir)
 
-    Keyed on the full (frozen, hashable) spec rather than its name: a
-    captured-trace replay deliberately shares its source kernel's name, and
-    two same-named specs must never share a cache slot.  Model-driven
-    schemes fold in a digest of the weights: evaluating the same kernel
-    under two different models in one process must not share a cache slot
-    either (the disk layer already keys on the model; the memory layer has
-    to agree).
+
+def _cached(payload: dict, config: ExperimentConfig, compute: Callable, use_cache: bool = True):
+    """The memo, else the disk entry ``payload`` names, else ``compute()``
+    (stored to disk); whichever answers fills the memo.
+
+    A corrupt or undecodable disk entry is a miss like an absent one.
+    ``use_cache=False`` computes without reading or writing either layer.
     """
-    model_tag = None
-    if scheme.lower().startswith("poise") and model is not None:
-        digest = repr(serialization.model_digest(model))
-        model_tag = hashlib.sha256(digest.encode("utf-8")).hexdigest()[:12]
-    return (scheme, spec, config.cache_key, model_tag)
+    if not use_cache:
+        return compute()
+    key = content_key(payload)
+    if key not in _MEMO:
+        encode, decode = _CODECS[payload["kind"]]
+        disk = _disk(payload["kind"], config.cache_dir)
+        result = disk.load(payload, decode)
+        if result is None:
+            result = compute()
+            disk.store(payload, encode(result))
+        _MEMO[key] = result
+    return _MEMO[key]
 
 
 def clear_caches(config: Optional[ExperimentConfig] = None) -> None:
-    """Drop all per-process experiment caches (used by tests).
+    """Drop the per-process memo (used by tests).
 
-    When ``config`` is given its on-disk result cache is cleared as well.
+    When ``config`` is given, every disk entry under its cache dir goes
+    too: results and trained models.
     """
-    _PROFILE_CACHE.clear()
-    _RUN_CACHE.clear()
-    _MODEL_CACHE.clear()
-    _GRAPH_RUN_CACHE.clear()
+    _MEMO.clear()
     if config is not None:
-        DiskCache(config.cache_dir).clear()
-
-
-def disk_cache(config: ExperimentConfig) -> Optional[DiskCache]:
-    """The on-disk result cache for ``config`` (``None`` when disabled).
-
-    Set ``REPRO_DISK_CACHE=0`` to disable persistent result caching; the
-    cache lives under ``config.cache_dir`` (``REPRO_CACHE_DIR``) in
-    ``runs/<sha256>.json`` entries.
-    """
-    flag = os.environ.get("REPRO_DISK_CACHE", "1").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return None
-    return DiskCache(config.cache_dir)
+        for kind in ("run", "model"):
+            _disk(kind, config.cache_dir).clear()
 
 
 def _profile_key_payload(spec: KernelSpec, config: ExperimentConfig) -> dict:
-    return serialization.profile_key_payload(
-        spec,
-        config.gpu,
-        config.profile_cycles,
-        config.profile_warmup,
-        config.profile_n_step,
-        config.profile_p_step,
-    )
-
-
-def _run_key_payload(
-    scheme: str,
-    spec: KernelSpec,
-    config: ExperimentConfig,
-    model: Optional[TrainedModel],
-) -> dict:
-    """Everything that determines a scheme run's ``RunResult``."""
-    scheme = scheme.lower()
+    """Everything that determines a :class:`StaticProfile`."""
     return {
-        "kind": "run",
+        "kind": "profile",
         "version": __version__,
         "code": serialization.code_fingerprint(),
-        "scheme": scheme,
         "spec": serialization.spec_payload(spec),
         "gpu": serialization.gpu_payload(config.gpu),
-        "run_max_cycles": config.run_max_cycles,
+        "cycles_per_point": config.profile_cycles,
+        "warmup_cycles": config.profile_warmup,
+        "n_step": config.profile_n_step,
+        "p_step": config.profile_p_step,
+    }
+
+
+def _simulation_knobs(config: ExperimentConfig) -> dict:
+    """The knobs both scheme runs and training read: the GPU, the profile
+    grid, the Poise parameters and the feature-sampling window."""
+    return {
+        "gpu": serialization.gpu_payload(config.gpu),
         "profile_knobs": [
             config.profile_cycles,
             config.profile_warmup,
@@ -306,43 +304,68 @@ def _run_key_payload(
         ],
         "poise_params": serialization.encode_value(asdict(config.poise_params)),
         "feature_window": [config.feature_warmup, config.feature_cycles],
+    }
+
+
+def _run_key_payload(
+    scheme: str,
+    spec: KernelSpec,
+    config: ExperimentConfig,
+    model: Optional[TrainedModel],
+) -> dict:
+    """Everything that determines a scheme run's ``RunResult``.
+
+    The full spec, not its name: a captured-trace replay deliberately
+    shares its source kernel's name.  Model-driven schemes fold in a digest
+    of the weights, so one kernel evaluated under two models never shares
+    an entry.
+    """
+    scheme = scheme.lower()
+    return {
+        "kind": "run",
+        "version": __version__,
+        "code": serialization.code_fingerprint(),
+        "scheme": scheme,
+        "spec": serialization.spec_payload(spec),
+        "run_max_cycles": config.run_max_cycles,
         "model": serialization.model_digest(model if scheme.startswith("poise") else None),
+        **_simulation_knobs(config),
+    }
+
+
+def _model_key_payload(config: ExperimentConfig, feature_mask: Optional[Sequence[int]]) -> dict:
+    """Everything :func:`train_model` reads.
+
+    Not the code fingerprint: like the packaged model, a trained model
+    outlives code edits (the runs it drives are keyed by its weights), so
+    a cold run after an edit does not retrain.
+    """
+    return {
+        "kind": "model",
+        "training_kernels_per_benchmark": config.training_kernels_per_benchmark,
+        "training_min_speedup": config.training_min_speedup,
+        "training_min_hit_rate": config.training_min_hit_rate,
+        "feature_mask": sorted(feature_mask) if feature_mask else None,
+        **_simulation_knobs(config),
     }
 
 
 def get_profile(
     spec: KernelSpec, config: ExperimentConfig, use_cache: bool = True
 ) -> StaticProfile:
-    """Profile a kernel over the warp-tuple grid, with memory + disk caching.
+    """Profile a kernel over the warp-tuple grid, through the result cache.
 
     ``use_cache=False`` computes the profile directly — no cache is read *or
     populated* — so an engine-pinned scenario point genuinely executes its
     profiling sweep on the named engine instead of inheriting (or seeding)
     the engine-agnostic caches.
     """
-    if not use_cache:
+
+    def compute() -> StaticProfile:
         with phase("profile"):
             return config.profiler().profile(spec)
-    key = (spec, config.cache_key)
-    profile = _PROFILE_CACHE.get(key)
-    if profile is not None:
-        return profile
-    disk = disk_cache(config)
-    payload = _profile_key_payload(spec, config)
-    if disk is not None:
-        cached = disk.load(payload)
-        if cached is not None:
-            try:
-                profile = serialization.profile_from_dict(cached)
-            except (KeyError, TypeError, ValueError):
-                profile = None  # malformed entry: fall through and recompute
-    if profile is None:
-        with phase("profile"):
-            profile = config.profiler().profile(spec)
-        if disk is not None:
-            disk.store(payload, serialization.profile_to_dict(profile))
-    _PROFILE_CACHE[key] = profile
-    return profile
+
+    return _cached(_profile_key_payload(spec, config), config, compute, use_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -368,32 +391,21 @@ def train_or_load_model(
 ) -> TrainedModel:
     """Resolve the trained model for an experiment.
 
-    Resolution order: an explicit ``config.model_path`` → the per-config disk
-    cache → the packaged pre-trained model (only for unmasked, baseline-GPU
-    configs) → train from scratch (and cache to disk).
+    Resolution order: an explicit ``config.model_path`` → the packaged
+    pre-trained model (only for unmasked configs of the ``full`` preset) →
+    the result cache → train from scratch (and cache).  The first two are
+    files named outside the cache, so they are read before it, never
+    through it.
     """
-    mask_key = "none" if not feature_mask else "-".join(str(i) for i in sorted(feature_mask))
-    cache_key = f"{config.cache_key}-mask{mask_key}"
-    if cache_key in _MODEL_CACHE:
-        return _MODEL_CACHE[cache_key]
-
-    model: Optional[TrainedModel] = None
     if config.model_path is not None:
-        model = load_model(config.model_path)
-    else:
-        disk_cache = config.cache_dir / f"model-{cache_key}.json"
-        if disk_cache.exists():
-            model = load_model(disk_cache)
-        elif not feature_mask and PRETRAINED_MODEL_PATH.exists() and config.label == "full":
-            model = load_model(PRETRAINED_MODEL_PATH)
-        else:
-            model = train_model(config, feature_mask=feature_mask)
-            try:
-                save_model(model, disk_cache)
-            except OSError:
-                pass  # caching is best-effort
-    _MODEL_CACHE[cache_key] = model
-    return model
+        return load_model(config.model_path)
+    if not feature_mask and config.label == "full" and PRETRAINED_MODEL_PATH.exists():
+        return load_model(PRETRAINED_MODEL_PATH)
+    return _cached(
+        _model_key_payload(config, feature_mask),
+        config,
+        lambda: train_model(config, feature_mask=feature_mask),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,42 +458,25 @@ def run_scheme_on_kernel(
 ) -> RunResult:
     """Run one kernel to completion (or the cycle budget) under a scheme.
 
-    Results are cached in memory per process and, content-addressed, on
-    disk — so a sweep worker's runs survive into the parent process and
-    across invocations the way trained models already do.
+    Results go through the result cache, so a sweep worker's runs survive
+    into the parent process and across invocations.
     """
-    key = _run_cache_key(scheme, spec, config, model)
-    if use_cache and key in _RUN_CACHE:
-        return _RUN_CACHE[key]
-    disk = disk_cache(config) if use_cache else None
-    payload = _run_key_payload(scheme, spec, config, model) if disk is not None else None
-    if disk is not None:
-        cached = disk.load(payload)
-        if cached is not None:
-            try:
-                result = serialization.run_result_from_dict(cached)
-            except (KeyError, TypeError, ValueError):
-                result = None  # malformed entry: fall through and recompute
-            if result is not None:
-                _RUN_CACHE[key] = result
-                return result
-    controller, cache_policy = _build_controller(
-        scheme, spec, config, model, use_cache=use_cache
-    )
-    gpu = GPU(config.gpu)
-    programs = generate_kernel_programs(spec)
-    with phase("simulate"):
-        result = gpu.run_kernel(
-            programs,
-            controller=controller,
-            max_cycles=config.run_max_cycles,
-            cache_policy=cache_policy,
+
+    def simulate() -> RunResult:
+        controller, cache_policy = _build_controller(
+            scheme, spec, config, model, use_cache=use_cache
         )
-    if use_cache:
-        _RUN_CACHE[key] = result
-        if disk is not None:
-            disk.store(payload, serialization.run_result_to_dict(result))
-    return result
+        gpu = GPU(config.gpu)
+        programs = generate_kernel_programs(spec)
+        with phase("simulate"):
+            return gpu.run_kernel(
+                programs,
+                controller=controller,
+                max_cycles=config.run_max_cycles,
+                cache_policy=cache_policy,
+            )
+
+    return _cached(_run_key_payload(scheme, spec, config, model), config, simulate, use_cache)
 
 
 #: Schemes whose controller consumes a static profile of the kernel.
@@ -495,41 +490,36 @@ def prefetch_runs(
 ) -> None:
     """Fan missing (scheme, kernel) runs out over the sweep executor.
 
-    After this returns, every pair is resident in the in-process run cache,
-    so the serial aggregation code that follows only sees cache hits.  With
+    After this returns, every pair is resident in the memo, so the serial
+    aggregation code that follows only sees memo hits.  With
     ``REPRO_JOBS=1`` (the default) this is a no-op and the runs are computed
     lazily exactly as before — the counters are identical either way.
     """
     executor = SweepExecutor()
-    seen: set = set()
-    todo: List[Tuple[str, KernelSpec]] = []
+    if not executor.parallel:
+        return
+    todo: Dict[str, Tuple[str, KernelSpec, dict]] = {}
     for scheme, spec in pairs:
-        key = _run_cache_key(scheme, spec, config, model)
-        if key in seen or key in _RUN_CACHE:
-            continue
-        seen.add(key)
-        todo.append((scheme, spec))
-    if not executor.parallel or len(todo) <= 1:
+        payload = _run_key_payload(scheme, spec, config, model)
+        key = content_key(payload)
+        if key not in _MEMO:
+            todo.setdefault(key, (scheme, spec, payload))
+    if len(todo) <= 1:
         return
     # Static profiles feed several controllers; compute them up front in this
     # process (their grid points fan out on the same executor) so the run
-    # workers find them in the disk cache instead of each re-sweeping.  With
-    # the disk cache disabled there is no channel to hand a profile to a
-    # worker, so profile-based runs stay in this process (serial, but each
-    # profile is swept exactly once) and only the rest fan out.
-    profiles_shareable = disk_cache(config) is not None
-    fan_out: List[Tuple[str, KernelSpec]] = []
-    for scheme, spec in todo:
+    # workers find them in the disk cache instead of each re-sweeping.
+    for scheme, spec, _ in todo.values():
         if scheme.lower() in _PROFILE_BASED_SCHEMES:
-            if not profiles_shareable:
-                continue  # computed lazily in-process by the aggregation pass
             get_profile(spec, config)
-        fan_out.append((scheme, spec))
     results = executor.map(
-        run_scheme_on_kernel, [(scheme, spec, config, model) for scheme, spec in fan_out]
+        run_scheme_on_kernel,
+        [(scheme, spec, config, model) for scheme, spec, _ in todo.values()],
     )
-    for (scheme, spec), result in zip(fan_out, results):
-        _RUN_CACHE[_run_cache_key(scheme, spec, config, model)] = result
+    for (_, _, payload), result in zip(todo.values(), results):
+        # The worker stored its result: the memo takes it from disk, or
+        # takes the returned copy if that best-effort store failed.
+        _cached(payload, config, lambda result=result: result)
 
 
 @dataclass
@@ -625,9 +615,6 @@ def run_scheme_on_benchmark(
 # DAG-structured kernel mixes
 # ---------------------------------------------------------------------------
 
-_GRAPH_RUN_CACHE: Dict[Tuple[str, str, str], "object"] = {}
-
-
 def mix_graph_for_benchmark(benchmark_name: str, config: ExperimentConfig, mix: str):
     """The :class:`~repro.workloads.graph.KernelGraph` a ``kernel_mix`` axis
     value denotes: the benchmark's (limited) kernels, padded to at least two
@@ -654,41 +641,19 @@ def _graph_key_payload(graph, config: ExperimentConfig) -> dict:
 def run_graph_for_config(
     graph, config: ExperimentConfig, use_cache: bool = True
 ):
-    """Run a kernel graph on ``config.gpu``'s chip (memory + disk cached).
+    """Run a kernel graph on ``config.gpu``'s chip, through the result cache.
 
     The cycle budget is ``run_max_cycles`` per node, pooled, so serial
     chains get the same per-kernel budget a single-kernel run would.
     """
-    key = (
-        hashlib.sha256(
-            repr(serialization.encode_value(graph.payload())).encode("utf-8")
-        ).hexdigest()[:16],
-        config.cache_key,
-        "graph",
-    )
-    if use_cache and key in _GRAPH_RUN_CACHE:
-        return _GRAPH_RUN_CACHE[key]
-    disk = disk_cache(config) if use_cache else None
-    payload = _graph_key_payload(graph, config) if disk is not None else None
-    if disk is not None:
-        cached = disk.load(payload)
-        if cached is not None:
-            try:
-                result = serialization.graph_result_from_dict(cached)
-            except (KeyError, TypeError, ValueError):
-                result = None  # malformed entry: fall through and recompute
-            if result is not None:
-                _GRAPH_RUN_CACHE[key] = result
-                return result
-    gpu = GPU(config.gpu)
-    budget = config.run_max_cycles * max(1, len(graph.nodes))
-    with phase("simulate"):
-        result = gpu.run_graph(graph, max_cycles=budget)
-    if use_cache:
-        _GRAPH_RUN_CACHE[key] = result
-        if disk is not None:
-            disk.store(payload, serialization.graph_result_to_dict(result))
-    return result
+
+    def simulate():
+        gpu = GPU(config.gpu)
+        budget = config.run_max_cycles * max(1, len(graph.nodes))
+        with phase("simulate"):
+            return gpu.run_graph(graph, max_cycles=budget)
+
+    return _cached(_graph_key_payload(graph, config), config, simulate, use_cache)
 
 
 def run_mix_on_benchmark(

@@ -30,7 +30,6 @@ and ``cpu_count`` for cross-run comparability.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import os
@@ -39,14 +38,14 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.config import GPUConfig, MemoryConfig, baseline_config
 from repro.gpu.engine import resolve_engine
 from repro.gpu.gpu import GPU, RunResult
 from repro.obs.telemetry import phase
 from repro.profiling.profiler import KernelProfiler
-from repro.runtime.executor import SweepExecutor
+from repro.runtime.executor import SweepExecutor, jobs_budget
 from repro.workloads.generator import fill_programs, generate_kernel_programs
 from repro.workloads.spec import KernelSpec
 
@@ -131,20 +130,6 @@ def committed_legacy_baseline(
             if baseline:
                 return baseline
     return {}
-
-
-@contextlib.contextmanager
-def _pinned_env(**values: str) -> Iterator[None]:
-    saved = {key: os.environ.get(key) for key in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for key, previous in saved.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = previous
 
 
 def memory_divergent_kernel() -> KernelSpec:
@@ -518,10 +503,9 @@ def measure_sweep(
     spec = spec or memory_divergent_kernel()
     config = replace(ExperimentConfig.fast(), cache_dir=Path(cache_dir))
 
-    # Pin the knobs this measurement is *about*: the cold pass must be the
-    # serial path and the warm pass must be allowed to hit the disk cache,
-    # regardless of what the ambient environment exports.
-    with _pinned_env(REPRO_JOBS="1", REPRO_DISK_CACHE="1"):
+    # The cold pass must be the serial path, whatever the ambient
+    # environment exports.
+    with jobs_budget(1):
         clear_caches()
         start = time.perf_counter()
         cold_profile = get_profile(spec, config)

@@ -1,15 +1,17 @@
 """Content-addressed on-disk result cache.
 
-Simulation results (static profiles, per-kernel ``RunResult``s) are keyed by
-the SHA-256 of a canonical-JSON description of *everything that determines
-the result*: the kernel spec, the full GPU configuration, the scheme and its
-run knobs, and the package version.  Two configs that differ in any
-run-affecting knob therefore hash to different entries — there is no
-"same label, different knobs" collision by construction.
+Results (static profiles, scheme and graph runs, trained models) are keyed
+by the SHA-256 of a canonical-JSON description of *everything that
+determines the result*: for a run, the kernel spec, the full GPU
+configuration, the scheme and its run knobs, and the package version.  Two
+configs that differ in any run-affecting knob therefore hash to different
+entries — there is no "same label, different knobs" collision by
+construction.
 
 Layout::
 
-    <cache_dir>/runs/<sha256>.json
+    <cache_dir>/runs/<sha256>.json      # profiles, scheme runs, graph runs
+    <cache_dir>/model-<sha256>.json     # trained models
 
 Entries are written atomically (temp file + ``os.replace``) so a concurrent
 or interrupted writer can never leave a half-written entry behind, and a
@@ -35,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Any, Callable, Dict, Optional, Set, Union
 
 from repro.runtime.faults import maybe_raise
 
@@ -178,10 +180,14 @@ def atomic_write_json(
 
 
 class DiskCache:
-    """A directory of content-addressed JSON documents."""
+    """A directory of content-addressed JSON documents, each named
+    ``<prefix><sha256>.json``."""
 
-    def __init__(self, cache_dir: Union[str, Path], subdir: str = "runs") -> None:
+    def __init__(
+        self, cache_dir: Union[str, Path], subdir: str = "runs", prefix: str = ""
+    ) -> None:
         self.root = Path(cache_dir) / subdir
+        self.prefix = prefix
         # Reclaim temp files orphaned by writers that died mid-write; once
         # per directory per process so hot cache paths stay glob-free.
         if self.root not in _SWEPT_ROOTS:
@@ -189,13 +195,15 @@ class DiskCache:
             sweep_stale_tmps(self.root)
 
     def path_for(self, payload: dict) -> Path:
-        return self.root / f"{content_key(payload)}.json"
+        return self.root / f"{self.prefix}{content_key(payload)}.json"
 
-    def load(self, payload: dict) -> Optional[dict]:
-        """Return the cached document for ``payload``, or ``None`` on a miss.
+    def load(self, payload: dict, decode: Optional[Callable[[Any], Any]] = None) -> Any:
+        """Return the cached result for ``payload``, or ``None`` on a miss.
 
-        A corrupted, truncated or wrong-format entry counts as a miss; the
-        offending file is removed so the recomputed result can replace it.
+        ``decode`` turns the stored document into the result.  A corrupted,
+        truncated or wrong-format entry, or one ``decode`` rejects, counts
+        as a miss; the offending file is removed so the recomputed result
+        can replace it.
         """
         path = self.path_for(payload)
         try:
@@ -204,10 +212,12 @@ class DiskCache:
             if document.get("format_version") != _FORMAT_VERSION:
                 raise ValueError("unsupported cache format")
             result = document["result"]
+            if decode is not None:
+                result = decode(result)
         except FileNotFoundError:
             _CACHE_STATS.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             _CACHE_STATS.corrupt += 1
             _CACHE_STATS.misses += 1
             try:
@@ -235,7 +245,7 @@ class DiskCache:
         removed = 0
         if not self.root.is_dir():
             return removed
-        for entry in self.root.glob("*.json"):
+        for entry in self.root.glob(f"{self.prefix}*.json"):
             try:
                 entry.unlink()
                 removed += 1

@@ -32,7 +32,8 @@ On top of the fan-out sits the fault-tolerance layer:
   result, and from :meth:`SweepExecutor.map_with_report`.
 
 The worker count comes from ``jobs=`` or the ``REPRO_JOBS`` environment
-variable, whose grammar every ``--jobs`` flag shares (:func:`jobs_arg`):
+variable, the one budget every ``--jobs`` flag sets (:func:`jobs_budget`)
+and whose grammar it shares (:func:`jobs_arg`):
 
 * unset or ``1`` — serial execution in-process (the default; this is also
   what tests use for determinism-by-construction),
@@ -57,7 +58,7 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -141,6 +142,26 @@ def jobs_arg(raw: str) -> int:
         raise argparse.ArgumentTypeError(
             f"--jobs must be a non-negative integer or 'auto', got {raw!r}"
         ) from None
+
+
+@contextmanager
+def jobs_budget(jobs: Optional[int]) -> Iterator[None]:
+    """Make a parsed ``--jobs`` value the ``REPRO_JOBS`` budget of every
+    fan-out in this scope: the command's own and the nested ones its
+    in-process jobs start (prefetched runs, profile grids, training).
+
+    ``None`` (the flag was not given) leaves ``REPRO_JOBS`` as it is.
+    """
+    previous = os.environ.get(JOBS_ENV)
+    if jobs is not None:
+        os.environ[JOBS_ENV] = str(jobs)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(JOBS_ENV, None)
+        else:
+            os.environ[JOBS_ENV] = previous
 
 
 def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:

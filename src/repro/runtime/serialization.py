@@ -1,11 +1,11 @@
-"""JSON (de)serialisation of simulation results and content-key payloads.
+"""JSON (de)serialisation of simulation results, and the pieces of content keys.
 
-Models already survive across processes through
-:mod:`repro.core.model_store`; this module does the same for the other two
-expensive artefacts — per-kernel :class:`~repro.gpu.gpu.RunResult`\\ s and
-warp-tuple-grid :class:`~repro.profiling.profiler.StaticProfile`\\ s — so the
+Per-kernel :class:`~repro.gpu.gpu.RunResult`\\ s, graph runs and
+warp-tuple-grid :class:`~repro.profiling.profiler.StaticProfile`\\ s are
+encoded here (trained models in :mod:`repro.core.model_store`), so the
 :class:`~repro.runtime.cache.DiskCache` can hand them between the sweep
-workers and across runs.
+workers and across runs.  The payloads that key them are built in
+:mod:`repro.experiments.common` from the spec, GPU and model pieces below.
 
 Tuples matter here (warp-tuples, telemetry trails), so the encoding wraps
 them in a ``{"__tuple__": [...]}`` marker and the decoder restores them —
@@ -184,9 +184,11 @@ def profile_from_dict(data: Dict[str, Any]) -> StaticProfile:
 def code_fingerprint() -> str:
     """Digest of the package's source files.
 
-    Folded into every content key so cached results can never outlive the
-    simulator code that produced them: editing any ``repro`` module
-    invalidates the whole disk cache, the same way a version bump would.
+    Folded into the content key of every simulation result so it can never
+    outlive the simulator code that produced it: editing any ``repro``
+    module invalidates every cached profile and run, the same way a version
+    bump would.  Trained models are keyed without it, as the packaged
+    model is.
     """
     try:
         root = Path(repro.__file__).resolve().parent
@@ -217,28 +219,6 @@ def spec_payload(spec: KernelSpec) -> Dict[str, Any]:
 
 def gpu_payload(gpu_config) -> Dict[str, Any]:
     return encode_value(dataclasses.asdict(gpu_config))
-
-
-def profile_key_payload(
-    spec: KernelSpec,
-    gpu_config,
-    cycles_per_point: int,
-    warmup_cycles: int,
-    n_step: int,
-    p_step: int,
-) -> Dict[str, Any]:
-    """Everything that determines a :class:`StaticProfile`."""
-    return {
-        "kind": "profile",
-        "version": __version__,
-        "code": code_fingerprint(),
-        "spec": spec_payload(spec),
-        "gpu": gpu_payload(gpu_config),
-        "cycles_per_point": cycles_per_point,
-        "warmup_cycles": warmup_cycles,
-        "n_step": n_step,
-        "p_step": p_step,
-    }
 
 
 def model_digest(model) -> Optional[Dict[str, Any]]:

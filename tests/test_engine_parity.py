@@ -20,7 +20,6 @@ from repro.experiments import common
 from repro.experiments.common import (
     ExperimentConfig,
     _profile_key_payload,
-    _run_cache_key,
     _run_key_payload,
     clear_caches,
     get_profile,
@@ -28,6 +27,7 @@ from repro.experiments.common import (
 )
 from repro.gpu.engine import ENGINE_ENV
 from repro.runtime import serialization
+from repro.runtime.cache import content_key
 from repro.workloads.spec import KernelSpec
 
 PARITY_KERNEL = KernelSpec(
@@ -80,7 +80,7 @@ def test_cache_key_payloads_do_not_encode_engine(tmp_path, monkeypatch):
         payloads[engine] = (
             json.dumps(_run_key_payload("gto", PARITY_KERNEL, config, None), sort_keys=True),
             json.dumps(_profile_key_payload(PARITY_KERNEL, config), sort_keys=True),
-            repr(_run_cache_key("gto", PARITY_KERNEL, config, None)),
+            content_key(_run_key_payload("gto", PARITY_KERNEL, config, None)),
         )
     assert payloads["fast"] == payloads["legacy"]
     for blob in payloads["fast"]:
@@ -96,7 +96,6 @@ def test_disk_cache_run_entries_hit_across_engines(
     """A RunResult cached to disk by one engine is served to the other
     without any simulation."""
     config = parity_config(tmp_path)
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.setenv(ENGINE_ENV, write_engine)
     written = run_scheme_on_kernel("gto", PARITY_KERNEL, config, use_cache=True)
 
@@ -117,7 +116,6 @@ def test_disk_cache_profiles_hit_across_engines(
     tmp_path, monkeypatch, write_engine, read_engine
 ):
     config = parity_config(tmp_path)
-    monkeypatch.setenv("REPRO_DISK_CACHE", "1")
     monkeypatch.setenv(ENGINE_ENV, write_engine)
     written = get_profile(PARITY_KERNEL, config)
 
@@ -138,7 +136,6 @@ def test_run_result_serialization_identical_across_engines(tmp_path, monkeypatch
     is byte-identical whichever engine produced it, and survives a
     round-trip comparing equal."""
     config = parity_config(tmp_path)
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     dicts = {}
     for engine in ("fast", "legacy"):
         clear_caches()
@@ -156,7 +153,6 @@ def test_in_memory_run_cache_shared_across_engine_switch(tmp_path, monkeypatch):
     """Switching REPRO_ENGINE mid-process must keep hitting the same
     in-memory cache slots (the key ignores the engine)."""
     config = parity_config(tmp_path)
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     monkeypatch.setenv(ENGINE_ENV, "legacy")
     first = run_scheme_on_kernel("gto", PARITY_KERNEL, config, use_cache=True)
 

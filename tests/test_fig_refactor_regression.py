@@ -31,7 +31,9 @@ from repro.experiments import (
     fig12_l1_size_sensitivity,
     fig13_feature_ablation,
 )
-from repro.experiments.common import _MODEL_CACHE, ExperimentConfig
+from repro.experiments import common
+from repro.experiments.common import ExperimentConfig
+from repro.runtime.cache import content_key
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -64,7 +66,7 @@ def regression_config(tmp_path, tiny_model) -> ExperimentConfig:
     """The fast configuration on a throwaway cache, with the session-trained
     model primed so ``train_or_load_model`` never retrains inside the test."""
     config = replace(ExperimentConfig.fast(), cache_dir=tmp_path)
-    _MODEL_CACHE.setdefault(f"{config.cache_key}-masknone", tiny_model)
+    common._MEMO.setdefault(content_key(common._model_key_payload(config, None)), tiny_model)
     return config
 
 

@@ -18,8 +18,9 @@ Covers the multi-SM / kernel-graph subsystem end to end:
   tamper detection);
 * cache-key hygiene: every ``GPUConfig`` field — present and future —
   must perturb ``ExperimentConfig.cache_key`` (the guard the field-digest
-  in ``cache_key`` exists to satisfy), and graph runs must hit their own
-  result caches;
+  in ``cache_key`` exists to satisfy), every ``ExperimentConfig`` field
+  must move exactly the result-cache payloads that read it, and graph runs
+  must hit their own result caches;
 * the ``num_sms`` / ``kernel_mix`` scenario axes (validation, config
   plumbing, override parsing, sweep metrics).
 """
@@ -44,8 +45,13 @@ from engine_conformance import (
     run_graph_snapshot,
     small_graphs,
 )
+from repro.core.training import TrainedModel
 from repro.experiments.common import (
     ExperimentConfig,
+    _graph_key_payload,
+    _model_key_payload,
+    _profile_key_payload,
+    _run_key_payload,
     mix_graph_for_benchmark,
     run_graph_for_config,
     run_mix_on_benchmark,
@@ -392,6 +398,12 @@ def _perturbed(value):
         return value * 2 if value else 1
     if isinstance(value, str):
         return value + "_x"
+    if isinstance(value, tuple) and value:
+        return (_perturbed(value[0]),) + value[1:]
+    if isinstance(value, Path):
+        return value / "x"
+    if value is None:
+        return 0.5
     raise AssertionError(f"don't know how to perturb {value!r}")
 
 
@@ -413,11 +425,65 @@ def test_every_gpu_field_perturbs_cache_key(tmp_path):
         )
 
 
+_MEMO_SPEC = _spec("memo_kernel")
+_MEMO_GRAPH = mix_graph([_MEMO_SPEC, _MEMO_SPEC.variant("b", seed=6)], "chain", name="memo")
+_MEMO_MODEL = TrainedModel(alpha_weights=[0.5], beta_weights=[0.25], max_warps=24)
+
+#: Each result-cache kind's payload under a config (fixed kernel, graph, model).
+PAYLOADS = {
+    "profile": lambda config: _profile_key_payload(_MEMO_SPEC, config),
+    "run": lambda config: _run_key_payload("poise", _MEMO_SPEC, config, _MEMO_MODEL),
+    "graph-run": lambda config: _graph_key_payload(_MEMO_GRAPH, config),
+    "model": lambda config: _model_key_payload(config, None),
+}
+
+#: The payload kinds each ``ExperimentConfig`` field must change.
+READS = {
+    "gpu": {"profile", "run", "graph-run", "model"},
+    "profile_cycles": {"profile", "run", "model"},
+    "profile_warmup": {"profile", "run", "model"},
+    "profile_n_step": {"profile", "run", "model"},
+    "profile_p_step": {"profile", "run", "model"},
+    "run_max_cycles": {"run", "graph-run"},
+    "poise_params": {"run", "model"},
+    "feature_warmup": {"run", "model"},
+    "feature_cycles": {"run", "model"},
+    "training_kernels_per_benchmark": {"model"},
+    "training_min_speedup": {"model"},
+    "training_min_hit_rate": {"model"},
+}
+
+#: Fields no payload reads, and why that is safe.
+UNKEYED = {
+    "kernels_per_benchmark": "chooses which kernels run; each run's payload names its spec",
+    "model_path": "a named model file is read before the cache, never through it",
+    "cache_dir": "where entries live, not what they hold",
+    "label": "labels artifacts, and picks the packaged model before the cache",
+}
+
+
+def test_every_experiment_config_field_moves_exactly_the_payloads_that_read_it(tmp_path):
+    """Any ``ExperimentConfig`` field — including ones added after this test
+    was written — must change the result-cache payload of every kind that
+    reads it and of no other, or be listed in ``UNKEYED`` with a reason."""
+    base = replace(ExperimentConfig.fast(), cache_dir=tmp_path)
+    names = {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert names == set(READS) | set(UNKEYED), (
+        "classify every ExperimentConfig field in READS or UNKEYED: "
+        f"{sorted(names ^ (set(READS) | set(UNKEYED)))}"
+    )
+    for field in dataclasses.fields(ExperimentConfig):
+        changed = replace(base, **{field.name: _perturbed(getattr(base, field.name))})
+        moved = {kind for kind, payload in PAYLOADS.items() if payload(changed) != payload(base)}
+        assert moved == READS.get(field.name, set()), field.name
+
+
 def test_graph_run_caches_hit(tmp_path):
     """A repeated graph run must be served from the in-memory cache, and a
     cold process-equivalent (cleared memory cache) from the disk cache —
     both bit-identical to the live run."""
-    from repro.experiments.common import _GRAPH_RUN_CACHE, clear_caches
+    from repro.experiments.common import _MEMO, clear_caches
+    from repro.runtime.cache import content_key
 
     config = replace(
         ExperimentConfig.fast(),
@@ -427,10 +493,12 @@ def test_graph_run_caches_hit(tmp_path):
     graph = mix_graph_for_benchmark("gather", config, "parallel")
     clear_caches()
     live = run_graph_for_config(graph, config)
-    assert _GRAPH_RUN_CACHE, "graph run did not populate the in-memory cache"
+    assert content_key(_graph_key_payload(graph, config)) in _MEMO, (
+        "graph run did not populate the in-memory cache"
+    )
     warm = run_graph_for_config(graph, config)
     assert warm is live  # in-memory hit returns the same object
-    _GRAPH_RUN_CACHE.clear()
+    clear_caches()
     disk = run_graph_for_config(graph, config)
     assert serialization.graph_result_to_dict(disk) == serialization.graph_result_to_dict(live)
 

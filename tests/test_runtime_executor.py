@@ -301,7 +301,15 @@ class TestDiskCache:
         assert first.baseline_counters == second.baseline_counters
 
     @pytest.mark.parametrize(
-        "garbage", ["", "{truncated", '{"format_version": 999}', '{"unrelated": 1}']
+        "garbage",
+        [
+            "",
+            "{truncated",
+            '{"format_version": 999}',
+            '{"unrelated": 1}',
+            "[1, 2]",
+            '{"format_version": 1, "result": {}}',
+        ],
     )
     def test_corrupted_entry_falls_back_to_recompute(
         self, sweep_spec, tmp_cache_config, garbage
@@ -326,11 +334,6 @@ class TestDiskCache:
         # Third call must be served by a healthy, rewritten disk entry.
         result = run_scheme_on_kernel("gto", sweep_spec, tmp_cache_config)
         assert result.counters.cycles > 0
-
-    def test_disk_cache_disabled_by_env(self, sweep_spec, tmp_cache_config, monkeypatch):
-        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        run_scheme_on_kernel("gto", sweep_spec, tmp_cache_config)
-        assert not list(tmp_cache_config.cache_dir.glob("runs/*.json"))
 
     def test_content_key_is_canonical(self):
         assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
@@ -490,3 +493,52 @@ class TestWorkerCacheTelemetry:
         # Serial execution happens in-parent: the global counters already
         # saw it, so shipping a worker delta home would double-count.
         assert executor.last_report.worker_cache in (None, {})
+
+
+class TestJobsBudget:
+    """Every ``--jobs`` flag is the budget of its command's nested fan-outs too."""
+
+    def test_a_lone_experiment_gives_its_nested_fan_outs_the_jobs_budget(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import runner
+        from repro.cli.main import main
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        budgets = []
+        run_experiment = runner.run_experiment
+
+        def recording(*args):
+            budgets.append(SweepExecutor().jobs)
+            return run_experiment(*args)
+
+        monkeypatch.setattr(runner, "run_experiment", recording)
+        assert main(["run", "table04", "--fast", "--jobs", "2", "--cache-dir", str(tmp_path)]) == 0
+        assert budgets == [2]
+        assert "REPRO_JOBS" not in os.environ  # the budget ends with the command
+
+    def test_sweep_jobs_one_starts_no_pool_under_an_ambient_budget(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runtime.executor as executor_module
+        from repro.cli.sweep import main
+
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        pools = []
+
+        def no_pool(*args, **kwargs):
+            pools.append(kwargs)
+            raise OSError("pools are not allowed in this test")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        clear_caches()
+        # One cached point (no engine pin), so its runs would fan out.
+        overrides = ["engine=none", "num_sms=none", "scheme=ccws", "benchmark=gather"]
+        argv = ["run", "smoke", "--fast", "--jobs", "1", "--cache-dir", str(tmp_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 0
+        assert pools == []
+        assert os.environ["REPRO_JOBS"] == "4"

@@ -408,7 +408,6 @@ def test_cache_store_faults_fire_on_a_cached_grid(tmp_path, monkeypatch):
     from repro.scenarios.grid import ScenarioGrid
 
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
     grid = ScenarioGrid("cached", {"scheme": ["gto", "ccws"], "benchmark": ["gather", "mvt"]})
 
     # Each run starts with empty in-process caches, so it computes and

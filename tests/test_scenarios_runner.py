@@ -411,8 +411,8 @@ def test_engine_axis_bypasses_profile_caches_too(tmp_path):
         profile_p_step=12,
         run_max_cycles=10_000,
     )
-    saved_profiles = dict(experiments_common._PROFILE_CACHE)
-    experiments_common._PROFILE_CACHE.clear()
+    saved_memo = dict(experiments_common._MEMO)
+    experiments_common._MEMO.clear()
     try:
         points = ScenarioGrid(
             "parity-swl",
@@ -423,6 +423,6 @@ def test_engine_axis_bypasses_profile_caches_too(tmp_path):
             assert point_metrics == metrics[0], f"engine {point.engine} diverged"
         # Nothing leaked into the engine-agnostic caches.
         assert not (tmp_path / "runs").exists()
-        assert not experiments_common._PROFILE_CACHE
+        assert not experiments_common._MEMO
     finally:
-        experiments_common._PROFILE_CACHE.update(saved_profiles)
+        experiments_common._MEMO.update(saved_memo)

@@ -17,12 +17,13 @@ import pytest
 from repro.core.training import TrainedModel
 from repro.experiments.common import (
     ExperimentConfig,
-    _run_cache_key,
+    _run_key_payload,
     clear_caches,
     get_profile,
     run_scheme_on_kernel,
 )
 from repro.runtime import serialization
+from repro.runtime.cache import content_key
 from repro.trace.adapter import TraceKernelSpec, trace_benchmark_from_files, trace_kernel_from_file
 from repro.trace.capture import TraceCapture, capture_kernel, capture_kernel_to_file
 from repro.trace.codec import write_trace
@@ -242,9 +243,9 @@ class TestIntegration:
         write_trace(path, generate_kernel_programs(TINY_KERNEL)[:2], meta={"kernel": TINY_KERNEL.name})
         trace_spec = trace_kernel_from_file(path)
         assert trace_spec.name == TINY_KERNEL.name
-        assert _run_cache_key("gto", TINY_KERNEL, config, None) != _run_cache_key(
-            "gto", trace_spec, config, None
-        )
+        synthetic = _run_key_payload("gto", TINY_KERNEL, config, None)
+        replayed = _run_key_payload("gto", trace_spec, config, None)
+        assert content_key(synthetic) != content_key(replayed)
 
     def test_kernel_spec_from_dict_restores_trace_subclass(self):
         import dataclasses
