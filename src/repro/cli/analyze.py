@@ -56,10 +56,8 @@ DEFAULT_HISTORY = Path("BENCH_throughput.json")
 
 
 def _load_history_or_die(path: Path) -> BenchHistory:
-    """Load a trajectory file; warnings go to stderr, emptiness is fatal."""
+    """Load a trajectory file; a schema violation or emptiness is fatal."""
     history = load_bench_history(path)
-    for warning in history.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     if not history.entries:
         raise BenchSchemaError(
             f"no bench history at {path} — run `repro bench` to record an entry"

@@ -15,7 +15,11 @@ the current directory) with:
   vs. parallel).
 
 Every record carries ``engine``, ``python_version`` and ``cpu_count``; all
-timing is ``time.perf_counter``.
+timing is ``time.perf_counter``.  Unless ``--dry-run`` is given, the
+history is read with the strict reader of :mod:`repro.obs.schema` before
+anything is measured: a file that is not a valid v2 history makes the
+command exit 2 and is left untouched.  The new entry is checked against
+the v2 schema (exit 1 if it fails) and appended atomically.
 
 ``--gate RATIO`` turns the run into a CI perf gate: it fails (exit 1) when
 the fast engine's throughput drops below ``RATIO`` × a **live legacy run on
@@ -23,9 +27,8 @@ the same host** on either bracket kernel — a host-speed-independent
 regression signal (both engines pay the same slowdown on a throttled
 runner) — or below 10x live legacy on the MSHR-saturating memory-stall
 bracket, where the fast engine jumps the MSHR-full retry spans the oracle
-ticks.  The ratio against the committed legacy baseline (the earliest
-trajectory entry, measured on the reference container) is reported
-alongside for trend context but never fails the gate off-host.
+ticks.  The host-normalized trend across entries is what ``repro analyze
+trajectory`` reports.
 
 Usage::
 
@@ -46,17 +49,21 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.gpu.engine import resolve_engine
-from repro.obs.schema import BENCH_SCHEMA_VERSION, BenchSchemaError, validate_bench_entry
+from repro.obs.schema import (
+    BENCH_SCHEMA_VERSION,
+    BenchSchemaError,
+    append_bench_entry,
+    load_bench_history,
+    validate_bench_entry,
+)
 from repro.obs.telemetry import telemetry_delta, telemetry_snapshot
 from repro.runtime.bench import (
     BENCH_ROUNDS,
     GATE_KERNELS,
     MSHR_GATE_KERNEL,
     MSHR_GATE_RATIO,
-    committed_legacy_baseline,
     compute_intensive_kernel,
     host_environment,
-    load_trajectory,
     measure_matrix,
     measure_sweep,
     measure_throughput,
@@ -106,12 +113,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--gate", type=float, default=None, metavar="RATIO",
         help="fail unless fast-engine throughput is at least RATIO x a live "
              "legacy run on this host for both bracket kernels, and "
-             f"{MSHR_GATE_RATIO:g}x on the memory-stall bracket (the ratio vs "
-             "the committed legacy baseline is reported for context)",
+             f"{MSHR_GATE_RATIO:g}x on the memory-stall bracket",
     )
     parser.add_argument(
         "--dry-run", action="store_true",
-        help="print the entry without appending it to the trajectory",
+        help="print the entry instead of appending it (the history is not read)",
     )
     args = parser.parse_args(argv)
 
@@ -121,6 +127,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--engines: {error}")
     if not engines:
         parser.error("--engines must name at least one engine")
+
+    if not args.dry_run:
+        # Read the history before measuring anything: a file the strict
+        # reader rejects is reported and left as it is, never replaced.
+        try:
+            load_bench_history(args.output)
+        except (BenchSchemaError, OSError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
 
     # Bracket the whole measurement with the run-telemetry layer: the entry
     # records what the bench run itself cost (cache behaviour, per-phase
@@ -209,9 +224,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "matrix": matrix,
         "sweep": sweep,
     }
-    # The append-time schema gate: shape drift stops at the writer, not in
-    # a future reader.  Historical entries are the loader's problem; a new
-    # entry that fails its own schema is never appended.
+    # The append-time schema gate: shape drift stops at the writer, before
+    # the strict reader would have to refuse the whole history.
     try:
         validate_bench_entry(entry)
     except BenchSchemaError as error:
@@ -220,8 +234,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
-
-    trajectory = load_trajectory(args.output)
 
     gate_failed = False
     if args.gate is not None:
@@ -249,23 +261,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
                 if ratio < need:
                     gate_failed = True
-            # Context only: the trend against the committed reference-host
-            # baseline (never fails the gate — CI runners differ in speed).
-            for kernel, base_cps in committed_legacy_baseline(trajectory).items():
-                fast_cps = float(fast_rows[kernel]["cycles_per_second"])
-                ratio = fast_cps / base_cps if base_cps else float("inf")
-                print(
-                    f"trend [{kernel}]: fast {fast_cps:,.0f} vs committed legacy "
-                    f"{base_cps:,.0f} -> {ratio:.2f}x (informational)"
-                )
 
     if args.dry_run:
         print(json.dumps(entry, indent=2))
         return 1 if gate_failed else 0
 
-    trajectory.append(entry)
-    args.output.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"appended entry #{len(trajectory)} to {args.output}")
+    try:
+        count = append_bench_entry(args.output, entry)
+    except (BenchSchemaError, OSError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    print(f"appended entry #{count} to {args.output}")
     return 1 if gate_failed else 0
 
 

@@ -16,7 +16,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import closing
 from typing import List, Optional, Sequence
@@ -138,12 +137,7 @@ def _label(args: argparse.Namespace) -> str:
 
 
 def _cache_dir(args: argparse.Namespace) -> str:
-    if getattr(args, "cache_dir", None):
-        # Export so every component that resolves the default — including
-        # sweep workers — agrees with the flag.
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-        return args.cache_dir
-    return str(default_cache_dir())
+    return args.cache_dir or str(default_cache_dir())
 
 
 def _cmd_list(workloads: bool = False) -> int:

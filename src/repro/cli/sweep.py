@@ -22,7 +22,6 @@ colons, e.g. ``--set poise_strides=0:0,2:4``).
 from __future__ import annotations
 
 import argparse
-import os
 import signal
 import sys
 from typing import Optional, Sequence, Tuple
@@ -103,9 +102,6 @@ def _resolve(args: argparse.Namespace) -> Tuple[ScenarioGrid, "ExperimentConfig"
 
     from repro.experiments.common import preset_config
 
-    if args.cache_dir:
-        # Export so sweep workers and nested components agree with the flag.
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
     grid = apply_overrides(get_grid(args.grid), args.overrides)
     config = preset_config("fast" if args.fast else "full")
     if args.cache_dir:

@@ -233,7 +233,7 @@ def _resolve_replay_kernels(targets: Sequence[str], limit) -> List[KernelSpec]:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import os
+    from dataclasses import replace
 
     from repro.experiments.common import (
         preset_config,
@@ -241,9 +241,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         train_or_load_model,
     )
 
-    if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
     config = preset_config("fast" if args.fast else "full")
+    if args.cache_dir:
+        config = replace(config, cache_dir=Path(args.cache_dir))
     schemes = [scheme.strip() for scheme in args.schemes.split(",") if scheme.strip()]
     known_schemes = _known_schemes()
     unknown = sorted(set(schemes) - known_schemes)

@@ -8,34 +8,11 @@ Two halves, consumed by ``repro analyze``:
   into every bench entry and sweep telemetry sidecar.
 * :mod:`repro.obs.schema` / :mod:`repro.obs.trajectory` /
   :mod:`repro.obs.regress` / :mod:`repro.obs.compare` — the analysis
-  layer: a versioned ``BenchRecordSchema`` with a tolerant loader for
-  every historical ``BENCH_throughput.json`` shape, per
-  kernel×scheme×engine throughput trajectories, statistical regression
-  detection with a CI-consumable ``verdict.json``, and cross-sweep
-  comparison of two sweep label trees.
+  layer: the v2 ``BENCH_throughput.json`` schema with the history's one
+  strict reader and one atomic append, per kernel×scheme×engine
+  throughput trajectories, statistical regression detection with a
+  CI-consumable ``verdict.json``, and cross-sweep comparison of two sweep
+  label trees.
 
-This ``__init__`` is deliberately lazy (PEP 562): :mod:`repro.obs.schema`
-imports :mod:`repro.runtime.bench`, which itself imports
-:mod:`repro.obs.telemetry` for the phase timers — an eager re-export here
-would turn that into a circular import.
+Import the submodules directly; this package re-exports nothing.
 """
-
-from __future__ import annotations
-
-_SUBMODULES = {
-    "compare": "repro.obs.compare",
-    "regress": "repro.obs.regress",
-    "schema": "repro.obs.schema",
-    "telemetry": "repro.obs.telemetry",
-    "trajectory": "repro.obs.trajectory",
-}
-
-__all__ = sorted(_SUBMODULES)
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(_SUBMODULES[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,44 +1,30 @@
-"""Versioned ``BENCH_throughput.json`` record schema + tolerant loader.
+"""The ``BENCH_throughput.json`` record schema, its reader and its writer.
 
-The trajectory file is append-only and has lived through three shape
-generations:
+The bench history is an append-only JSON list of entries, each in the v2
+shape :func:`validate_bench_entry` enforces: a ``bench_schema`` version
+tag, the host ``environment``, a ``telemetry`` block (cache counters,
+phase wall-clock, per-stage timings), hot-loop ``throughput`` rows nested
+per engine (``throughput[engine][kernel]``) beside one ``trace_replay``
+row, the scheme × kernel × engine ``matrix`` and the ``sweep`` timings.
 
-* ``v0-flat`` — the seed's original entries: flat ``throughput[kernel]``
-  rows, no ``environment`` block, no per-row ``engine`` field.  They were
-  measured before the engine seam existed, i.e. on the **legacy** core by
-  definition.
-* ``v1-engine`` — ``environment`` block, throughput nested per engine
-  (``throughput[engine][kernel]``), a flat ``trace_replay`` row, the
-  scheme × kernel × engine ``matrix`` and the ``sweep`` timing dict.
-* ``v2-telemetry`` — everything above plus a ``bench_schema`` version tag
-  and a ``telemetry`` block (cache counters, phase wall-clock, per-stage
-  timings).  This is the only shape ``repro bench`` appends today, and
-  :func:`validate_bench_entry` enforces it **before** the append so the
-  drift stops here.
-
-:func:`load_bench_history` never raises on historical shapes — it
-classifies each entry, extracts the per-bracket throughput samples it can
-trust, and records a warning for anything it cannot, so one malformed
-entry degrades to a gap in the trajectory instead of an analysis crash.
+This module is the only one that reads or writes the file.
+:func:`load_bench_history` validates every entry and raises
+:class:`BenchSchemaError` naming the file and the first bad entry, so no
+reader or writer works on a torn or hand-edited history as if it were
+whole; :func:`append_bench_entry` is the one writer.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from repro.runtime.bench import load_trajectory
+from repro.runtime.cache import atomic_write_json
 
-#: The schema generation ``repro bench`` writes (and validates) today.
+#: The schema generation every history entry carries.
 BENCH_SCHEMA_VERSION = 2
-
-#: Entry-shape generations, oldest first.
-GEN_V0 = "v0-flat"
-GEN_V1 = "v1-engine"
-GEN_V2 = "v2-telemetry"
-GEN_UNKNOWN = "unknown"
-GENERATIONS = (GEN_V0, GEN_V1, GEN_V2)
 
 #: Synthetic scheme names for the non-matrix throughput sections, so every
 #: sample lives in one kernel × scheme × engine bracket space.
@@ -56,7 +42,7 @@ ROW_NUMERIC_FIELDS = (
 
 
 class BenchSchemaError(ValueError):
-    """A bench entry violates the schema it claims (or must claim)."""
+    """A bench history or entry violates the v2 schema."""
 
 
 @dataclass(frozen=True)
@@ -66,11 +52,9 @@ class BenchSample:
     kernel: str
     scheme: str
     engine: str
-    source: str  # "throughput" | "trace_replay" | "matrix"
     cycles_per_second: float
     entry_index: int
     timestamp: str
-    generation: str
 
     @property
     def bracket(self) -> str:
@@ -79,146 +63,96 @@ class BenchSample:
 
 @dataclass
 class BenchEntry:
-    """One classified trajectory entry plus everything extracted from it."""
+    """One history entry plus the samples extracted from it."""
 
     index: int
-    generation: str
     timestamp: str
     raw: dict
     samples: List[BenchSample] = field(default_factory=list)
-    warnings: List[str] = field(default_factory=list)
 
 
 @dataclass
 class BenchHistory:
-    """A loaded trajectory file: classified entries, never an exception."""
+    """A loaded history file; every entry passed :func:`validate_bench_entry`."""
 
     path: Optional[Path]
     entries: List[BenchEntry] = field(default_factory=list)
-
-    @property
-    def warnings(self) -> List[str]:
-        return [warning for entry in self.entries for warning in entry.warnings]
 
     @property
     def samples(self) -> List[BenchSample]:
         return [sample for entry in self.entries for sample in entry.samples]
 
 
-def classify_entry(entry: object) -> str:
-    """Which shape generation an entry belongs to (never raises)."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("throughput"), dict):
-        return GEN_UNKNOWN
-    if "bench_schema" in entry or "telemetry" in entry:
-        return GEN_V2
-    if isinstance(entry.get("environment"), dict):
-        return GEN_V1
-    return GEN_V0
+def _entry_samples(entry: dict, index: int) -> List[BenchSample]:
+    """Every sample of one validated entry, in bracket space."""
+    timestamp = entry["timestamp"]
 
-
-def _row_cps(row: dict) -> Optional[float]:
-    value = row.get("cycles_per_second")
-    if isinstance(value, (int, float)) and value > 0:
-        return float(value)
-    return None
-
-
-def _entry_samples(
-    entry: dict, index: int, generation: str, warnings: List[str]
-) -> List[BenchSample]:
-    """Extract every trustworthy sample of one entry into bracket space."""
-    timestamp = str(entry.get("timestamp", ""))
-    label = f"entry #{index + 1}"
-
-    def sample(kernel: str, scheme: str, engine: str, source: str, cps: float):
+    def sample(kernel: str, scheme: str, row: dict) -> BenchSample:
         return BenchSample(
-            kernel=kernel, scheme=scheme, engine=engine, source=source,
-            cycles_per_second=cps, entry_index=index, timestamp=timestamp,
-            generation=generation,
+            kernel=kernel, scheme=scheme, engine=row["engine"],
+            cycles_per_second=float(row["cycles_per_second"]),
+            entry_index=index, timestamp=timestamp,
         )
 
     samples: List[BenchSample] = []
-    for key, value in entry.get("throughput", {}).items():
-        if not isinstance(value, dict):
-            warnings.append(f"{label}: throughput[{key!r}] is not an object; skipped")
-            continue
-        if "cycles_per_second" in value:
-            # A flat row: either the v0 shape (key = kernel, engine implied
-            # legacy — never attributed to any ambient engine) or the
-            # trace_replay row (carries its own kernel/engine fields).
-            cps = _row_cps(value)
-            if cps is None:
-                warnings.append(f"{label}: throughput[{key!r}] has no usable "
-                                f"cycles_per_second; skipped")
-                continue
-            if key == "trace_replay":
-                samples.append(sample(
-                    str(value.get("kernel", "trace_replay")), TRACE_REPLAY_SCHEME,
-                    str(value.get("engine", "legacy")), "trace_replay", cps,
-                ))
-            else:
-                samples.append(sample(
-                    str(value.get("kernel", key)), HOT_LOOP_SCHEME,
-                    str(value.get("engine", "legacy")), "throughput", cps,
-                ))
-            continue
-        # Per-engine nesting: key = engine, value = {kernel: row}.
-        for kernel, row in value.items():
-            cps = _row_cps(row) if isinstance(row, dict) else None
-            if cps is None:
-                warnings.append(f"{label}: throughput[{key!r}][{kernel!r}] has no "
-                                f"usable cycles_per_second; skipped")
-                continue
-            samples.append(sample(
-                str(kernel), HOT_LOOP_SCHEME, str(row.get("engine", key)),
-                "throughput", cps,
-            ))
-    matrix = entry.get("matrix", [])
-    if not isinstance(matrix, list):
-        warnings.append(f"{label}: matrix is not a list; skipped")
-        matrix = []
-    for position, row in enumerate(matrix):
-        cps = _row_cps(row) if isinstance(row, dict) else None
-        if cps is None or "kernel" not in row or "scheme" not in row:
-            warnings.append(f"{label}: matrix row #{position} is malformed; skipped")
-            continue
-        samples.append(sample(
-            str(row["kernel"]), str(row["scheme"]),
-            str(row.get("engine", "legacy")), "matrix", cps,
-        ))
+    for key, value in entry["throughput"].items():
+        if key == "trace_replay":
+            samples.append(sample(value["kernel"], TRACE_REPLAY_SCHEME, value))
+        else:
+            samples.extend(
+                sample(kernel, HOT_LOOP_SCHEME, row) for kernel, row in value.items()
+            )
+    samples.extend(sample(row["kernel"], row["scheme"], row) for row in entry["matrix"])
     return samples
 
 
 def load_bench_history(path: Union[str, Path]) -> BenchHistory:
-    """Load and classify a trajectory file; tolerant of every generation.
+    """Read and validate a history file (a missing file is an empty history).
 
-    Unrecognizable entries contribute zero samples and one warning each —
-    they are never silently mixed into trajectories and never fatal.
+    Raises :class:`BenchSchemaError` naming the file when it is not valid
+    JSON or not a list, or naming the first entry that fails
+    :func:`validate_bench_entry`.
     """
     path = Path(path)
     history = BenchHistory(path=path)
-    for index, item in enumerate(load_trajectory(path)):
-        generation = classify_entry(item)
-        raw = item if isinstance(item, dict) else {}
-        entry = BenchEntry(
-            index=index,
-            generation=generation,
-            timestamp=str(raw.get("timestamp", "")),
-            raw=raw,
+    if not path.exists():
+        return history
+    try:
+        items = json.loads(path.read_text())
+    except ValueError as error:
+        raise BenchSchemaError(f"{path}: not valid JSON ({error})") from None
+    if not isinstance(items, list):
+        raise BenchSchemaError(
+            f"{path}: a bench history must be a JSON list of entries, "
+            f"not {type(items).__name__}"
         )
-        if generation == GEN_UNKNOWN:
-            entry.warnings.append(
-                f"entry #{index + 1} has no recognizable throughput section; "
-                f"classified as {GEN_UNKNOWN} and excluded from trajectories"
-            )
-        else:
-            entry.samples = _entry_samples(raw, index, generation, entry.warnings)
-        history.entries.append(entry)
+    for index, item in enumerate(items):
+        try:
+            validate_bench_entry(item)
+        except BenchSchemaError as error:
+            raise BenchSchemaError(f"{path}: entry #{index + 1}: {error}") from None
+        history.entries.append(BenchEntry(
+            index=index, timestamp=item["timestamp"], raw=item,
+            samples=_entry_samples(item, index),
+        ))
     return history
 
 
+def append_bench_entry(path: Union[str, Path], entry: dict) -> int:
+    """Validate ``entry`` and atomically append it to the history at ``path``.
+
+    Re-reads the history strictly first, so an append never rewrites a file
+    it could not read.  Returns the new number of entries.
+    """
+    path = Path(path)
+    validate_bench_entry(entry)
+    entries = [item.raw for item in load_bench_history(path).entries] + [entry]
+    atomic_write_json(path, entries, indent=2, trailing_newline=True)
+    return len(entries)
+
+
 # ---------------------------------------------------------------------------
-# Validation of freshly built entries (the append-time schema gate)
+# The v2 entry schema
 # ---------------------------------------------------------------------------
 
 
@@ -242,11 +176,9 @@ def _validate_row(row: object, where: str, extra: tuple = ()) -> None:
 
 
 def validate_bench_entry(entry: object) -> None:
-    """Enforce the v2 schema on an entry about to be appended.
+    """Enforce the v2 schema on one entry, read or about to be appended.
 
-    Raises :class:`BenchSchemaError` naming the first violation.  Only new
-    entries pass through here — historical shapes go through the tolerant
-    :func:`load_bench_history` instead.
+    Raises :class:`BenchSchemaError` naming the first violation.
     """
     _require(isinstance(entry, dict), "bench entry must be an object")
     _require(

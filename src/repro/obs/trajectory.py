@@ -27,7 +27,7 @@ from repro.obs.schema import (
 )
 from repro.runtime.bench import GATE_KERNELS
 
-TRAJECTORY_FORMAT_VERSION = 1
+TRAJECTORY_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class TrajectoryPoint:
 
     entry_index: int
     timestamp: str
-    generation: str
     cycles_per_second: float
     normalized: Optional[float]  # None when the entry has no legacy anchor
 
@@ -103,7 +102,6 @@ def build_trajectories(history: BenchHistory) -> Dict[str, Trajectory]:
             trajectory.points.append(TrajectoryPoint(
                 entry_index=entry.index,
                 timestamp=entry.timestamp,
-                generation=entry.generation,
                 cycles_per_second=sample.cycles_per_second,
                 normalized=(
                     sample.cycles_per_second / anchor if anchor is not None else None
@@ -123,13 +121,11 @@ def trajectory_report(history: BenchHistory) -> dict:
             {
                 "index": entry.index,
                 "timestamp": entry.timestamp,
-                "generation": entry.generation,
                 "samples": len(entry.samples),
                 "legacy_anchor": legacy_anchor(entry),
             }
             for entry in history.entries
         ],
-        "warnings": history.warnings,
         "brackets": {
             bracket: {
                 "kernel": trajectory.kernel,
@@ -139,7 +135,6 @@ def trajectory_report(history: BenchHistory) -> dict:
                     {
                         "entry_index": point.entry_index,
                         "timestamp": point.timestamp,
-                        "generation": point.generation,
                         "cycles_per_second": point.cycles_per_second,
                         "normalized": point.normalized,
                     }

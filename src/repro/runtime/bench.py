@@ -31,10 +31,8 @@ and ``cpu_count`` for cross-run comparability.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -82,54 +80,6 @@ def bench_environment(engine: Optional[str] = None) -> Dict[str, object]:
     record = {"engine": resolve_engine(engine)}
     record.update(host_environment())
     return record
-
-
-def load_trajectory(path: Path) -> List[dict]:
-    """Read a ``BENCH_throughput.json`` trajectory (empty on a fresh file; a
-    single bare entry is wrapped in a list).  An unreadable or corrupt file
-    is loudly reported — appending after this returns ``[]`` starts a fresh
-    trajectory, which must never happen silently."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    try:
-        trajectory = json.loads(path.read_text())
-    except (OSError, ValueError) as error:
-        print(
-            f"warning: {path} was unreadable ({error}); starting a new trajectory",
-            file=sys.stderr,
-        )
-        return []
-    if not isinstance(trajectory, list):
-        trajectory = [trajectory]
-    return trajectory
-
-
-def committed_legacy_baseline(
-    trajectory: Sequence[dict], kernels: Sequence[str] = GATE_KERNELS
-) -> Dict[str, float]:
-    """Per-kernel cycles/second of the committed legacy baseline.
-
-    The earliest trajectory entry whose throughput rows are legacy for all
-    ``kernels``.  Entries from before the engine seam keep their rows flat
-    (``throughput[kernel]``) and carry no ``engine`` field — they were
-    measured on the legacy core by definition; newer entries nest rows per
-    engine (``throughput["legacy"][kernel]``).
-    """
-    for entry in trajectory:
-        throughput = entry.get("throughput") or {}
-        baseline: Dict[str, float] = {}
-        for kernel in kernels:
-            record = throughput.get(kernel)
-            if record is None and isinstance(throughput.get("legacy"), dict):
-                record = throughput["legacy"].get(kernel)
-            if not isinstance(record, dict) or record.get("engine", "legacy") != "legacy":
-                break
-            baseline[kernel] = float(record["cycles_per_second"])
-        else:
-            if baseline:
-                return baseline
-    return {}
 
 
 def memory_divergent_kernel() -> KernelSpec:

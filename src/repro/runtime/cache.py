@@ -150,15 +150,16 @@ def content_key(payload: dict) -> str:
 
 def atomic_write_json(
     path: Path,
-    payload: dict,
+    payload: Any,
     indent: Optional[int] = None,
     trailing_newline: bool = False,
 ) -> Path:
     """Write sorted-keys JSON via a temp file + ``os.replace``.
 
     The single atomic-write implementation behind the result cache,
-    experiment artifacts and sweep-point artifacts: a concurrent or
-    interrupted writer can never leave a half-written document behind.
+    experiment artifacts, sweep-point artifacts and the bench history: a
+    concurrent or interrupted writer can never leave a half-written
+    document behind.
     Errors propagate — callers that treat persistence as best-effort wrap
     the call themselves.
     """

@@ -46,11 +46,19 @@ def no_children_left():
     return check
 
 
-@pytest.fixture(autouse=True)
-def _isolate_caches():
-    """Keep per-test runs independent of cached profiles from other tests,
-    except for the session-scoped fixtures created above."""
-    yield
+@pytest.fixture(scope="session", autouse=True)
+def _isolate_caches(tmp_path_factory):
+    """Point the default result cache (``REPRO_CACHE_DIR``) at one fresh
+    dir per test session, restoring the old value afterwards: no profile,
+    run or trained model left by another checkout leaks in (the shape
+    benchmarks train their own model, as on a fresh CI runner), and the
+    session leaves nothing in the user's cache.  ``tests/`` and
+    ``benchmarks/`` define this same fixture and share the dir."""
+    cache_dir = tmp_path_factory.getbasetemp() / "repro-cache"
+    cache_dir.mkdir(exist_ok=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        yield
 
 
 @pytest.fixture

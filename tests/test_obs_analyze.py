@@ -26,7 +26,7 @@ from repro.obs.regress import (
     detect_regressions,
     validate_verdict,
 )
-from repro.obs.schema import BenchSchemaError, load_bench_history
+from repro.obs.schema import BENCH_SCHEMA_VERSION, BenchSchemaError, load_bench_history
 from repro.obs.trajectory import build_trajectories, legacy_anchor, trajectory_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -52,13 +52,15 @@ def make_row(kernel: str, engine: str, cps: float) -> dict:
 
 def make_entry(fast_memdiv: float, host_slowdown: float = 1.0,
                index: int = 0) -> dict:
-    """One v1-shaped entry; ``host_slowdown`` scales *everything* (a slower
-    host), which normalization must cancel out."""
+    """One v2 entry; ``host_slowdown`` scales *everything* (a slower host),
+    which normalization must cancel out."""
     scale = 1.0 / host_slowdown
     return {
         "timestamp": f"2026-08-0{index + 1}T00:00:00+00:00",
         "version": "0.5.0",
+        "bench_schema": BENCH_SCHEMA_VERSION,
         "environment": {"python_version": "3.11.0", "cpu_count": 4},
+        "telemetry": {"cache": {}, "phases": {}, "stages": {}},
         "throughput": {
             "legacy": {
                 "bench_memory_divergent": make_row(
@@ -172,6 +174,13 @@ def test_single_entry_history_is_insufficient_not_pass(tmp_path):
 def test_speedup_never_regresses(tmp_path):
     path = write_history(tmp_path, [3_200_000.0, 3_150_000.0, 9_000_000.0])
     assert judge(path)[FAST_MEMDIV].status == STATUS_PASS
+
+
+def test_readme_verdict_example_validates():
+    readme = (REPO_ROOT / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```json\n")[1:]]
+    (example,) = [block for block in blocks if '"kind": "analyze-verdict"' in block]
+    validate_verdict(json.loads(example))
 
 
 def test_verdict_document_validates_and_counts(tmp_path):

@@ -1,28 +1,27 @@
-"""Tests for the versioned bench record schema and its tolerant loader.
+"""Tests for the bench history schema, its strict reader and its writer.
 
-The committed ``BENCH_throughput.json`` is the living fixture: it contains
-all historical shape generations (the seed's flat v0 entry, the
-engine-matrix v1 entries), and every one of them must load, classify and
-yield samples without an exception — that is the ISSUE's acceptance
-criterion for shape drift.
+The committed ``BENCH_throughput.json`` is the living fixture: every entry
+must pass the v2 schema.  A history the reader cannot trust — an entry of
+another shape, a non-list document, a torn file — raises
+:class:`BenchSchemaError` naming the file and the entry, and neither
+``repro analyze`` nor ``repro bench`` reads past it or rewrites it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import bench as bench_cli
+from repro.cli.main import main as repro_main
 from repro.obs.schema import (
     BENCH_SCHEMA_VERSION,
-    GEN_UNKNOWN,
-    GEN_V0,
-    GEN_V1,
-    GEN_V2,
     HOT_LOOP_SCHEME,
     BenchSchemaError,
-    classify_entry,
+    append_bench_entry,
     load_bench_history,
     validate_bench_entry,
 )
@@ -81,82 +80,75 @@ def make_v2_entry() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The committed history: every historical shape loads and classifies
+# The committed history: one shape
 # ---------------------------------------------------------------------------
 
 
-def test_committed_history_loads_every_generation():
+def test_committed_history_is_one_shape():
+    entries = json.loads(COMMITTED_HISTORY.read_text())
+    assert isinstance(entries, list) and len(entries) >= 4
+    for entry in entries:
+        validate_bench_entry(entry)
     history = load_bench_history(COMMITTED_HISTORY)
-    assert len(history.entries) >= 3
-    generations = [entry.generation for entry in history.entries]
-    # Entry #1 predates the environment block; later entries are engine-aware.
-    assert generations[0] == GEN_V0
-    assert GEN_V1 in generations[1:]
-    assert GEN_UNKNOWN not in generations
-    assert not history.warnings
     assert all(entry.samples for entry in history.entries)
+    # The first entry predates the engine seam and the environment block:
+    # its rows were measured on the legacy core, on a host nobody recorded.
+    first = history.entries[0]
+    assert {(s.scheme, s.engine) for s in first.samples} == {(HOT_LOOP_SCHEME, "legacy")}
+    assert first.raw["environment"] == {"python_version": "unrecorded", "cpu_count": 0}
 
 
-def test_v0_entry_is_attributed_to_legacy_not_mixed():
-    history = load_bench_history(COMMITTED_HISTORY)
-    v0 = history.entries[0]
-    hot = [s for s in v0.samples if s.scheme == HOT_LOOP_SCHEME]
-    assert hot and all(sample.engine == "legacy" for sample in hot)
-    assert all(sample.generation == GEN_V0 for sample in v0.samples)
+# ---------------------------------------------------------------------------
+# The strict reader: a bad history raises, naming the file and the entry
+# ---------------------------------------------------------------------------
 
 
-def test_loader_tolerates_garbage_entries(tmp_path):
+def _garbage_entry(path: Path) -> str:
+    path.write_text(json.dumps([make_v2_entry(), "not an entry"]))
+    return "entry #2: bench entry must be an object"
+
+
+def _flat_row(path: Path) -> str:
+    entry = make_v2_entry()
+    entry["throughput"]["bench_memory_divergent"] = make_row(
+        "bench_memory_divergent", "legacy")
+    path.write_text(json.dumps([entry]))
+    return "entry #1: throughput['bench_memory_divergent'] must nest rows per engine"
+
+
+def _non_list(path: Path) -> str:
+    path.write_text(json.dumps(make_v2_entry()))
+    return "must be a JSON list of entries, not dict"
+
+
+def _torn(path: Path) -> str:
+    text = json.dumps([make_v2_entry()] * 3, indent=2)
+    path.write_text(text[: len(text) // 2])
+    return "not valid JSON"
+
+
+BAD_HISTORIES = [_garbage_entry, _flat_row, _non_list, _torn]
+
+
+@pytest.mark.parametrize("write_bad", BAD_HISTORIES, ids=lambda f: f.__name__[1:])
+def test_bad_history_is_refused_by_name(tmp_path, capsys, write_bad):
     path = tmp_path / "history.json"
-    path.write_text(json.dumps([
-        {"throughput": {"k": {"cycles_per_second": 10.0}}},
-        "not an entry",
-        {"no_throughput": True},
-        42,
-    ]))
-    history = load_bench_history(path)
-    assert [e.generation for e in history.entries] == [
-        GEN_V0, GEN_UNKNOWN, GEN_UNKNOWN, GEN_UNKNOWN]
-    assert len(history.warnings) == 3
-    assert history.entries[0].samples  # the valid entry still contributes
-
-
-def test_loader_warns_on_malformed_rows_without_crashing(tmp_path):
-    path = tmp_path / "history.json"
-    path.write_text(json.dumps([{
-        "environment": {"python_version": "3.11.0", "cpu_count": 4},
-        "throughput": {
-            "fast": {"good": {"cycles_per_second": 5.0}, "bad": {"cycles": 1}},
-            "broken": "nope",
-        },
-        "matrix": [{"kernel": "k"}, "junk"],
-    }]))
-    history = load_bench_history(path)
-    (entry,) = history.entries
-    assert entry.generation == GEN_V1
-    assert [sample.kernel for sample in entry.samples] == ["good"]
-    assert len(entry.warnings) == 4
+    violation = write_bad(path)
+    before = path.read_bytes()
+    with pytest.raises(BenchSchemaError, match=re.escape(f"{path}: ")) as excinfo:
+        load_bench_history(path)
+    assert violation in str(excinfo.value)
+    with pytest.raises(BenchSchemaError):
+        append_bench_entry(path, make_v2_entry())
+    assert path.read_bytes() == before
+    assert repro_main(["analyze", "regress", "--history", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert str(path) in captured.err and violation in captured.err
 
 
 # ---------------------------------------------------------------------------
-# Generation classification
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("entry, expected", [
-    ({"throughput": {"k": {"cycles_per_second": 1.0}}}, GEN_V0),
-    ({"throughput": {}, "environment": {}}, GEN_V1),
-    ({"throughput": {}, "bench_schema": 2}, GEN_V2),
-    ({"throughput": {}, "telemetry": {}}, GEN_V2),
-    ({}, GEN_UNKNOWN),
-    (None, GEN_UNKNOWN),
-    ({"throughput": []}, GEN_UNKNOWN),
-])
-def test_classify_entry(entry, expected):
-    assert classify_entry(entry) == expected
-
-
-# ---------------------------------------------------------------------------
-# Append-time validation (the schema gate `repro bench` runs)
+# Entry validation (run on every entry read and every entry appended)
 # ---------------------------------------------------------------------------
 
 
@@ -194,9 +186,80 @@ def test_validated_entry_roundtrips_through_the_loader(tmp_path):
     path.write_text(json.dumps([entry]))
     history = load_bench_history(path)
     (loaded,) = history.entries
-    assert loaded.generation == GEN_V2
-    assert not loaded.warnings
-    brackets = {sample.bracket for sample in loaded.samples}
-    assert "bench_memory_divergent:hot_loop:legacy" in brackets
-    assert "bench_memory_divergent:gto:fast" in brackets
-    assert "bench_trace_replay:trace_replay:fast" in brackets
+    assert loaded.raw == entry
+    assert sorted(sample.bracket for sample in loaded.samples) == [
+        "bench_compute_intensive:hot_loop:legacy",
+        "bench_memory_divergent:gto:fast",
+        "bench_memory_divergent:hot_loop:fast",
+        "bench_memory_divergent:hot_loop:legacy",
+        "bench_trace_replay:trace_replay:fast",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The writer: one atomic append in canonical form
+# ---------------------------------------------------------------------------
+
+
+def test_append_writes_the_canonical_form(tmp_path):
+    path = tmp_path / "history.json"
+    first, second = make_v2_entry(), make_v2_entry()
+    second["timestamp"] = "2026-08-09T00:00:00+00:00"
+    assert append_bench_entry(path, first) == 1
+    before = path.read_text()
+    assert append_bench_entry(path, second) == 2
+    after = path.read_text()
+    assert after == json.dumps([first, second], indent=2, sort_keys=True) + "\n"
+    # The append adds one entry and touches no byte of the ones before it.
+    assert after.startswith(before[: before.rindex("}") + 1])
+    assert [entry.raw for entry in load_bench_history(path).entries] == [first, second]
+
+
+def test_append_refuses_an_invalid_entry(tmp_path):
+    path = tmp_path / "history.json"
+    entry = make_v2_entry()
+    del entry["telemetry"]
+    with pytest.raises(BenchSchemaError, match="telemetry"):
+        append_bench_entry(path, entry)
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# `repro bench` reads the history before it measures anything
+# ---------------------------------------------------------------------------
+
+
+def test_bench_exits_2_on_a_torn_history_without_measuring(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "torn.json"
+    text = COMMITTED_HISTORY.read_text()
+    path.write_text(text[:5_000])
+    before = path.read_bytes()
+
+    def measure(*args, **kwargs):
+        raise AssertionError("repro bench measured before reading its history")
+
+    monkeypatch.setattr(bench_cli, "measure_throughput", measure)
+    code = repro_main([
+        "bench", "--output", str(path), "--engines", "fast", "--skip-matrix",
+        "--skip-sweep", "--max-cycles", "2000",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert f"{path}: not valid JSON" in captured.err
+    assert path.read_bytes() == before
+
+
+def test_bench_appends_one_valid_entry(tmp_path, capsys):
+    path = tmp_path / "history.json"
+    path.write_text(COMMITTED_HISTORY.read_text())
+    committed = len(load_bench_history(path).entries)
+    code = repro_main([
+        "bench", "--output", str(path), "--engines", "fast", "--skip-matrix",
+        "--skip-sweep", "--max-cycles", "2000",
+    ])
+    assert code == 0
+    assert f"appended entry #{committed + 1}" in capsys.readouterr().out
+    entries = load_bench_history(path).entries
+    assert len(entries) == committed + 1
+    assert path.read_text().startswith(COMMITTED_HISTORY.read_text()[:-len("\n]\n")])
