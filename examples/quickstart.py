@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Quickstart: run Poise on one unseen benchmark and compare with GTO.
 
-This example uses the packaged pre-trained model when available (the
-equivalent of the vendor-shipped feature weights of Table II) and otherwise
-trains a small model on the training suite, then runs the Poise controller
-on an evaluation benchmark and prints the headline metrics.
+This example uses the model ``repro pretrain`` stored in the result cache
+when there is one (the equivalent of the vendor-shipped feature weights of
+Table II) and otherwise trains a small model on the training suite, then runs
+the Poise controller on an evaluation benchmark and prints the headline
+metrics.
 
 Run with::
 

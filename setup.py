@@ -21,7 +21,6 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    package_data={"repro": ["data/*.json"]},
     python_requires=">=3.9",
     install_requires=["numpy"],
     entry_points={"console_scripts": ["repro=repro.cli.main:main"]},

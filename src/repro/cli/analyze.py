@@ -49,7 +49,7 @@ from repro.obs.regress import (
     validate_verdict,
 )
 from repro.obs.schema import BenchHistory, BenchSchemaError, load_bench_history
-from repro.obs.trajectory import build_trajectories, trajectory_report
+from repro.obs.trajectory import build_trajectories, retired_brackets, trajectory_report
 from repro.runtime.cache import atomic_write_json
 
 DEFAULT_HISTORY = Path("BENCH_throughput.json")
@@ -63,6 +63,16 @@ def _load_history_or_die(path: Path) -> BenchHistory:
             f"no bench history at {path} — run `repro bench` to record an entry"
         )
     return history
+
+
+def _retired_line(history: BenchHistory) -> str:
+    """How many brackets of retired engines the analysis left out."""
+    retired = retired_brackets(history)
+    engines = sorted({bracket.rsplit(":", 1)[1] for bracket in retired})
+    return (
+        f"left out {len(retired)} bracket(s) of retired engines "
+        f"({', '.join(engines) or 'none'})"
+    )
 
 
 def _history_flag(parser: argparse.ArgumentParser) -> None:
@@ -132,6 +142,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     print(table.to_text())
     print(f"\n{len(trajectories)} brackets (trend = latest/first normalized; "
           f"normalized = cycles/s over the entry's live-legacy anchor)")
+    print(_retired_line(history))
     return 0
 
 
@@ -185,7 +196,7 @@ def _judge(args: argparse.Namespace):
     return history, verdict
 
 
-def _print_verdict(verdict: dict) -> None:
+def _print_verdict(history: BenchHistory, verdict: dict) -> None:
     counts = verdict["counts"]
     print(
         f"verdict: {verdict['status']} — {counts['pass']} pass, "
@@ -193,17 +204,18 @@ def _print_verdict(verdict: dict) -> None:
         f"{counts['insufficient_data']} insufficient-data "
         f"(threshold {verdict['threshold']:.2f}x, source {verdict['source']})"
     )
+    print(_retired_line(history))
     for bracket in verdict["brackets"]:
         if bracket["status"] == STATUS_REGRESS:
             print(f"regress: {bracket['bracket']} — {bracket['reason']}")
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    _, verdict = _judge(args)
+    history, verdict = _judge(args)
     if args.json:
         print(json.dumps(verdict, indent=2, sort_keys=True))
     else:
-        _print_verdict(verdict)
+        _print_verdict(history, verdict)
     if args.output is not None:
         atomic_write_json(args.output, verdict, indent=2, trailing_newline=True)
         if not args.json:
@@ -221,7 +233,7 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         args.output_dir / "trajectory.json", trajectory_report(history),
         indent=2, trailing_newline=True,
     )
-    _print_verdict(verdict)
+    _print_verdict(history, verdict)
     print(f"wrote {verdict_path} and {trajectory_path}")
     return 1 if verdict["status"] == STATUS_REGRESS else 0
 

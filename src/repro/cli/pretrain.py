@@ -2,10 +2,12 @@
 
 This is the GPU-vendor side of the paper's workflow (Section V): profile the
 training benchmarks over the warp-tuple plane, build the training examples,
-fit the two Negative Binomial regressions and serialise the feature weights.
-The resulting JSON is shipped inside the package
-(``src/repro/data/pretrained_model.json``) and plays the role of the
-compiler-provided constant-memory weights of Table II.
+fit the two Negative Binomial regressions and serialise the feature weights,
+which play the role of the compiler-provided constant-memory weights of
+Table II.  The model is stored in the result cache (``REPRO_CACHE_DIR``) as
+the preset's ``model-<key>.json`` entry, so later runs of the same preset
+use it instead of training; ``--output`` also writes a copy, which a config's
+``model_path`` can name.
 
 Usage::
 
@@ -22,7 +24,7 @@ from typing import Optional, Sequence
 
 from repro.core.model_store import save_model
 from repro.core.training import prediction_errors
-from repro.experiments.common import ExperimentConfig, PRETRAINED_MODEL_PATH
+from repro.experiments.common import ExperimentConfig, store_model
 from repro.runtime.executor import jobs_arg, jobs_budget
 from repro.workloads.registry import training_benchmarks
 
@@ -35,8 +37,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=PRETRAINED_MODEL_PATH,
-        help="where to write the trained model JSON",
+        default=None,
+        help="also write the trained model JSON here",
     )
     parser.add_argument(
         "--jobs",
@@ -70,8 +72,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for index, (alpha, beta) in enumerate(zip(model.alpha_weights, model.beta_weights), start=1):
         print(f"  x{index}: alpha={alpha:+.6f}  beta={beta:+.6f}")
 
-    path = save_model(model, args.output)
-    print(f"model written to {path}")
+    path = store_model(config, model)
+    if path is None:
+        print("error: could not store the model in the result cache", file=sys.stderr)
+        return 1
+    print(f"model stored in the result cache: {path}")
+    if args.output is not None:
+        print(f"model written to {save_model(model, args.output)}")
     return 0
 
 

@@ -60,9 +60,6 @@ KNOWN_SCHEMES: Tuple[str, ...] = (
     "poise", "poise_nosearch",
 )
 
-#: Default location of the pre-trained model shipped with the package (the
-#: equivalent of the vendor-supplied feature weights of Table II).
-PRETRAINED_MODEL_PATH = Path(__file__).resolve().parent.parent / "data" / "pretrained_model.json"
 
 def default_cache_dir() -> Path:
     """Where freshly trained models and other artefacts are cached.
@@ -336,9 +333,9 @@ def _run_key_payload(
 def _model_key_payload(config: ExperimentConfig, feature_mask: Optional[Sequence[int]]) -> dict:
     """Everything :func:`train_model` reads.
 
-    Not the code fingerprint: like the packaged model, a trained model
-    outlives code edits (the runs it drives are keyed by its weights), so
-    a cold run after an edit does not retrain.
+    Not the code fingerprint: a trained model outlives code edits (the runs
+    it drives are keyed by its weights), so a cold run after an edit does
+    not retrain.
     """
     return {
         "kind": "model",
@@ -391,21 +388,32 @@ def train_or_load_model(
 ) -> TrainedModel:
     """Resolve the trained model for an experiment.
 
-    Resolution order: an explicit ``config.model_path`` → the packaged
-    pre-trained model (only for unmasked configs of the ``full`` preset) →
-    the result cache → train from scratch (and cache).  The first two are
-    files named outside the cache, so they are read before it, never
-    through it.
+    Resolution order: an explicit ``config.model_path`` (a file named
+    outside the cache, read before it, never through it) → the result
+    cache, where ``repro pretrain`` also stores its model → train from
+    scratch (and cache).
     """
     if config.model_path is not None:
         return load_model(config.model_path)
-    if not feature_mask and config.label == "full" and PRETRAINED_MODEL_PATH.exists():
-        return load_model(PRETRAINED_MODEL_PATH)
     return _cached(
         _model_key_payload(config, feature_mask),
         config,
         lambda: train_model(config, feature_mask=feature_mask),
     )
+
+
+def store_model(
+    config: ExperimentConfig,
+    model: TrainedModel,
+    feature_mask: Optional[Sequence[int]] = None,
+) -> Optional[Path]:
+    """Make ``model`` the cached model of ``config`` and ``feature_mask``:
+    the memo slot and the ``model-<key>.json`` entry that
+    :func:`train_or_load_model` reads.  Returns the entry's path, or
+    ``None`` when the (best-effort) disk write failed."""
+    payload = _model_key_payload(config, feature_mask)
+    _MEMO[content_key(payload)] = model
+    return _disk("model", config.cache_dir).store(payload, model_to_dict(model))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,8 @@ from repro.experiments.common import (
     ExperimentBase,
     ExperimentConfig,
     get_profile,
+    run_scheme_on_kernel,
 )
-from repro.gpu.gpu import GPU
-from repro.schedulers.pcal import PCALController
-from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.registry import get_benchmark
 
 DEFAULT_KERNEL_INDEX = 0
@@ -73,10 +71,7 @@ class Fig02SolutionSpace(ExperimentBase):
         # Summary points: CCWS (best diagonal), PCAL (dynamic search), MAX (global optimum).
         ccws_point = profile.best_diagonal_point()
         max_point = profile.best_point()
-        pcal = PCALController(profile=profile)
-        sm = GPU(config.gpu).build_sm(generate_kernel_programs(spec))
-        pcal_telemetry = pcal.execute(sm, config.run_max_cycles)
-        pcal_point = pcal_telemetry["warp_tuple"]
+        pcal_point = run_scheme_on_kernel("pcal", spec, config).telemetry["warp_tuple"]
 
         summary = experiment.add_table(
             Table(title="Fig. 2 — summary points", columns=["scheme", "N", "p", "speedup"])

@@ -4,7 +4,7 @@ Two halves, consumed by ``repro analyze``:
 
 * :mod:`repro.obs.telemetry` — structured run-telemetry counters (cache
   hit/miss/corrupt-fallback, per-phase wall-clock for profile/train/
-  simulate) threaded through the existing execution seams and emitted
+  simulate/generate) threaded through the existing execution seams and emitted
   into every bench entry and sweep telemetry sidecar.
 * :mod:`repro.obs.schema` / :mod:`repro.obs.trajectory` /
   :mod:`repro.obs.regress` / :mod:`repro.obs.compare` — the analysis

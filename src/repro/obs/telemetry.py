@@ -6,9 +6,12 @@ touching any content-stable artifact:
 * :func:`phase` — a context manager accumulating *inclusive* wall-clock
   per named phase (``profile`` / ``train`` / ``simulate``), wrapped around
   the execution seams in :mod:`repro.experiments.common` and
-  :mod:`repro.runtime.bench`.  Nested phases each accumulate their own
-  inclusive time (a training pass that profiles kernels counts the
-  profiling wall-clock under both ``train`` and ``profile``).
+  :mod:`repro.runtime.bench`, and ``generate``, around each program fill
+  that builds instructions (:meth:`repro.workloads.generator.WarpProgram.fill`).
+  Nested phases each accumulate their own inclusive time (a training pass
+  that profiles kernels counts the profiling wall-clock under both
+  ``train`` and ``profile``; a fill inside a simulation counts under both
+  ``simulate`` and ``generate``).
 * :func:`telemetry_snapshot` / :func:`telemetry_delta` — combine the phase
   totals with the :class:`repro.runtime.cache.CacheStats` counters into
   one plain-dict payload, so callers bracket a region of work and emit

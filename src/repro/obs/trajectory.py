@@ -12,6 +12,11 @@ normalized series is flat across hosts unless the bracket itself changed.
 Entries without a complete anchor (e.g. a run that only benchmarked the
 fast engine) keep their raw points but contribute no normalized value,
 and regression detection skips them.
+
+Samples of an engine no longer in :data:`repro.gpu.engine.ENGINES` (the
+retired ``event`` engine) form no trajectory: no later entry can add a
+point to them, so they could only ever be insufficient-data.
+:func:`retired_brackets` names what is left out.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.gpu.engine import ENGINES
 from repro.obs.schema import (
     HOT_LOOP_SCHEME,
     BenchEntry,
@@ -84,8 +90,19 @@ def legacy_anchor(
     return math.exp(sum(math.log(value) for value in values) / len(values))
 
 
+def retired_brackets(history: BenchHistory) -> List[str]:
+    """The brackets of retired engines, sorted: those
+    :func:`build_trajectories` leaves out."""
+    return sorted({
+        sample.bracket
+        for entry in history.entries
+        for sample in entry.samples
+        if sample.engine not in ENGINES
+    })
+
+
 def build_trajectories(history: BenchHistory) -> Dict[str, Trajectory]:
-    """Every bracket's ordered series, keyed by ``kernel:scheme:engine``.
+    """Every live engine's bracket series, keyed by ``kernel:scheme:engine``.
 
     Insertion order follows first appearance in the history, so older
     brackets list first and the dict is deterministic for a given file.
@@ -94,6 +111,8 @@ def build_trajectories(history: BenchHistory) -> Dict[str, Trajectory]:
     for entry in history.entries:
         anchor = legacy_anchor(entry)
         for sample in entry.samples:
+            if sample.engine not in ENGINES:
+                continue
             trajectory = trajectories.setdefault(
                 sample.bracket,
                 Trajectory(kernel=sample.kernel, scheme=sample.scheme,

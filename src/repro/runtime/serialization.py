@@ -187,8 +187,8 @@ def code_fingerprint() -> str:
     Folded into the content key of every simulation result so it can never
     outlive the simulator code that produced it: editing any ``repro``
     module invalidates every cached profile and run, the same way a version
-    bump would.  Trained models are keyed without it, as the packaged
-    model is.
+    bump would.  Trained models are keyed without it: a model outlives code
+    edits, and the runs it drives are keyed by its weights.
     """
     try:
         root = Path(repro.__file__).resolve().parent

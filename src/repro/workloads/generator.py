@@ -24,6 +24,17 @@ generator as each warp's source.  The ALU at index ``i`` has pc ``i``, so
 ALU runs are slices of the interned table in :mod:`repro.gpu.isa` and only
 the loads are constructed.  Each warp's stream is a sequential function of
 ``(spec, warp_id)``, so the result is the same however the reads are split.
+
+Loads are interned too, since an instruction is frozen and most loads
+repeat: a private-region load is built once per warp, in a dict keyed by its
+draw offset and load site that grows as the warp draws new pairs, and a
+shared-region load once per kernel, in one table of ``shared_lines`` x load
+sites slots that :func:`generate_kernel_programs` creates for all of the
+kernel's warps (fills mutate it under :data:`_FILL_LOCK`).  Streaming loads
+are built fresh: each touches a new line, so none ever repeats and a table
+would only hold memory.  Interning changes no RNG draw, so a program is
+element-wise the stream a build of fresh loads returns; only object
+identity is shared.
 """
 
 from __future__ import annotations
@@ -33,9 +44,10 @@ import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 from itertools import islice
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.gpu.isa import Instruction, alu_run, load
+from repro.obs.telemetry import phase
 from repro.workloads.spec import KernelSpec
 
 # Region spacing, in cache lines.  Large enough that private/shared/streaming
@@ -69,7 +81,9 @@ class WarpProgram(Sequence):
     prefix, a list that only grows; the fast core reads it directly and
     calls :meth:`fill` when its pc reaches the end.
 
-    Without a ``stream`` the source is the warp's synthetic stream; a trace
+    Without a ``stream`` the source is the warp's synthetic stream, whose
+    shared-region loads come from ``shared_loads`` (the kernel's table from
+    :func:`shared_load_table`; a table of its own when not given).  A trace
     family passes its warp's generator, which must yield ``length``
     instructions or more.
     """
@@ -82,6 +96,7 @@ class WarpProgram(Sequence):
         warp_id: int,
         stream: Optional[Iterator[Instruction]] = None,
         length: Optional[int] = None,
+        shared_loads: Optional[List[Optional[Instruction]]] = None,
     ) -> None:
         self.filled: List[Instruction] = []
         self._length = spec.instructions_per_warp if length is None else length
@@ -89,7 +104,9 @@ class WarpProgram(Sequence):
         # ``_source(start, stop)`` yields the instructions at indices
         # ``start`` to ``stop - 1``; fills call it on consecutive ranges.
         if stream is None:
-            self._source = _SyntheticStream(spec, warp_id).chunk
+            if shared_loads is None:
+                shared_loads = shared_load_table(spec)
+            self._source = _SyntheticStream(spec, warp_id, shared_loads).chunk
         else:
             self._source = lambda start, stop: islice(stream, stop - start)
 
@@ -101,7 +118,8 @@ class WarpProgram(Sequence):
             start = len(filled)
             if start <= index and start < self._length:
                 stop = min(self._length, (index // FILL_CHUNK + 1) * FILL_CHUNK)
-                filled.extend(self._source(start, stop))
+                with phase("generate"):
+                    filled.extend(self._source(start, stop))
         return len(filled)
 
     def __len__(self) -> int:
@@ -136,31 +154,56 @@ class WarpProgram(Sequence):
         return f"WarpProgram({self._name!r}, filled {len(self.filled)} of {self._length})"
 
 
+def _load_sites(spec: KernelSpec) -> int:
+    """Distinct load pcs per region: more sites for larger private sets."""
+    return max(1, min(8, spec.private_lines // 64 + 1))
+
+
+def shared_load_table(spec: KernelSpec) -> List[Optional[Instruction]]:
+    """An empty table of ``spec``'s shared-region loads, one slot per (line
+    offset, load site), for the warps of one kernel to fill together."""
+    return [None] * (spec.shared_lines * _load_sites(spec))
+
+
 class _SyntheticStream:
-    """The generator state of one synthetic warp: its RNG, streaming cursor
-    and load-site layout, resumed by every :meth:`chunk`."""
+    """The generator state of one synthetic warp: its RNG, streaming cursor,
+    load-site layout and interned private loads, resumed by every
+    :meth:`chunk`."""
 
     __slots__ = (
         "_spec",
         "_rng",
         "_private_base",
+        "_shared_base",
         "_stream_base",
         "_stream_cursor",
         "_dep",
         "_load_sites",
+        "_private_loads",
+        "_shared_loads",
     )
 
-    def __init__(self, spec: KernelSpec, warp_id: int) -> None:
+    def __init__(
+        self, spec: KernelSpec, warp_id: int, shared_loads: List[Optional[Instruction]]
+    ) -> None:
         self._spec = spec
         self._rng = random.Random((spec.seed << 20) ^ (warp_id * 0x9E3779B1))
         self._private_base = (warp_id + 1) * _PRIVATE_REGION_STRIDE + spec.seed * 131
+        self._shared_base = _SHARED_REGION_BASE + spec.seed * 7919
         self._stream_base = (
             _STREAM_REGION_BASE + warp_id * _PRIVATE_REGION_STRIDE + spec.seed * 977
         )
         self._stream_cursor = 0
         group = spec.instructions_per_load
         self._dep = min(spec.dep_distance, group - 1)
-        self._load_sites = max(1, min(8, spec.private_lines // 64 + 1))
+        self._load_sites = _load_sites(spec)
+        # Both tables are keyed ``offset * load_sites + site``.
+        self._private_loads: Dict[int, Instruction] = {}
+        self._shared_loads = shared_loads
+
+    def _load(self, base: int, key: int, pc_base: int) -> Instruction:
+        offset, site = divmod(key, self._load_sites)
+        return load(base + offset, dep_distance=self._dep, pc=pc_base + site)
 
     def chunk(self, start: int, stop: int) -> List[Instruction]:
         """The instructions at indices ``start`` to ``stop - 1``: the ALU run
@@ -170,21 +213,34 @@ class _SyntheticStream:
         group = spec.instructions_per_load
         intra = spec.intra_warp_fraction
         local = intra + spec.inter_warp_fraction
-        shared_base = _SHARED_REGION_BASE + spec.seed * 7919
+        sites = self._load_sites
+        private = self._private_loads
+        shared = self._shared_loads
         chunk = alu_run(start, stop)
         for index in range(start + (group - 1 - start) % group, stop, group):
             draw = rng.random()
             if draw < intra:
-                line = self._private_base + rng.randrange(spec.private_lines)
-                pc_tag = _PC_LOAD_BASE + (index % self._load_sites)
+                key = rng.randrange(spec.private_lines) * sites + index % sites
+                instruction = private.get(key)
+                if instruction is None:
+                    instruction = private[key] = self._load(
+                        self._private_base, key, _PC_LOAD_BASE
+                    )
             elif draw < local:
-                line = shared_base + rng.randrange(spec.shared_lines)
-                pc_tag = _PC_LOAD_BASE + 100 + (index % self._load_sites)
+                key = rng.randrange(spec.shared_lines) * sites + index % sites
+                instruction = shared[key]
+                if instruction is None:
+                    instruction = shared[key] = self._load(
+                        self._shared_base, key, _PC_LOAD_BASE + 100
+                    )
             else:
-                line = self._stream_base + self._stream_cursor
+                instruction = load(
+                    self._stream_base + self._stream_cursor,
+                    dep_distance=self._dep,
+                    pc=_PC_LOAD_BASE + 200,  # a single streaming load site
+                )
                 self._stream_cursor += 1
-                pc_tag = _PC_LOAD_BASE + 200  # a single streaming load site
-            chunk[index - start] = load(line, dep_distance=self._dep, pc=pc_tag)
+            chunk[index - start] = instruction
         return chunk
 
 
@@ -246,14 +302,19 @@ def generate_kernel_programs(spec: KernelSpec) -> List[Sequence[Instruction]]:
     entirely: a trace file is decoded in full, and a trace family gets fresh
     lazily filled :class:`WarpProgram` streams on every call.  Synthetic
     specs get lazily filled streams memoised in the bounded LRU above:
-    every caller gets the same program objects.
+    every caller gets the same program objects, whose warps share one
+    table of interned shared-region loads.
     """
     materialise = getattr(spec, "materialise_programs", None)
     if materialise is not None:
         return materialise()
     cached = _PROGRAM_CACHE.get(spec)
     if cached is None:
-        cached = tuple(WarpProgram(spec, warp_id) for warp_id in range(spec.num_warps))
+        shared_loads = shared_load_table(spec)
+        cached = tuple(
+            WarpProgram(spec, warp_id, shared_loads=shared_loads)
+            for warp_id in range(spec.num_warps)
+        )
         _PROGRAM_CACHE.put(spec, cached)
     return list(cached)
 

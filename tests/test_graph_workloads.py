@@ -458,7 +458,7 @@ UNKEYED = {
     "kernels_per_benchmark": "chooses which kernels run; each run's payload names its spec",
     "model_path": "a named model file is read before the cache, never through it",
     "cache_dir": "where entries live, not what they hold",
-    "label": "labels artifacts, and picks the packaged model before the cache",
+    "label": "labels artifacts only",
 }
 
 

@@ -13,6 +13,7 @@ The regression-detection cases pin the ISSUE's acceptance behaviour:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,12 @@ from repro.obs.regress import (
     validate_verdict,
 )
 from repro.obs.schema import BENCH_SCHEMA_VERSION, BenchSchemaError, load_bench_history
-from repro.obs.trajectory import build_trajectories, legacy_anchor, trajectory_report
+from repro.obs.trajectory import (
+    build_trajectories,
+    legacy_anchor,
+    retired_brackets,
+    trajectory_report,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMITTED_HISTORY = REPO_ROOT / "BENCH_throughput.json"
@@ -227,6 +233,32 @@ def test_cli_ci_passes_on_the_committed_history(tmp_path, capsys):
     verdict = json.loads((out_dir / "verdict.json").read_text())
     validate_verdict(verdict)
     assert verdict["status"] == STATUS_PASS
+
+
+def test_retired_engine_brackets_are_left_out(tmp_path, capsys):
+    """The retired ``event`` engine's brackets (23, all from entry #3) form
+    no trajectory and no verdict: no later entry can add a point to them.
+    On the four entries the committed history held when they were counted,
+    the verdict is 47 pass, 0 regress and 10 insufficient-data (the 2-SM
+    matrix cells), where it used to count 33 insufficient-data."""
+    history = load_bench_history(COMMITTED_HISTORY)
+    first_four = replace(history, entries=history.entries[:4])
+    assert len(retired_brackets(first_four)) == 23
+    assert all(bracket.endswith(":event") for bracket in retired_brackets(first_four))
+    verdict = build_verdict(detect_regressions(build_trajectories(first_four)))
+    validate_verdict(verdict)
+    assert verdict["counts"] == {"pass": 47, "regress": 0, "insufficient_data": 10}
+    for judged in (first_four, history):
+        brackets = build_verdict(detect_regressions(build_trajectories(judged)))["brackets"]
+        assert not any(bracket["engine"] == "event" for bracket in brackets)
+        assert not any(
+            bracket.endswith(":event") for bracket in trajectory_report(judged)["brackets"]
+        )
+    code, captured = run_cli(
+        capsys, "analyze", "ci", "--history", str(COMMITTED_HISTORY),
+        "--output-dir", str(tmp_path / "report"))
+    assert code == 0
+    assert "left out 23 bracket(s) of retired engines (event)" in captured.out
 
 
 def test_cli_regress_writes_verdict_and_flags_slowdown(tmp_path, capsys):

@@ -11,12 +11,14 @@ is corrupt.  (``tests/test_graph_workloads.py`` guards which
 
 from __future__ import annotations
 
+import json
 import shutil
 from dataclasses import replace
 
 import pytest
 
-from repro.core.model_store import save_model
+from repro.cli.main import main as repro_main
+from repro.core.model_store import load_model, model_to_dict, save_model
 from repro.core.training import TrainedModel
 from repro.experiments import common
 from repro.experiments.common import ExperimentConfig, clear_caches, train_or_load_model
@@ -104,3 +106,29 @@ def test_clear_caches_with_a_config_drops_its_models(tmp_path, trainings):
     clear_caches(config)
     assert not list(tmp_path.glob("model-*.json"))
     assert train_or_load_model(config).alpha_weights == [2.0]
+
+
+@pytest.mark.parametrize("copy", [False, True], ids=["cache-only", "output-copy"])
+def test_pretrain_stores_the_preset_model_and_leaves_full_alone(
+    tmp_path, monkeypatch, trainings, capsys, copy
+):
+    """``repro pretrain --fast`` (README's quick-start form, and with
+    ``--output``) stores its model as the fast preset's cache entry: a later
+    fast resolution reads it without training, and the full preset still
+    trains its own."""
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    output = tmp_path / "copy.json"
+    argv = ["pretrain", "--fast"] + (["--output", str(output)] if copy else [])
+    assert repro_main(argv) == 0
+    assert "model stored in the result cache" in capsys.readouterr().out
+    assert output.exists() == copy
+    (entry,) = cache_dir.glob("model-*.json")
+    clear_caches()
+    pretrained = train_or_load_model(ExperimentConfig.fast())
+    assert trainings == []
+    assert json.loads(entry.read_text())["result"] == model_to_dict(pretrained)
+    if copy:
+        assert model_to_dict(load_model(output)) == model_to_dict(pretrained)
+    assert train_or_load_model(ExperimentConfig.full()).alpha_weights == [1.0]
+    assert len(trainings) == 1
