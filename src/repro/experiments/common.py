@@ -22,12 +22,12 @@ from repro.core.inference import PoiseParameters
 from repro.core.model_store import load_model, model_from_dict, model_to_dict
 from repro.core.poise import PoiseController
 from repro.core.training import TrainedModel, TrainingPipeline, TrainingThresholds
-from repro.core.features import FeatureSampler
+from repro.core.features import FeatureSampler, FeatureVector
 from repro.gpu.config import GPUConfig, baseline_config
 from repro.gpu.gpu import GPU, RunResult
 from repro.obs.telemetry import phase
 from repro.profiling.metrics import harmonic_mean
-from repro.profiling.profiler import KernelProfiler, StaticProfile
+from repro.profiling.profiler import KernelProfiler, StaticProfile, measure_pbest
 from repro.runtime import serialization
 from repro.runtime.cache import DiskCache, content_key
 from repro.runtime.executor import SweepExecutor
@@ -217,9 +217,9 @@ class ExperimentConfig:
 # The result cache: one per-process memo in front of the content-addressed disk
 # ---------------------------------------------------------------------------
 
-#: Every profile, scheme run, graph run and trained model this process has
-#: computed or loaded, keyed by ``content_key`` of the payload that also
-#: names its disk entry.
+#: Every profile, scheme run, graph run, one-kernel measurement and trained
+#: model this process has computed or loaded, keyed by ``content_key`` of
+#: the payload that also names its disk entry.
 _MEMO: Dict[str, object] = {}
 
 #: How each payload ``kind`` is written to and read from its disk entry.
@@ -228,6 +228,9 @@ _CODECS: Dict[str, Tuple[Callable, Callable]] = {
     "run": (serialization.run_result_to_dict, serialization.run_result_from_dict),
     "graph-run": (serialization.graph_result_to_dict, serialization.graph_result_from_dict),
     "model": (model_to_dict, model_from_dict),
+    "pbest": (float, float),
+    "features": (asdict, lambda data: FeatureVector(**data)),
+    "hit-breakdown": (dict, dict),
 }
 
 
@@ -363,6 +366,52 @@ def get_profile(
             return config.profiler().profile(spec)
 
     return _cached(_profile_key_payload(spec, config), config, compute, use_cache)
+
+
+def cached_measurement(
+    kind: str,
+    spec: KernelSpec,
+    config: ExperimentConfig,
+    compute: Callable,
+    gpu: Optional[GPUConfig] = None,
+    **knobs,
+):
+    """``compute()``, a one-kernel measurement made outside the scheme runs,
+    through the result cache.
+
+    The key names the measurement's ``kind`` (which picks its codec), the
+    spec, the GPU it simulates (``config.gpu`` unless given) and every knob
+    it reads, passed as ``knobs``.
+    """
+    payload = {
+        "kind": kind,
+        "version": __version__,
+        "code": serialization.code_fingerprint(),
+        "spec": serialization.spec_payload(spec),
+        "gpu": serialization.gpu_payload(gpu or config.gpu),
+        **knobs,
+    }
+    return _cached(payload, config, compute)
+
+
+def get_pbest(spec: KernelSpec, config: ExperimentConfig) -> float:
+    """``spec``'s Pbest (fig16, table03a) through the result cache."""
+    knobs = {"cycles": config.profile_cycles, "warmup_cycles": 20_000, "l1_scale": 64}
+    return cached_measurement(
+        "pbest", spec, config, lambda: measure_pbest(spec, config.gpu, **knobs), **knobs
+    )
+
+
+def get_features(spec: KernelSpec, config: ExperimentConfig) -> FeatureVector:
+    """The feature vector Poise's inference engine samples from ``spec``
+    (sec7b), through the result cache."""
+    return cached_measurement(
+        "features",
+        spec,
+        config,
+        lambda: config.training_pipeline().sample_features(spec),
+        feature_window=[config.feature_warmup, config.feature_cycles],
+    )
 
 
 # ---------------------------------------------------------------------------

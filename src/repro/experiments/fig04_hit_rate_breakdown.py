@@ -20,7 +20,12 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import ArtifactSchema, ExperimentBase, ExperimentConfig
+from repro.experiments.common import (
+    ArtifactSchema,
+    ExperimentBase,
+    ExperimentConfig,
+    cached_measurement,
+)
 from repro.gpu.gpu import GPU
 from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.registry import get_benchmark
@@ -32,32 +37,40 @@ DEFAULT_WORKLOADS = ("ii", "bfs", "syr2k", "ss")
 
 
 def _measure(config: ExperimentConfig, benchmark: str) -> dict:
+    """One row of the figure, through the result cache."""
     spec = get_benchmark(benchmark).kernels[0]
     gpu_config = replace(config.gpu, track_reuse_distance=True)
-    programs = generate_kernel_programs(spec)
-    max_warps = min(gpu_config.max_warps, spec.num_warps)
+    cycles = config.profile_warmup + config.profile_cycles
 
-    # Baseline: everything polluting.
-    sm_base = GPU(gpu_config).build_sm(programs)
-    sm_base.set_warp_tuple(max_warps, max_warps)
-    sm_base.run_cycles(config.profile_warmup + config.profile_cycles)
-    base = sm_base.counters
+    def measure() -> dict:
+        programs = generate_kernel_programs(spec)
+        max_warps = min(gpu_config.max_warps, spec.num_warps)
 
-    # One polluting warp.
-    sm_p1 = GPU(gpu_config).build_sm(programs)
-    sm_p1.set_warp_tuple(max_warps, 1)
-    sm_p1.run_cycles(config.profile_warmup + config.profile_cycles)
-    split = sm_p1.counters
+        # Baseline: everything polluting.
+        sm_base = GPU(gpu_config).build_sm(programs)
+        sm_base.set_warp_tuple(max_warps, max_warps)
+        sm_base.run_cycles(cycles)
+        base = sm_base.counters
 
-    return {
-        "benchmark": benchmark,
-        "h_p": split.polluting_hit_rate,
-        "h_np": split.nonpolluting_hit_rate,
-        "h_o": base.l1_hit_rate,
-        "intra_share": base.intra_warp_hit_share,
-        "inter_share": base.inter_warp_hit_share,
-        "reuse_distance": sm_base.reuse_tracker.average_distance if sm_base.reuse_tracker else 0.0,
-    }
+        # One polluting warp.
+        sm_p1 = GPU(gpu_config).build_sm(programs)
+        sm_p1.set_warp_tuple(max_warps, 1)
+        sm_p1.run_cycles(cycles)
+        split = sm_p1.counters
+
+        return {
+            "benchmark": benchmark,
+            "h_p": split.polluting_hit_rate,
+            "h_np": split.nonpolluting_hit_rate,
+            "h_o": base.l1_hit_rate,
+            "intra_share": base.intra_warp_hit_share,
+            "inter_share": base.inter_warp_hit_share,
+            "reuse_distance": sm_base.reuse_tracker.average_distance,
+        }
+
+    return cached_measurement(
+        "hit-breakdown", spec, config, measure, gpu=gpu_config, cycles=cycles
+    )
 
 
 class Fig04HitRateBreakdown(ExperimentBase):

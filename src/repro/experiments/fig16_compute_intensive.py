@@ -19,11 +19,11 @@ from repro.experiments.common import (
     ExperimentBase,
     ExperimentConfig,
     compute_benchmark_names,
+    get_pbest,
     run_scheme_on_benchmark,
     train_or_load_model,
 )
 from repro.profiling.metrics import harmonic_mean
-from repro.profiling.profiler import measure_pbest
 from repro.workloads.registry import get_benchmark
 
 
@@ -61,7 +61,7 @@ class Fig16ComputeIntensive(ExperimentBase):
         for name in benchmarks:
             outcome = run_scheme_on_benchmark("poise", name, config, model=model)
             spec = get_benchmark(name).kernels[0]
-            pbest = measure_pbest(spec, config.gpu, cycles=config.profile_cycles)
+            pbest = get_pbest(spec, config)
             bypassed = sum(
                 telemetry.get("compute_intensive_epochs", 0)
                 for telemetry in outcome.telemetry.values()

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     ArtifactSchema,
     ExperimentBase,
     ExperimentConfig,
+    get_features,
     get_profile,
     train_or_load_model,
 )
@@ -36,7 +37,6 @@ class Sec7bPredictionError(ExperimentBase):
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         model = train_or_load_model(config)
-        pipeline = config.training_pipeline()
 
         experiment = ExperimentResult(
             experiment_id="sec7b",
@@ -55,7 +55,7 @@ class Sec7bPredictionError(ExperimentBase):
                 target = select_training_target(
                     profile.speedup_grid(), config.poise_params.scoring_weights
                 )
-                features = pipeline.sample_features(spec)
+                features = get_features(spec, config)
                 predicted = model.predict(features, max_warps=profile.max_warps)
                 error_n = abs(predicted[0] - target.point[0]) / max(1, target.point[0])
                 error_p = abs(predicted[1] - target.point[1]) / max(1, target.point[1])

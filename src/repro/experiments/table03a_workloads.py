@@ -12,9 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import ArtifactSchema, ExperimentBase, ExperimentConfig
+from repro.experiments.common import (
+    ArtifactSchema,
+    ExperimentBase,
+    ExperimentConfig,
+    get_pbest,
+)
 from repro.profiling.metrics import arithmetic_mean
-from repro.profiling.profiler import measure_pbest
 from repro.workloads.registry import (
     compute_intensive_benchmarks,
     evaluation_benchmarks,
@@ -51,10 +55,7 @@ class Table03aWorkloads(ExperimentBase):
         for role, benchmarks in groups:
             for benchmark in benchmarks:
                 kernels = config.limited_kernels(benchmark, training=(role == "training"))
-                pbest_values = [
-                    measure_pbest(spec, config.gpu, cycles=config.profile_cycles)
-                    for spec in kernels
-                ]
+                pbest_values = [get_pbest(spec, config) for spec in kernels]
                 pbest = arithmetic_mean(pbest_values)
                 table.add_row(
                     role,

@@ -2,11 +2,11 @@
 
 ``Chip`` instantiates ``num_sms`` cores of the selected engine class and
 wires them all to a *single* L2/DRAM busy-server pair
-(:class:`~repro.gpu.memory.MemorySubsystem` for the legacy engine,
-:class:`~repro.gpu.fastcore.FastMemorySubsystem` for the fast engine),
-so the interleaved request streams contend for the same service
-intervals — inter-SM contention becomes a first-class measurable instead of
-a constant folded into the per-SM bandwidth share.
+(:class:`~repro.gpu.memory.MemorySubsystem` for the legacy engine; the
+state of one, :class:`~repro.gpu.fastcore.FastMemorySubsystem`, for the
+fast engine), so the interleaved request streams contend for the same
+service intervals — inter-SM contention becomes a first-class measurable
+instead of a constant folded into the per-SM bandwidth share.
 
 Determinism/bit-identity contract
 ---------------------------------
@@ -20,8 +20,9 @@ each quantum slice SMs run in ascending ``sm_id`` order.  Two consequences:
   controller-driven) runs and straight ``run_to_completion`` runs see the
   same contention;
 * since both engines are bit-identical per window given identical memory
-  responses, and the two memory-subsystem implementations are op-for-op
-  identical arithmetic, both engines produce bit-identical counters for
+  responses, and the fast core's loop serves each request with
+  ``MemorySubsystem.request``'s arithmetic, op for op, on the shared state
+  it binds for the slice, both engines produce bit-identical counters for
   the same chip configuration (pinned by ``tests/engine_conformance``).
 
 The chip exposes the single-SM controller protocol (``cycle``, ``counters``,

@@ -7,11 +7,13 @@ Two engines execute kernels, bit-identically:
   unit-tested, and the reference the optimised engine is differentially
   verified against.
 * ``fast`` — :class:`repro.gpu.fastcore.FastStreamingMultiprocessor`, a
-  struct-of-arrays rewrite of the same loop (flat warp/L1/MSHR state, fused
-  cycle function, ALU-run batching, and one-jump spans over no-ready stalls
-  and MSHR-full retries).  It is the default because every counter it
-  produces is pinned to the legacy core by the golden-counter tests and the
-  N-way conformance harness (``tests/engine_conformance.py``).
+  struct-of-arrays rewrite of the same loop (flat warp and MSHR state, one
+  LRU-ordered dict per L1/L2 set, a ready bitmask, and one fused cycle
+  function that also serves the L2/DRAM busy servers, batches ALU runs and
+  jumps no-ready stalls and MSHR-full retries).  It is the default because
+  every counter it produces is pinned to the legacy core by the
+  golden-counter tests and the N-way conformance harness
+  (``tests/engine_conformance.py``).
 
 Adding an engine is one registry entry here plus a branch in
 :func:`repro.gpu.chip.core_class_for_engine`: the conformance harness,

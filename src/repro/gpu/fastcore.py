@@ -21,15 +21,23 @@ state:
   is read through its growing ``filled`` list and refilled when a warp's
   pc reaches its end, so instructions that never issue are never built
   (profiling windows touch a few percent of a kernel's stream);
-* **the L1** becomes three flat lists (``tag``, ``lru_stamp``,
-  ``last_warp``) of length ``num_sets * assoc``; a line is invalid iff its
-  stamp is 0, which preserves the legacy victim order exactly (invalid
-  ways first, then strict LRU, first way wins ties);
+* **the L1 and L2** keep each set as one insertion-ordered dict (L1: line →
+  last warp; L2: line → ``None``).  A hit re-inserts its line and an
+  allocating miss on a full set deletes the first one, which is exactly the
+  legacy strict-LRU victim order, with no stamps and no way scans;
+* **the L2/DRAM busy servers** are served inside the loop with the legacy
+  arithmetic *operation for operation* (same float products, same
+  ``max``/``min`` clamps, same ``int()`` truncation); the shared
+  :class:`FastMemorySubsystem` state is bound to locals when a slice starts
+  and written back when it ends;
 * **the MSHR file** becomes a set of in-flight line addresses (capacity
   check is a ``len()``) plus the per-line waiter lists already shared with
   the response heap;
-* **the GTO/SWL vital state** becomes two flag lists plus an age-ordered
-  vital id list, refreshed exactly where the legacy scheduler refreshes.
+* **the GTO/SWL scheduler state** becomes a pollute flag list and two
+  bitmasks over warp ids, ``vital`` (refreshed exactly where the legacy
+  scheduler refreshes) and ``ready`` (the schedulable warps).  The
+  greedy-then-oldest pick is the last warp if its bit is still set in
+  ``ready & vital``, else the lowest set bit.
 
 The whole ``deliver → pick → issue`` step is fused into one function with
 every piece of mutable state bound to locals; runs of consecutive ALU
@@ -42,7 +50,9 @@ Two classes of dead cycle advance the clock in one jump instead of one tick
 each, both to ``min(next memory completion, run limit)``:
 
 * **no-ready stalls** — no vital warp can issue, credited to
-  ``cycles`` and ``stall_cycles``;
+  ``cycles`` and ``stall_cycles``.  A slice that starts with no vital warp
+  ready and no response due before its limit is one such stall, credited
+  before any state is bound;
 * **MSHR-full retries** — the greedy-then-oldest pick lands on a load that
   would miss while every MSHR entry is in flight, so the slot is wasted and
   the warp retries.  Memory-sensitive kernels spend most of their cycles
@@ -77,7 +87,7 @@ import heapq
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.gpu.config import GPUConfig
+from repro.gpu.config import CacheConfig, GPUConfig, MemoryConfig
 from repro.gpu.counters import PerfCounters
 from repro.gpu.isa import Instruction
 from repro.gpu.reuse import ReuseDistanceTracker
@@ -89,26 +99,51 @@ _NO_BLOCK = sys.maxsize
 _NO_RESPONSE = sys.maxsize
 
 
-class FastMemorySubsystem:
-    """Struct-of-arrays mirror of :class:`repro.gpu.memory.MemorySubsystem`.
+class _CacheSets(dict):
+    """A cache's tag state: ``sets[line]`` is the set dict ``line`` maps to.
 
-    Replicates the busy-server queueing arithmetic *operation for operation*
-    (same float products, same ``max``/``min`` clamps, same ``int()``
-    truncation) and the L2's LRU/allocation behaviour over flat tag/stamp
-    lists, so completion cycles are bit-identical to the legacy model —
-    without a ``MemoryResponse`` allocation or a ``CacheLine`` walk per
-    request.  ``request`` returns ``(completion_cycle, served_by_l2)``.
+    Each set is a dict in LRU order, oldest line first, holding at most
+    ``assoc`` lines.  The set index — linear, or the XOR-fold of
+    :meth:`repro.gpu.cache.SetAssociativeCache.set_index` — is computed on
+    a line's first touch and memoised as this dict's entry.
+    """
+
+    __slots__ = ("assoc", "_sets", "_hashed")
+
+    def __init__(self, config: CacheConfig) -> None:
+        super().__init__()
+        self.assoc = config.assoc
+        self._sets: List[dict] = [{} for _ in range(config.num_sets)]
+        # The fold cannot terminate for one set, whose index is 0 anyway.
+        self._hashed = config.indexing == "hash" and config.num_sets > 1
+
+    def __missing__(self, line: int) -> dict:
+        nsets = len(self._sets)
+        if self._hashed:
+            folded, index = line, 0
+            while folded:
+                index ^= folded % nsets
+                folded //= nsets
+            index %= nsets
+        else:
+            index = line % nsets
+        cache_set = self[line] = self._sets[index]
+        return cache_set
+
+
+class FastMemorySubsystem:
+    """The state of :class:`repro.gpu.memory.MemorySubsystem` (L2 sets,
+    both busy-server clocks, the request statistics), read and written by
+    the fused loop of :class:`FastStreamingMultiprocessor`, which serves
+    every request inline.  A chip's SMs share one instance; they run one
+    slice at a time, so binding it to locals per slice is exact.
     """
 
     __slots__ = (
         "config",
-        "_nsets",
-        "_assoc",
-        "_tags",
-        "_stamps",
-        "_access_counter",
-        "_hash_indexing",
-        "_index_memo",
+        "l2",
+        "l2_service",
+        "dram_service",
         "_l2_busy_until",
         "_dram_busy_until",
         "l2_accesses",
@@ -118,17 +153,12 @@ class FastMemorySubsystem:
         "requests",
     )
 
-    def __init__(self, config) -> None:
+    def __init__(self, config: MemoryConfig) -> None:
         self.config = config
-        l2 = config.l2
-        self._nsets = l2.num_sets
-        self._assoc = l2.assoc
-        size = self._nsets * self._assoc
-        self._tags: List[int] = [-1] * size
-        self._stamps: List[int] = [0] * size  # 0 == invalid way
-        self._access_counter = 0
-        self._hash_indexing = l2.indexing == "hash"
-        self._index_memo: Dict[int, int] = {}
+        self.l2 = _CacheSets(config.l2)
+        # The legacy model's per-request products, computed once.
+        self.l2_service = config.l2_service_interval * config.congestion_factor
+        self.dram_service = config.dram_service_interval * config.congestion_factor
         self._l2_busy_until = 0.0
         self._dram_busy_until = 0.0
         self.l2_accesses = 0
@@ -136,78 +166,6 @@ class FastMemorySubsystem:
         self.dram_accesses = 0
         self.total_latency = 0
         self.requests = 0
-
-    def request(self, line_addr: int, cycle: int, warp_id: int) -> Tuple[int, bool]:
-        cfg = self.config
-        self.requests += 1
-        self.l2_accesses += 1
-
-        l2_start = self._l2_busy_until
-        if l2_start < cycle:
-            l2_start = float(cycle)
-        queue_delay = l2_start - cycle
-        if queue_delay > cfg.max_queue_delay:
-            queue_delay = cfg.max_queue_delay
-        self._l2_busy_until = l2_start + cfg.l2_service_interval * cfg.congestion_factor
-
-        # L2 lookup (always allocating), fused probe+fill like the L1 path.
-        if self._hash_indexing and self._nsets > 1:
-            sidx = self._index_memo.get(line_addr)
-            if sidx is None:
-                folded = line_addr
-                sidx = 0
-                nsets = self._nsets
-                while folded:
-                    sidx ^= folded % nsets
-                    folded //= nsets
-                sidx %= nsets
-                self._index_memo[line_addr] = sidx
-        else:
-            # Single-set caches skip the fold (it cannot terminate for
-            # nsets == 1) — the index is 0 either way.
-            sidx = line_addr % self._nsets
-        assoc = self._assoc
-        base = sidx * assoc
-        tags = self._tags
-        stamps = self._stamps
-        self._access_counter += 1
-        hit = False
-        for way in range(base, base + assoc):
-            if tags[way] == line_addr:
-                stamps[way] = self._access_counter
-                hit = True
-                break
-        if hit:
-            self.l2_hits += 1
-            latency = int(cfg.l2_latency + queue_delay)
-            self.total_latency += latency
-            return cycle + latency, True
-
-        vic = base
-        best = stamps[base]
-        if best:
-            for way in range(base + 1, base + assoc):
-                s = stamps[way]
-                if s < best:
-                    vic = way
-                    best = s
-                    if not s:
-                        break
-        tags[vic] = line_addr
-        stamps[vic] = self._access_counter
-
-        dram_start = l2_start + cfg.l2_latency
-        if dram_start < self._dram_busy_until:
-            dram_start = self._dram_busy_until
-        dram_queue_delay = dram_start - (cycle + cfg.l2_latency)
-        if dram_queue_delay > cfg.max_queue_delay:
-            dram_queue_delay = cfg.max_queue_delay
-        self._dram_busy_until = dram_start + cfg.dram_service_interval * cfg.congestion_factor
-
-        self.dram_accesses += 1
-        latency = int(cfg.l2_latency + queue_delay + cfg.dram_latency + dram_queue_delay)
-        self.total_latency += latency
-        return cycle + latency, False
 
     # -- derived statistics (API parity with MemorySubsystem) -------------------
 
@@ -269,38 +227,24 @@ class FastStreamingMultiprocessor:
         ]
         self._alive: List[bool] = [length > 0 for length in self._plens]
         self._unfinished = sum(self._alive)
-        #: ``ready[wid]`` caches ``is_schedulable`` (pc < plen and pc < minfd);
-        #: maintained incrementally at the few points either input changes, so
-        #: a stalled cycle costs one counter test instead of a vital-list scan.
-        self._ready: List[bool] = [length > 0 for length in self._plens]
-        self._ready_vital = 0
+        #: Bit ``wid`` caches ``is_schedulable`` (pc < plen and pc < minfd);
+        #: maintained at the few points either input changes.
+        self._ready = 0
+        for wid, alive in enumerate(self._alive):
+            self._ready |= alive << wid
 
-        # -- scheduler state (vital/pollute bits over the GTO order) -----------
+        # -- scheduler state (vital mask and pollute bits over the GTO order) --
         self._max_warps = config.sm.max_warps
         self._n = self._max_warps
         self._p = self._max_warps
-        self._vital_flags: List[bool] = [False] * num_warps
+        self._vital = 0
         self._pollute_flags: List[bool] = [False] * num_warps
-        self._vital_list: List[int] = []
         self._last = -1
         self._refresh_bits()
 
-        # -- L1 state (flat tag/LRU/last-warp arrays) --------------------------
-        l1 = config.l1
-        self._nsets = l1.num_sets
-        self._assoc = l1.assoc
-        size = self._nsets * self._assoc
-        self._l1_tags: List[int] = [-1] * size
-        self._l1_stamps: List[int] = [0] * size  # 0 == invalid way
-        self._l1_lastw: List[int] = [-1] * size
-        self._l1_access_counter = 0
-        # A single-set cache skips the XOR-fold entirely (the fold cannot
-        # terminate for num_sets == 1, and the index is 0 regardless).
-        self._hash_indexing = l1.indexing == "hash" and self._nsets > 1
-        self._index_memo: Dict[int, int] = {}
-
-        # -- MSHR / memory ----------------------------------------------------
-        self._mshr_capacity = l1.mshr_entries
+        # -- L1, MSHR and memory ------------------------------------------------
+        self._l1 = _CacheSets(config.l1)
+        self._mshr_capacity = config.l1.mshr_entries
         self._mshr_lines: set = set()
         # ``memory`` lets a chip model (repro.gpu.chip) share one L2/DRAM
         # busy-server pair across SMs; standalone SMs own a private one.
@@ -359,35 +303,18 @@ class FastStreamingMultiprocessor:
     # -- scheduler bits -----------------------------------------------------------
 
     def _refresh_bits(self) -> None:
-        """Recompute the vital/pollute bits over the active warps, oldest
-        first — called exactly where the legacy scheduler refreshes (init,
-        warp-tuple change, warp exit)."""
-        alive = self._alive
-        vital = self._vital_flags
+        """Recompute the vital mask and pollute bits over the active warps,
+        oldest first — called exactly where the legacy scheduler refreshes
+        (init, warp-tuple change, warp exit)."""
         pollute = self._pollute_flags
         n, p = self._n, self._p  # p <= n is enforced by set_warp_tuple
-        for wid in range(len(alive)):
-            vital[wid] = False
-            pollute[wid] = False
-        vital_list: List[int] = []
-        count = 0
-        for wid in range(len(alive)):
-            if not alive[wid]:
-                continue
-            vital_list.append(wid)
-            vital[wid] = True
-            if count < p:
-                pollute[wid] = True
-            count += 1
-            if count >= n:
-                break
-        self._vital_list = vital_list
-        ready = self._ready
-        ready_vital = 0
-        for wid in vital_list:
-            if ready[wid]:
-                ready_vital += 1
-        self._ready_vital = ready_vital
+        vital = count = 0
+        for wid, alive in enumerate(self._alive):
+            pollute[wid] = alive and count < p
+            if alive and count < n:
+                vital |= 1 << wid
+                count += 1
+        self._vital = vital
 
     # -- the fused cycle loop -----------------------------------------------------
 
@@ -396,6 +323,15 @@ class FastStreamingMultiprocessor:
         unfinished = self._unfinished
         if cycle >= limit or not unfinished:
             return
+        responses = self._responses
+        next_completion = responses[0][0] if responses else _NO_RESPONSE
+        if not self._ready & self._vital and next_completion >= limit:
+            # An idle slice: no vital warp can issue and nothing lands before
+            # the limit, so the whole span is one no-ready stall.
+            self.cycle = limit
+            self.counters.cycles += limit - cycle
+            self.counters.stall_cycles += limit - cycle
+            return
 
         # ---- counter accumulators (flushed to self.counters on exit) --------
         cycles_c = busy_c = stall_c = instr_c = loads_c = 0
@@ -403,7 +339,7 @@ class FastStreamingMultiprocessor:
         pol_acc = pol_hit = npol_acc = npol_hit = 0
         intra_c = inter_c = 0
         missreq_c = misslat_c = 0
-        l2_acc = l2_hit = dram_c = 0
+        l2_acc = l2_hit = dram_c = latency_c = 0
         mshr_stall = 0
 
         # ---- state bound to locals ------------------------------------------
@@ -412,29 +348,20 @@ class FastStreamingMultiprocessor:
         minfd = self._minfd
         outstanding = self._outstanding
         alive = self._alive
-        vital = self._vital_flags
         pollute = self._pollute_flags
-        vital_list = self._vital_list
         ready = self._ready
-        ready_vital = self._ready_vital
+        vital = self._vital
         last = self._last
+        last_bit = 1 << last if last >= 0 else 0
         progs = self._rows
         fills = self._fills
-        tags = self._l1_tags
-        stamps = self._l1_stamps
-        lastw = self._l1_lastw
-        acc_counter = self._l1_access_counter
-        nsets = self._nsets
-        assoc = self._assoc
-        hash_indexing = self._hash_indexing
-        index_memo = self._index_memo
+        l1 = self._l1
+        l1_assoc = l1.assoc
         mshr_lines = self._mshr_lines
         mshr_cap = self._mshr_capacity
-        responses = self._responses
         waiters_map = self._response_waiters
         seq = self._response_seq
         next_token = self._next_token
-        memory_request = self.memory.request
         reuse = self.reuse_tracker
         reuse_record = reuse.record if reuse is not None else None
         policy_active = self._policy_active
@@ -446,7 +373,18 @@ class FastStreamingMultiprocessor:
         heappop = heapq.heappop
         refresh = self._refresh_bits
 
-        next_completion = responses[0][0] if responses else _NO_RESPONSE
+        # ---- the shared L2/DRAM state, written back on exit ------------------
+        memory = self.memory
+        mem_cfg = memory.config
+        l2 = memory.l2
+        l2_assoc = l2.assoc
+        l2_latency = mem_cfg.l2_latency
+        dram_latency = mem_cfg.dram_latency
+        max_queue_delay = mem_cfg.max_queue_delay
+        l2_service = memory.l2_service
+        dram_service = memory.dram_service
+        l2_busy = memory._l2_busy_until
+        dram_busy = memory._dram_busy_until
 
         # Per-warp row cache: GTO is sticky, so consecutive issues almost
         # always come from the same warp and the row locals stay hot.
@@ -486,41 +424,34 @@ class FastStreamingMultiprocessor:
                         alive[wid] = False
                         unfinished -= 1
                         refresh()
-                        vital_list = self._vital_list
-                        ready_vital = self._ready_vital
+                        vital = self._vital
                     elif (
-                        not ready[wid] and pc < plens[wid] and pc < minfd[wid]
+                        not ready >> wid & 1 and pc < plens[wid] and pc < minfd[wid]
                     ):
                         # The raised min-first-dependent unblocked the warp.
-                        ready[wid] = True
-                        if vital[wid]:
-                            ready_vital += 1
+                        ready |= 1 << wid
                 mshr_lines.discard(line)
                 next_completion = responses[0][0] if responses else _NO_RESPONSE
 
-            # ---- pick a warp (greedy-then-oldest over the vital list) -------
-            if not ready_vital:
-                # No vital warp can issue: jump to the next completion.
+            # ---- pick a warp: sticky, else the oldest ready vital one -------
+            candidates = ready & vital
+            if not candidates:
+                # No vital warp can issue: jump to the next completion (the
+                # delivery loop left it in the future).  With none in flight
+                # the last warp retired above, and the oracle's step ends
+                # with one stall cycle.
                 if responses:
                     target = next_completion if next_completion < limit else limit
-                    skipped = target - cycle
-                    if skipped < 1:
-                        skipped = 1
                 else:
-                    skipped = 1
-                cycle += skipped
-                cycles_c += skipped
-                stall_c += skipped
+                    target = cycle + 1
+                cycles_c += target - cycle
+                stall_c += target - cycle
+                cycle = target
                 continue
-            if last >= 0 and vital[last] and ready[last]:
-                wid = last
-            else:
-                wid = -1
-                for cand in vital_list:
-                    if ready[cand]:
-                        wid = cand
-                        last = cand
-                        break
+            if not candidates & last_bit:
+                last_bit = candidates & -candidates
+                last = last_bit.bit_length() - 1
+            wid = last
             pc = pcs[wid]
 
             if wid != cur:
@@ -563,163 +494,151 @@ class FastStreamingMultiprocessor:
                 if tc_record is not None:
                     for index in range(pc, npc):
                         tc_record(wid, prog_w[index])
-                if npc >= plen_w or npc >= minfd[wid]:
-                    ready[wid] = False
-                    if vital[wid]:
-                        ready_vital -= 1
+            else:
+                # ---- load issue: one set lookup, the L2/DRAM inline ---------
+                polluting = pollute[wid]
+                if policy_active:
+                    allocate = polluting and allow_allocate(inst, wid)
+                else:
+                    allocate = polluting
+                l1_set = l1[line]
+                # The line's last warp, or None on a miss; a hit is
+                # re-inserted below as the set's newest line.
+                prev = l1_set.pop(line, None)
+                if (
+                    prev is None
+                    and line not in mshr_lines
+                    and len(mshr_lines) >= mshr_cap
+                ):
+                    # ---- MSHR-retry span: jump to the next fill -------------
+                    # A would-be miss with no MSHR entry (new or merged)
+                    # wastes the slot, and every cycle up to the next response
+                    # is the same wasted slot (see the module docstring), so
+                    # the span is credited in one jump, clamped to ``limit``
+                    # so no window boundary is crossed.  A full MSHR file
+                    # means a response is in flight, and the delivery loop
+                    # above left it in the future, so the jump is at least
+                    # one cycle.
+                    target = next_completion if next_completion < limit else limit
+                    mshr_stall += target - cycle
+                    cycles_c += target - cycle
+                    busy_c += target - cycle
+                    cycle = target
+                    continue
+
+                instr_c += 1
+                loads_c += 1
+                l1_acc += 1
+                if polluting:
+                    pol_acc += 1
+                else:
+                    npol_acc += 1
+                if reuse_record is not None:
+                    reuse_record(wid, line)
+                if policy_active:
+                    observe_access(inst, wid, prev is not None)
+                npc = pc + 1
+                pcs[wid] = npc
+                if prev is not None:
+                    l1_hit += 1
+                    if polluting:
+                        pol_hit += 1
+                    else:
+                        npol_hit += 1
+                    if prev == wid:
+                        intra_c += 1
+                    else:
+                        inter_c += 1
+                    l1_set[line] = wid
+                else:
+                    l1_miss += 1
+                    if allocate:
+                        if len(l1_set) >= l1_assoc:
+                            del l1_set[next(iter(l1_set))]
+                        l1_set[line] = wid
+                    else:
+                        l1_byp += 1
+                    token = next_token
+                    next_token += 1
+                    fd = pc + inst.dep_distance + 1
+                    out_w[token] = (fd, cycle)
+                    if fd < minfd[wid]:
+                        minfd[wid] = fd
+                    if line in mshr_lines:
+                        # Merged miss: attach to the in-flight response.
+                        waiters_map[line].append((wid, token))
+                    else:
+                        # New miss: one request through the L2/DRAM busy
+                        # servers (MemorySubsystem.request, op for op).
+                        mshr_lines.add(line)
+                        l2_acc += 1
+                        l2_start = l2_busy
+                        if l2_start < cycle:
+                            l2_start = float(cycle)
+                        queue_delay = l2_start - cycle
+                        if queue_delay > max_queue_delay:
+                            queue_delay = max_queue_delay
+                        l2_busy = l2_start + l2_service
+                        l2_set = l2[line]
+                        # The L2 always allocates: a hit re-inserts its line,
+                        # a miss evicts the oldest one from a full set.
+                        if l2_set.pop(line, False) is None:
+                            l2_set[line] = None
+                            l2_hit += 1
+                            latency = int(l2_latency + queue_delay)
+                        else:
+                            if len(l2_set) >= l2_assoc:
+                                del l2_set[next(iter(l2_set))]
+                            l2_set[line] = None
+                            dram_start = l2_start + l2_latency
+                            if dram_start < dram_busy:
+                                dram_start = dram_busy
+                            dram_queue_delay = dram_start - (cycle + l2_latency)
+                            if dram_queue_delay > max_queue_delay:
+                                dram_queue_delay = max_queue_delay
+                            dram_busy = dram_start + dram_service
+                            dram_c += 1
+                            latency = int(
+                                l2_latency + queue_delay + dram_latency
+                                + dram_queue_delay
+                            )
+                        latency_c += latency
+                        completion = cycle + latency
+                        seq += 1
+                        entry_waiters = [(wid, token)]
+                        waiters_map[line] = entry_waiters
+                        heappush(responses, (completion, seq, line, entry_waiters))
+                        if completion < next_completion:
+                            next_completion = completion
+                if tc_record is not None:
+                    tc_record(wid, inst)
+                cycle += 1
+                cycles_c += 1
+                busy_c += 1
+
+            # ---- after an issue: the warp may block or retire --------------
+            if npc >= plen_w or npc >= minfd[wid]:
+                ready ^= last_bit  # the issuing warp's bit, set at the pick
                 if npc >= plen_w and not out_w:
                     alive[wid] = False
                     unfinished -= 1
                     refresh()
-                    vital_list = self._vital_list
-                    ready_vital = self._ready_vital
-                last = wid
-                continue
-
-            # ---- load issue (single fused set walk) -------------------------
-            polluting = pollute[wid]
-            if policy_active:
-                allocate = polluting and allow_allocate(inst, wid)
-            else:
-                allocate = polluting
-            if hash_indexing:
-                sidx = index_memo.get(line)
-                if sidx is None:
-                    folded = line
-                    sidx = 0
-                    while folded:
-                        sidx ^= folded % nsets
-                        folded //= nsets
-                    sidx %= nsets
-                    index_memo[line] = sidx
-            else:
-                # ``hash_indexing`` is pre-cleared for nsets == 1 (the fold
-                # would not terminate); the modulo is 0 there either way.
-                sidx = line % nsets
-            base = sidx * assoc
-            hit_way = -1
-            for way in range(base, base + assoc):
-                if tags[way] == line:
-                    hit_way = way
-                    break
-
-            if (
-                hit_way < 0
-                and line not in mshr_lines
-                and len(mshr_lines) >= mshr_cap
-            ):
-                # ---- MSHR-retry span: jump to the next fill -----------------
-                # A would-be miss with no MSHR entry (new or merged) wastes
-                # the slot, and every cycle up to the next response is the
-                # same wasted slot (see the module docstring), so the span is
-                # credited in one jump, clamped to ``limit`` so no window
-                # boundary is crossed.  A full MSHR file means a response is
-                # in flight, and the delivery loop above left it in the
-                # future, so the jump is at least one cycle.
-                target = next_completion if next_completion < limit else limit
-                k = target - cycle
-                mshr_stall += k
-                cycle += k
-                cycles_c += k
-                busy_c += k
-                continue
-
-            instr_c += 1
-            loads_c += 1
-            l1_acc += 1
-            if polluting:
-                pol_acc += 1
-            else:
-                npol_acc += 1
-            if reuse_record is not None:
-                reuse_record(wid, line)
-            if policy_active:
-                observe_access(inst, wid, hit_way >= 0)
-            acc_counter += 1
-            npc = pc + 1
-            pcs[wid] = npc
-            if hit_way >= 0:
-                l1_hit += 1
-                if polluting:
-                    pol_hit += 1
-                else:
-                    npol_hit += 1
-                if lastw[hit_way] == wid:
-                    intra_c += 1
-                else:
-                    inter_c += 1
-                lastw[hit_way] = wid
-                stamps[hit_way] = acc_counter
-            else:
-                l1_miss += 1
-                if allocate:
-                    # LRU victim: invalid ways carry stamp 0 (< any valid
-                    # stamp), ties resolve to the lowest way — the same
-                    # order as the legacy ``min`` over (valid, stamp).
-                    vic = base
-                    best = stamps[base]
-                    if best:
-                        for way in range(base + 1, base + assoc):
-                            s = stamps[way]
-                            if s < best:
-                                vic = way
-                                best = s
-                                if not s:
-                                    break
-                    tags[vic] = line
-                    lastw[vic] = wid
-                    stamps[vic] = acc_counter
-                else:
-                    l1_byp += 1
-                token = next_token
-                next_token += 1
-                fd = pc + inst.dep_distance + 1
-                out_w[token] = (fd, cycle)
-                if fd < minfd[wid]:
-                    minfd[wid] = fd
-                if line in mshr_lines:
-                    # Merged miss: attach to the in-flight response.
-                    waiters_map[line].append((wid, token))
-                else:
-                    mshr_lines.add(line)
-                    completion, served_by_l2 = memory_request(line, cycle, wid)
-                    l2_acc += 1
-                    if served_by_l2:
-                        l2_hit += 1
-                    else:
-                        dram_c += 1
-                    seq += 1
-                    entry_waiters = [(wid, token)]
-                    waiters_map[line] = entry_waiters
-                    heappush(responses, (completion, seq, line, entry_waiters))
-                    if completion < next_completion:
-                        next_completion = completion
-            if tc_record is not None:
-                tc_record(wid, inst)
-            if npc >= plen_w or npc >= minfd[wid]:
-                ready[wid] = False
-                if vital[wid]:
-                    ready_vital -= 1
-            if npc >= plen_w and not out_w:
-                alive[wid] = False
-                unfinished -= 1
-                refresh()
-                vital_list = self._vital_list
-                ready_vital = self._ready_vital
-            last = wid
-
-            cycle += 1
-            cycles_c += 1
-            busy_c += 1
+                    vital = self._vital
 
         # ---- write state and counters back ----------------------------------
         self.cycle = cycle
         self._unfinished = unfinished
         self._last = last
-        self._ready_vital = ready_vital
-        self._l1_access_counter = acc_counter
+        self._ready = ready
         self._response_seq = seq
         self._next_token = next_token
+        memory._l2_busy_until = l2_busy
+        memory._dram_busy_until = dram_busy
+        memory.requests += l2_acc
+        memory.l2_accesses += l2_acc
+        memory.l2_hits += l2_hit
+        memory.dram_accesses += dram_c
+        memory.total_latency += latency_c
         c = self.counters
         c.cycles += cycles_c
         c.busy_cycles += busy_c

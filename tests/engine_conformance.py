@@ -246,29 +246,42 @@ kernel_specs = st.builds(
 #: single-SM path survives, 2 and 4 exercise the shared-memory interleave.
 SM_COUNTS: Tuple[int, ...] = (1, 2, 4)
 
-small_archs = st.builds(
-    lambda l1_lines, assoc, mshr, indexing: GPUConfig(
+
+def small_arch(
+    l1_sets: int, assoc: int, mshr: int, indexing: str, l2_indexing: str = "hash"
+) -> GPUConfig:
+    """A small GPU: ``l1_sets`` × ``assoc`` L1 lines, a 16-set 4-way L2 and
+    a fast memory, so short kernels exercise eviction and queueing."""
+    return GPUConfig(
         sm=SMConfig(max_warps=12),
         l1=CacheConfig(
-            size_bytes=l1_lines * assoc * 128,
+            size_bytes=l1_sets * assoc * 128,
             assoc=assoc,
             line_size=128,
             mshr_entries=mshr,
             indexing=indexing,
         ),
         memory=MemoryConfig(
-            l2=CacheConfig(size_bytes=64 * 128, assoc=4, line_size=128, mshr_entries=8),
+            l2=CacheConfig(
+                size_bytes=64 * 128, assoc=4, line_size=128, mshr_entries=8,
+                indexing=l2_indexing,
+            ),
             l2_latency=20,
             l2_service_interval=2.0,
             dram_latency=60,
             dram_service_interval=8.0,
         ),
         max_cycles=30_000,
-    ),
-    l1_lines=st.integers(2, 8),  # sets per way
+    )
+
+
+small_archs = st.builds(
+    small_arch,
+    l1_sets=st.integers(1, 8),
     assoc=st.sampled_from([1, 2, 4]),
     mshr=st.integers(1, 6),
     indexing=st.sampled_from(["hash", "linear"]),
+    l2_indexing=st.sampled_from(["hash", "linear"]),
 )
 
 #: ``small_archs`` widened into chips: num_sms ∈ {1, 2, 4} SMs sharing one

@@ -11,13 +11,15 @@ Scenario coverage:
 
 * random synthetic kernels under all five evaluation schemes
   (gto/swl/pcal/poise/static_best) plus CCWS and the APCM cache policy,
-* random architecture variations (L1 geometry, hash vs linear indexing,
-  MSHR pressure small enough to exercise the structural-hazard retry path
-  — the spans the fast engine jumps over),
+* random architecture variations (L1 geometry down to a single set, hash
+  vs linear indexing of the L1 and the L2, MSHR pressure small enough to
+  exercise the structural-hazard retry path — the spans the fast engine
+  jumps over),
 * the five trace-native families,
 * adversarial controller scripts: random interleavings of warp-tuple
   changes, run windows and counter snapshots (the access pattern of the
-  PCAL/Poise sampling loops),
+  PCAL/Poise sampling loops), on 12-warp and 48-warp SMs, and the shared
+  L2/DRAM statistics they leave on 1, 2 and 4 SMs,
 * lazily filled programs refilled mid-run, every few instructions,
 * degenerate shapes (empty warp programs, single-warp kernels).
 
@@ -32,17 +34,19 @@ from typing import List, Tuple
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engine_conformance import (
     CANDIDATE_ENGINES,
     ORACLE,
     SCHEMES,
+    SM_COUNTS,
     assert_conformance,
     drive_windowed,
     kernel_specs,
     make_controller,
     run_snapshot,
+    small_arch,
     small_archs,
 )
 from repro.gpu.config import (
@@ -95,11 +99,25 @@ def test_scheme_differential(spec: KernelSpec, scheme: str) -> None:
     )
 
 
+#: A kernel with private and shared reuse over more lines than the small
+#: architectures hold, so every set fills and evicts.
+PINNED_SPEC = KernelSpec(
+    name="pinned_arch", num_warps=8, instructions_per_warp=300,
+    instructions_per_load=2, dep_distance=3, intra_warp_fraction=0.5,
+    inter_warp_fraction=0.2, private_lines=40, shared_lines=90, seed=11,
+)
+
+
 @settings(max_examples=20, deadline=None)
 @given(spec=kernel_specs, config=small_archs)
+@example(spec=PINNED_SPEC, config=small_arch(1, 4, 3, "hash", l2_indexing="linear"))
+@example(spec=PINNED_SPEC, config=small_arch(1, 2, 2, "linear", l2_indexing="linear"))
+@example(spec=PINNED_SPEC, config=small_arch(8, 4, 6, "linear", l2_indexing="hash"))
 def test_architecture_differential(spec: KernelSpec, config: GPUConfig) -> None:
-    """Random L1 geometries, linear indexing and MSHR starvation (the
-    structural-hazard retry path) stay bit-identical on every engine."""
+    """Random L1 geometries (single-set ones included), linear or hashed
+    L1 and L2 indexing and MSHR starvation (the structural-hazard retry
+    path) stay bit-identical on every engine; the explicit examples pin a
+    single-set L1 and a linear-indexed L2 into every run."""
     programs = generate_kernel_programs(spec)
     assert_conformance(config, programs, max_cycles=12_000)
 
@@ -168,15 +186,16 @@ def test_trace_family_all_schemes(scheme: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    spec=kernel_specs,
-    script=st.lists(
-        st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 2_500)),
-        min_size=1,
-        max_size=8,
-    ),
+#: Random ``(n, p, window)`` controller scripts over up to 12 warps.
+window_scripts = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 2_500)),
+    min_size=1,
+    max_size=8,
 )
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=kernel_specs, script=window_scripts)
 def test_windowed_control_differential(
     spec: KernelSpec, script: List[Tuple[int, int, int]]
 ) -> None:
@@ -186,6 +205,78 @@ def test_windowed_control_differential(
     a jump may never cross a ``run_cycles`` window boundary, or the
     per-window deltas would smear."""
     config = baseline_config(max_cycles=60_000)
+    programs = generate_kernel_programs(spec)
+    oracle_trail = drive_windowed(ORACLE, config, programs, script)
+    for engine in CANDIDATE_ENGINES:
+        assert drive_windowed(engine, config, programs, script) == oracle_trail, (
+            f"engine {engine!r} window trail drifted from {ORACLE}"
+        )
+
+
+@pytest.mark.parametrize("num_sms", SM_COUNTS)
+@settings(max_examples=8, deadline=None)
+@given(spec=kernel_specs, config=small_archs, script=window_scripts)
+def test_shared_memory_statistics_match_the_oracle(
+    num_sms: int, spec: KernelSpec, config: GPUConfig,
+    script: List[Tuple[int, int, int]],
+) -> None:
+    """After a windowed run on ``num_sms`` SMs, the shared L2/DRAM's own
+    statistics equal the legacy ``MemorySubsystem``'s.  The fast loop
+    writes them back at the end of each slice, and the SM counters alone
+    would not show a missed write-back."""
+    config = replace(config, num_sms=num_sms)
+    programs = generate_kernel_programs(spec)
+
+    def memory_stats(engine: str) -> tuple:
+        sm = GPU(config).build_sm([list(p) for p in programs], engine=engine)
+        for n, p, window in script:
+            sm.set_warp_tuple(n, p)
+            sm.run_cycles(window)
+        memory = sm.memory
+        return (
+            memory.requests, memory.l2_accesses, memory.l2_hits,
+            memory.dram_accesses, memory.total_latency,
+            memory.average_latency, memory.l2_hit_rate,
+        )
+
+    oracle = memory_stats(ORACLE)
+    for engine in CANDIDATE_ENGINES:
+        assert memory_stats(engine) == oracle, f"engine {engine!r} memory drifted"
+
+
+#: Warp slots of the wide architecture: more than one 30-bit CPython digit.
+WIDE_WARPS = 48
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    spec=st.builds(
+        lambda spec, num_warps, length: replace(
+            spec, num_warps=num_warps, instructions_per_warp=length
+        ),
+        spec=kernel_specs,
+        num_warps=st.integers(40, WIDE_WARPS),
+        length=st.integers(20, 150),
+    ),
+    script=st.lists(
+        st.tuples(
+            st.integers(1, WIDE_WARPS), st.integers(1, WIDE_WARPS),
+            st.integers(1, 2_500),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_wide_warp_masks_match_the_oracle(
+    spec: KernelSpec, script: List[Tuple[int, int, int]]
+) -> None:
+    """40-48 warps on a 48-warp SM under random warp-tuple scripts: the
+    fast core's ready and vital bitmasks span more than one CPython int
+    digit and are rebuilt on every tuple change and warp exit, and every
+    window must still match the oracle."""
+    config = replace(
+        baseline_config(max_cycles=60_000), sm=SMConfig(max_warps=WIDE_WARPS)
+    )
     programs = generate_kernel_programs(spec)
     oracle_trail = drive_windowed(ORACLE, config, programs, script)
     for engine in CANDIDATE_ENGINES:

@@ -31,6 +31,7 @@ import dataclasses
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,7 @@ from engine_conformance import (
     small_graphs,
 )
 from repro.core.training import TrainedModel
+from repro.experiments import common, fig04_hit_rate_breakdown
 from repro.experiments.common import (
     ExperimentConfig,
     _graph_key_payload,
@@ -429,25 +431,46 @@ _MEMO_SPEC = _spec("memo_kernel")
 _MEMO_GRAPH = mix_graph([_MEMO_SPEC, _MEMO_SPEC.variant("b", seed=6)], "chain", name="memo")
 _MEMO_MODEL = TrainedModel(alpha_weights=[0.5], beta_weights=[0.25], max_warps=24)
 
+def _measurement_payload(measure):
+    """The payload a one-kernel measurement keys its cache entry by: ``measure()``
+    runs with the result cache replaced by a probe that only records it."""
+    payloads = []
+    with mock.patch.object(
+        common, "_cached", lambda payload, *args, **kwargs: payloads.append(payload)
+    ):
+        measure()
+    (payload,) = payloads
+    return payload
+
+
 #: Each result-cache kind's payload under a config (fixed kernel, graph, model).
 PAYLOADS = {
     "profile": lambda config: _profile_key_payload(_MEMO_SPEC, config),
     "run": lambda config: _run_key_payload("poise", _MEMO_SPEC, config, _MEMO_MODEL),
     "graph-run": lambda config: _graph_key_payload(_MEMO_GRAPH, config),
     "model": lambda config: _model_key_payload(config, None),
+    "pbest": lambda config: _measurement_payload(
+        lambda: common.get_pbest(_MEMO_SPEC, config)
+    ),
+    "features": lambda config: _measurement_payload(
+        lambda: common.get_features(_MEMO_SPEC, config)
+    ),
+    "hit-breakdown": lambda config: _measurement_payload(
+        lambda: fig04_hit_rate_breakdown._measure(config, "ii")
+    ),
 }
 
 #: The payload kinds each ``ExperimentConfig`` field must change.
 READS = {
-    "gpu": {"profile", "run", "graph-run", "model"},
-    "profile_cycles": {"profile", "run", "model"},
-    "profile_warmup": {"profile", "run", "model"},
+    "gpu": {"profile", "run", "graph-run", "model", "pbest", "features", "hit-breakdown"},
+    "profile_cycles": {"profile", "run", "model", "pbest", "hit-breakdown"},
+    "profile_warmup": {"profile", "run", "model", "hit-breakdown"},
     "profile_n_step": {"profile", "run", "model"},
     "profile_p_step": {"profile", "run", "model"},
     "run_max_cycles": {"run", "graph-run"},
     "poise_params": {"run", "model"},
-    "feature_warmup": {"run", "model"},
-    "feature_cycles": {"run", "model"},
+    "feature_warmup": {"run", "model", "features"},
+    "feature_cycles": {"run", "model", "features"},
     "training_kernels_per_benchmark": {"model"},
     "training_min_speedup": {"model"},
     "training_min_hit_rate": {"model"},
@@ -465,7 +488,9 @@ UNKEYED = {
 def test_every_experiment_config_field_moves_exactly_the_payloads_that_read_it(tmp_path):
     """Any ``ExperimentConfig`` field — including ones added after this test
     was written — must change the result-cache payload of every kind that
-    reads it and of no other, or be listed in ``UNKEYED`` with a reason."""
+    reads it and of no other, or be listed in ``UNKEYED`` with a reason.
+    Every kind the result cache stores is checked."""
+    assert set(PAYLOADS) == set(common._CODECS)
     base = replace(ExperimentConfig.fast(), cache_dir=tmp_path)
     names = {field.name for field in dataclasses.fields(ExperimentConfig)}
     assert names == set(READS) | set(UNKEYED), (

@@ -1,17 +1,20 @@
-"""Trained models in the result cache.
+"""Trained models and one-kernel measurements in the result cache.
 
-Static profiles, scheme runs, graph runs and trained models all go through
-``repro.experiments.common._cached``: the memo is keyed by ``content_key``
-of the payload that names the disk entry.  These tests pin that trained
-models follow the same rules as every other kind: keyed by what training
-reads, named by that payload alone, and recomputed when the entry on disk
-is corrupt.  (``tests/test_graph_workloads.py`` guards which
-``ExperimentConfig`` fields each payload reads.)
+Static profiles, scheme runs, graph runs, one-kernel measurements and
+trained models all go through ``repro.experiments.common._cached``: the
+memo is keyed by ``content_key`` of the payload that names the disk entry.
+These tests pin that trained models follow the same rules as every other
+kind: keyed by what training reads, named by that payload alone, and
+recomputed when the entry on disk is corrupt; and that the experiments
+measuring kernels outside the scheme runs re-run warm without simulating.
+(``tests/test_graph_workloads.py`` guards which ``ExperimentConfig``
+fields each payload reads.)
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from dataclasses import replace
 
@@ -22,7 +25,9 @@ from repro.core.model_store import load_model, model_to_dict, save_model
 from repro.core.training import TrainedModel
 from repro.experiments import common
 from repro.experiments.common import ExperimentConfig, clear_caches, train_or_load_model
+from repro.gpu.gpu import GPU
 from repro.runtime.cache import cache_stats, reset_cache_stats
+from repro.workloads.generator import WarpProgram
 
 
 def _model(weight: float) -> TrainedModel:
@@ -132,3 +137,30 @@ def test_pretrain_stores_the_preset_model_and_leaves_full_alone(
         assert model_to_dict(load_model(output)) == model_to_dict(pretrained)
     assert train_or_load_model(ExperimentConfig.full()).alpha_weights == [1.0]
     assert len(trainings) == 1
+
+
+def test_a_warm_run_of_the_measuring_experiments_simulates_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    """fig04, fig16, table03a and sec7b measure kernels outside the scheme
+    runs (hit-rate breakdowns, Pbest, feature vectors).  Re-run with an
+    empty memo, as in a new process, they read all of it from disk: no
+    miss, no ``phases:`` line, no program fill and no SM built."""
+    argv = ["run", "fig04", "fig16", "table03a", "sec7b", "--fast", "--cache-dir", str(tmp_path)]
+    clear_caches()
+    assert repro_main(argv) == 0
+    assert "\nphases: " in capsys.readouterr().out
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the warm run simulated")
+
+    monkeypatch.setattr(GPU, "build_sm", simulate)
+    monkeypatch.setattr(WarpProgram, "fill", simulate)
+    clear_caches()
+    try:
+        assert repro_main(argv) == 0
+    finally:
+        clear_caches()
+    lines = capsys.readouterr().out.splitlines()
+    assert any(re.match(r"cache: \d+ hits, 0 misses", line) for line in lines)
+    assert not any(line.startswith("phases:") for line in lines)
