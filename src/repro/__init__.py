@@ -19,7 +19,7 @@ Package layout:
 * :mod:`repro.schedulers` — GTO, SWL, CCWS, PCAL-SWL, Static-Best,
   random-restart and APCM baselines.
 * :mod:`repro.trace` — trace capture/replay: a binary per-warp trace codec,
-  an issued-stream recorder, and trace-native workload families.
+  graph-trace directories, and trace-native workload families.
 * :mod:`repro.experiments` — one module per table/figure of the paper.
 
 Quickstart::

@@ -7,10 +7,11 @@ Subcommands::
     repro trace replay  TRACE_OR_BENCHMARK... [--schemes LIST] [--fast|--full]
     repro trace info    TRACE...
 
-``capture`` runs benchmark kernels to completion on the simulator with the
-issued-stream recorder attached and writes ``<kernel>.trc`` files;
-``--verify`` re-runs each capture from the trace and asserts the counters
-replay bit-identically.  ``replay`` accepts ``.trc`` paths and/or registered
+``capture`` writes each benchmark kernel's warp programs as a
+``<kernel>.trc`` file — a completed run issues exactly its programs, so the
+file is what a run of the kernel issues; ``--verify`` runs each kernel live
+and from its trace under the same cycle budget and asserts the counters
+are bit-identical.  ``replay`` accepts ``.trc`` paths and/or registered
 benchmark names (the ``trace`` suite included) and runs them under any of
 the evaluation schemes — through exactly the same profiling, caching and
 model machinery the experiments use.
@@ -19,13 +20,13 @@ model machinery the experiments use.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.analysis.tables import Table
 from repro.trace.adapter import TraceKernelSpec, default_trace_filename, trace_kernel_from_file
-from repro.trace.capture import capture_kernel_to_file
 from repro.trace.codec import TRACE_SUFFIX, TraceFormatError, trace_stats, write_trace
 from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.registry import all_benchmarks, get_benchmark, trace_benchmarks
@@ -78,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     capture.add_argument("--out", type=Path, default=None, metavar="DIR")
     capture.add_argument(
         "--max-cycles", type=int, default=None,
-        help="capture-run cycle budget (default: sized from the kernel length)",
+        help="cycle budget of each --verify run (default: sized from the kernel length)",
     )
     capture.add_argument(
         "--verify", action="store_true",
-        help="replay each capture and assert counters are bit-identical",
+        help="run each kernel live and from its trace; assert counters are bit-identical",
     )
     _add_scale(capture)
 
@@ -159,6 +160,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_capture(args: argparse.Namespace) -> int:
     from repro.experiments.common import preset_config
+    from repro.gpu.config import baseline_config
+    from repro.gpu.gpu import GPU
 
     out_dir = args.out or _default_out_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,27 +186,34 @@ def _cmd_capture(args: argparse.Namespace) -> int:
     )
     for spec in specs:
         path = out_dir / default_trace_filename(spec.name)
-        content_hash, live = capture_kernel_to_file(spec, path, max_cycles=args.max_cycles)
-        verified = "-"
+        programs = generate_kernel_programs(spec)
+        content_hash = write_trace(
+            path,
+            programs,
+            meta={
+                "kernel": spec.name,
+                "source": "capture",
+                "num_warps": len(programs),
+                "captured_from": dataclasses.asdict(spec),
+            },
+        )
+        instructions = sum(len(program) for program in programs)
+        cycles, verified = "-", "-"
         if args.verify:
-            from repro.gpu.config import baseline_config
-            from repro.gpu.gpu import GPU
-
-            replay_spec = trace_kernel_from_file(path)
-            replayed = GPU(baseline_config(max_cycles=live.cycles + 1)).run_kernel(
-                generate_kernel_programs(replay_spec), max_cycles=live.cycles + 1
-            )
+            # Every instruction takes >= 1 issue slot and stalls inflate
+            # that; a run the budget truncates still replays bit-identically.
+            budget = args.max_cycles or 50_000 + 16 * instructions
+            gpu = GPU(baseline_config(max_cycles=budget))
+            live = gpu.run_kernel(programs)
+            replayed = gpu.run_kernel(generate_kernel_programs(trace_kernel_from_file(path)))
             if replayed.counters != live.counters:
                 print(
                     f"error: {spec.name}: replay counters diverged from the live run",
                     file=sys.stderr,
                 )
                 return 1
-            verified = "bit-identical"
-        table.add_row(
-            spec.name, live.cycles, live.counters.instructions,
-            content_hash[:16], verified, str(path),
-        )
+            cycles, verified = live.cycles, "bit-identical"
+        table.add_row(spec.name, cycles, instructions, content_hash[:16], verified, str(path))
     print(table.to_text())
     return 0
 
@@ -322,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace_command == "capture":
         try:
             return _cmd_capture(args)
-        except (KeyError, RuntimeError) as error:
+        except KeyError as error:
             print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
             return 2
     if args.trace_command == "replay":

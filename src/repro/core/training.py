@@ -125,18 +125,14 @@ class TrainingPipeline:
         scoring_weights: Sequence[float] = DEFAULT_WEIGHTS,
         feature_mask: Optional[Sequence[int]] = None,
         executor: Optional[SweepExecutor] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.config = config or baseline_config()
-        self.profiler = profiler or KernelProfiler(self.config, engine=engine)
+        self.profiler = profiler or KernelProfiler(self.config)
         self.sampler = sampler or FeatureSampler()
         self.thresholds = thresholds or TrainingThresholds()
         self.scoring_weights = tuple(scoring_weights)
         self.feature_mask = list(feature_mask) if feature_mask else None
         self.executor = executor
-        # Simulator-core selection for feature sampling (``None`` defers to
-        # REPRO_ENGINE); training data is engine-agnostic by bit-identity.
-        self.engine = engine
 
     # -- per-kernel work ------------------------------------------------------------
 
@@ -144,7 +140,7 @@ class TrainingPipeline:
         """Sample the feature vector exactly as the HIE would at runtime."""
         if programs is None:
             programs = generate_kernel_programs(spec)
-        sm = GPU(self.config, engine=self.engine).build_sm(programs)
+        sm = GPU(self.config).build_sm(programs)
         max_warps = min(self.config.max_warps, spec.num_warps)
         return self.sampler.collect(sm, max_warps=max_warps)
 

@@ -243,15 +243,12 @@ def _disk(kind: str, cache_dir: Path) -> DiskCache:
     return DiskCache(cache_dir)
 
 
-def _cached(payload: dict, config: ExperimentConfig, compute: Callable, use_cache: bool = True):
+def _cached(payload: dict, config: ExperimentConfig, compute: Callable):
     """The memo, else the disk entry ``payload`` names, else ``compute()``
     (stored to disk); whichever answers fills the memo.
 
     A corrupt or undecodable disk entry is a miss like an absent one.
-    ``use_cache=False`` computes without reading or writing either layer.
     """
-    if not use_cache:
-        return compute()
     key = content_key(payload)
     if key not in _MEMO:
         encode, decode = _CODECS[payload["kind"]]
@@ -350,22 +347,14 @@ def _model_key_payload(config: ExperimentConfig, feature_mask: Optional[Sequence
     }
 
 
-def get_profile(
-    spec: KernelSpec, config: ExperimentConfig, use_cache: bool = True
-) -> StaticProfile:
-    """Profile a kernel over the warp-tuple grid, through the result cache.
-
-    ``use_cache=False`` computes the profile directly — no cache is read *or
-    populated* — so an engine-pinned scenario point genuinely executes its
-    profiling sweep on the named engine instead of inheriting (or seeding)
-    the engine-agnostic caches.
-    """
+def get_profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
+    """Profile a kernel over the warp-tuple grid, through the result cache."""
 
     def compute() -> StaticProfile:
         with phase("profile"):
             return config.profiler().profile(spec)
 
-    return _cached(_profile_key_payload(spec, config), config, compute, use_cache)
+    return _cached(_profile_key_payload(spec, config), config, compute)
 
 
 def cached_measurement(
@@ -474,18 +463,17 @@ def _build_controller(
     spec: KernelSpec,
     config: ExperimentConfig,
     model: Optional[TrainedModel],
-    use_cache: bool = True,
 ):
     """Return (controller, cache_policy) for a scheme name."""
     scheme = scheme.lower()
     if scheme == "gto":
         return GTOController(), None
     if scheme == "swl":
-        return SWLController(profile=get_profile(spec, config, use_cache=use_cache)), None
+        return SWLController(profile=get_profile(spec, config)), None
     if scheme == "pcal":
-        return PCALController(profile=get_profile(spec, config, use_cache=use_cache)), None
+        return PCALController(profile=get_profile(spec, config)), None
     if scheme == "static_best":
-        return StaticBestController(profile=get_profile(spec, config, use_cache=use_cache)), None
+        return StaticBestController(profile=get_profile(spec, config)), None
     if scheme == "ccws":
         return CCWSController(), None
     if scheme == "random_restart":
@@ -511,7 +499,6 @@ def run_scheme_on_kernel(
     spec: KernelSpec,
     config: ExperimentConfig,
     model: Optional[TrainedModel] = None,
-    use_cache: bool = True,
 ) -> RunResult:
     """Run one kernel to completion (or the cycle budget) under a scheme.
 
@@ -520,9 +507,7 @@ def run_scheme_on_kernel(
     """
 
     def simulate() -> RunResult:
-        controller, cache_policy = _build_controller(
-            scheme, spec, config, model, use_cache=use_cache
-        )
+        controller, cache_policy = _build_controller(scheme, spec, config, model)
         gpu = GPU(config.gpu)
         programs = generate_kernel_programs(spec)
         with phase("simulate"):
@@ -533,7 +518,7 @@ def run_scheme_on_kernel(
                 cache_policy=cache_policy,
             )
 
-    return _cached(_run_key_payload(scheme, spec, config, model), config, simulate, use_cache)
+    return _cached(_run_key_payload(scheme, spec, config, model), config, simulate)
 
 
 #: Schemes whose controller consumes a static profile of the kernel.
@@ -601,25 +586,19 @@ def run_scheme_on_benchmark(
     benchmark_name: str,
     config: ExperimentConfig,
     model: Optional[TrainedModel] = None,
-    use_cache: bool = True,
 ) -> BenchmarkOutcome:
     """Run every (limited) kernel of a benchmark under a scheme and aggregate.
 
     Per-kernel speedups are relative to the GTO baseline run of the same
     kernel; the benchmark-level speedup is their harmonic mean, matching the
     aggregation used in the paper's per-benchmark bars.
-
-    ``use_cache=False`` bypasses the memory and disk result caches for every
-    run (baseline included) — the scenario runner uses this for points that
-    pin a simulator engine, because the caches are engine-agnostic.
     """
     benchmark = get_benchmark(benchmark_name)
     kernels = config.limited_kernels(benchmark)
     pairs: List[Tuple[str, KernelSpec]] = [("gto", spec) for spec in kernels]
     if scheme != "gto":
         pairs.extend((scheme, spec) for spec in kernels)
-    if use_cache:
-        prefetch_runs(pairs, config, model=model)
+    prefetch_runs(pairs, config, model=model)
     speedups: List[float] = []
     hit_rates: List[float] = []
     amls: List[float] = []
@@ -631,11 +610,11 @@ def run_scheme_on_benchmark(
     telemetry: Dict[str, object] = {}
 
     for spec in kernels:
-        baseline = run_scheme_on_kernel("gto", spec, config, use_cache=use_cache)
+        baseline = run_scheme_on_kernel("gto", spec, config)
         result = (
             baseline
             if scheme == "gto"
-            else run_scheme_on_kernel(scheme, spec, config, model=model, use_cache=use_cache)
+            else run_scheme_on_kernel(scheme, spec, config, model=model)
         )
         kernel_results[spec.name] = result
         speedups.append(max(result.speedup_over(baseline), 1e-6))
@@ -695,9 +674,7 @@ def _graph_key_payload(graph, config: ExperimentConfig) -> dict:
     }
 
 
-def run_graph_for_config(
-    graph, config: ExperimentConfig, use_cache: bool = True
-):
+def run_graph_for_config(graph, config: ExperimentConfig):
     """Run a kernel graph on ``config.gpu``'s chip, through the result cache.
 
     The cycle budget is ``run_max_cycles`` per node, pooled, so serial
@@ -710,14 +687,13 @@ def run_graph_for_config(
         with phase("simulate"):
             return gpu.run_graph(graph, max_cycles=budget)
 
-    return _cached(_graph_key_payload(graph, config), config, simulate, use_cache)
+    return _cached(_graph_key_payload(graph, config), config, simulate)
 
 
 def run_mix_on_benchmark(
     benchmark_name: str,
     config: ExperimentConfig,
     mix: str,
-    use_cache: bool = True,
 ) -> BenchmarkOutcome:
     """Run a benchmark's ``kernel_mix`` graph and aggregate chip-level metrics.
 
@@ -730,7 +706,7 @@ def run_mix_on_benchmark(
     chip-level aggregate (all instructions over the makespan).
     """
     graph = mix_graph_for_benchmark(benchmark_name, config, mix)
-    graph_result = run_graph_for_config(graph, config, use_cache=use_cache)
+    graph_result = run_graph_for_config(graph, config)
     reference_config = (
         config
         if config.gpu.num_sms == 1
@@ -740,9 +716,7 @@ def run_mix_on_benchmark(
     reference_cycles = 0
     reference_energy_pj = 0.0
     for node in graph.nodes:
-        reference = run_scheme_on_kernel(
-            "gto", node, reference_config, use_cache=use_cache
-        )
+        reference = run_scheme_on_kernel("gto", node, reference_config)
         reference_cycles += reference.cycles
         reference_energy_pj += reference.energy.total_pj
         reference_counters = (

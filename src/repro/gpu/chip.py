@@ -89,10 +89,6 @@ class Chip:
     def reuse_tracker(self):
         return self._home.reuse_tracker
 
-    @property
-    def trace_capture(self):
-        return self._home.trace_capture
-
     def set_warp_tuple(self, n: int, p: int) -> None:
         # Symmetric chip: every SM follows the controller's tuple, so the
         # background traffic reacts to throttling the same way the home SM
@@ -185,11 +181,10 @@ def build_chip(
     programs: Sequence[Sequence[Instruction]],
     resolved_engine: str,
     cache_policy=None,
-    trace_capture=None,
 ) -> Chip:
     """Build a symmetric chip: every SM runs ``programs``; only the home SM
-    carries the cache policy / trace capture (they are per-kernel observers,
-    and the kernel's result is the home SM's)."""
+    carries the cache policy (a per-kernel observer, and the kernel's result
+    is the home SM's)."""
     memory = shared_memory_for_engine(config, resolved_engine)
     core = core_class_for_engine(resolved_engine)
     cores = []
@@ -199,7 +194,6 @@ def build_chip(
                 config,
                 programs,
                 cache_policy=cache_policy if sm_id == 0 else None,
-                trace_capture=trace_capture if sm_id == 0 else None,
                 memory=memory,
             )
         )

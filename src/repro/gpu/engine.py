@@ -16,22 +16,23 @@ Two engines execute kernels, bit-identically:
   (``tests/engine_conformance.py``).
 
 Adding an engine is one registry entry here plus a branch in
-:func:`repro.gpu.chip.core_class_for_engine`: the conformance harness,
-golden replay and scenario engine axes all enumerate :data:`ENGINES`.
+:func:`repro.gpu.chip.core_class_for_engine`: the conformance harness and
+golden replay enumerate :data:`ENGINES`.
 
 Selection is the ``REPRO_ENGINE`` environment variable (``fast`` when
-unset), overridable per call wherever a simulation is built
-(:meth:`repro.gpu.gpu.GPU.build_sm`, the profiler, training, trace capture,
-the throughput benchmarks).  Because the engines are bit-identical, cached
-results are engine-agnostic: no cache key anywhere encodes the engine, so a
-result computed by one engine is a valid cache hit for the other.
+unset), overridable per call by the ``engine=`` parameter of
+:class:`repro.gpu.gpu.GPU`, its ``build_sm``/``run_kernel``/``run_graph``
+and :class:`repro.profiling.profiler.KernelProfiler` (the conformance
+harness and the throughput benchmarks use them).  Because the engines are
+bit-identical, cached results are engine-agnostic: no cache key anywhere
+encodes the engine, so a result computed by one engine is a valid cache
+hit for the other.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Environment variable naming the engine to simulate with.
 ENGINE_ENV = "REPRO_ENGINE"
@@ -58,24 +59,3 @@ def resolve_engine(engine: Optional[str] = None) -> str:
         )
     return value
 
-
-@contextmanager
-def pinned_engine(engine: Optional[str]) -> Iterator[None]:
-    """Temporarily pin ``REPRO_ENGINE`` (``None`` leaves it untouched).
-
-    Used wherever a specific core must execute regardless of the ambient
-    environment — engine-pinned scenario points, engine-parity tests.
-    """
-    if engine is None:
-        yield
-        return
-    resolve_engine(engine)  # fail fast on unknown names
-    previous = os.environ.get(ENGINE_ENV)
-    os.environ[ENGINE_ENV] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ENGINE_ENV, None)
-        else:
-            os.environ[ENGINE_ENV] = previous

@@ -184,8 +184,8 @@ class FastStreamingMultiprocessor:
     Exposes the same public surface the controllers and the profiler use:
     ``config``, ``warps`` (length = launched warps), ``counters``, ``cycle``,
     ``done``, ``warp_tuple``, ``set_warp_tuple``, ``snapshot``,
-    ``run_cycles``, ``run_to_completion``, ``reuse_tracker``,
-    ``cache_policy`` and ``trace_capture``.
+    ``run_cycles``, ``run_to_completion``, ``reuse_tracker`` and
+    ``cache_policy``.
     """
 
     def __init__(
@@ -193,7 +193,6 @@ class FastStreamingMultiprocessor:
         config: GPUConfig,
         programs: Sequence[Sequence[Instruction]],
         cache_policy: Optional[CacheManagementPolicy] = None,
-        trace_capture=None,
         memory: Optional[FastMemorySubsystem] = None,
     ) -> None:
         if len(programs) > config.sm.max_warps:
@@ -265,7 +264,6 @@ class FastStreamingMultiprocessor:
         self.reuse_tracker = (
             ReuseDistanceTracker() if config.track_reuse_distance else None
         )
-        self.trace_capture = trace_capture
 
     # -- public control -----------------------------------------------------------
 
@@ -367,8 +365,6 @@ class FastStreamingMultiprocessor:
         policy_active = self._policy_active
         allow_allocate = self.cache_policy.allow_allocate if policy_active else None
         observe_access = self.cache_policy.observe_access if policy_active else None
-        tc = self.trace_capture
-        tc_record = tc.record if tc is not None else None
         heappush = heapq.heappush
         heappop = heapq.heappop
         refresh = self._refresh_bits
@@ -491,9 +487,6 @@ class FastStreamingMultiprocessor:
                 cycle += k
                 cycles_c += k
                 busy_c += k
-                if tc_record is not None:
-                    for index in range(pc, npc):
-                        tc_record(wid, prog_w[index])
             else:
                 # ---- load issue: one set lookup, the L2/DRAM inline ---------
                 polluting = pollute[wid]
@@ -610,8 +603,6 @@ class FastStreamingMultiprocessor:
                         heappush(responses, (completion, seq, line, entry_waiters))
                         if completion < next_completion:
                             next_completion = completion
-                if tc_record is not None:
-                    tc_record(wid, inst)
                 cycle += 1
                 cycles_c += 1
                 busy_c += 1

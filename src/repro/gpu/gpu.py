@@ -91,7 +91,6 @@ class GPU:
         self,
         programs: Sequence[Sequence[Instruction]],
         cache_policy: Optional[CacheManagementPolicy] = None,
-        trace_capture=None,
         engine: Optional[str] = None,
     ):
         resolved = resolve_engine(engine if engine is not None else self.engine)
@@ -99,15 +98,9 @@ class GPU:
             # Chip model: num_sms cores of the resolved engine sharing one
             # L2/DRAM busy-server pair.  num_sms == 1 keeps the plain-SM
             # path, so single-SM runs stay bit-for-bit the seed's.
-            return build_chip(
-                self.config,
-                programs,
-                resolved,
-                cache_policy=cache_policy,
-                trace_capture=trace_capture,
-            )
+            return build_chip(self.config, programs, resolved, cache_policy=cache_policy)
         return core_class_for_engine(resolved)(
-            self.config, programs, cache_policy=cache_policy, trace_capture=trace_capture
+            self.config, programs, cache_policy=cache_policy
         )
 
     def run_kernel(
@@ -117,7 +110,6 @@ class GPU:
         controller=None,
         max_cycles: Optional[int] = None,
         cache_policy: Optional[CacheManagementPolicy] = None,
-        trace_capture=None,
         engine: Optional[str] = None,
     ) -> RunResult:
         """Execute a kernel.
@@ -130,14 +122,10 @@ class GPU:
                 that drives the run dynamically (overrides ``warp_tuple``).
             max_cycles: cycle budget (defaults to the config's budget).
             cache_policy: optional instruction-based cache management hook.
-            trace_capture: optional issued-stream recorder
-                (:class:`repro.trace.capture.TraceCapture`).
             engine: simulator core override (``"fast"``/``"legacy"``);
                 both engines produce the same counters.
         """
-        sm = self.build_sm(
-            programs, cache_policy=cache_policy, trace_capture=trace_capture, engine=engine
-        )
+        sm = self.build_sm(programs, cache_policy=cache_policy, engine=engine)
         budget = max_cycles if max_cycles is not None else self.config.max_cycles
         telemetry: dict = {}
         if controller is not None:
@@ -163,7 +151,6 @@ class GPU:
         warp_tuple: Optional[Tuple[int, int]] = None,
         max_cycles: Optional[int] = None,
         engine: Optional[str] = None,
-        capture_factory=None,
     ) -> GraphRunResult:
         """Execute a :class:`~repro.workloads.graph.KernelGraph` on the chip.
 
@@ -180,8 +167,6 @@ class GPU:
                 per-kernel budget times the node count so serial chains can
                 finish.
             engine: simulator core override; both engines are bit-identical.
-            capture_factory: optional ``name -> TraceCapture`` hook used by
-                graph trace capture.
         """
         from repro.workloads.generator import generate_kernel_programs
         from repro.workloads.graph import ScheduledNode
@@ -214,14 +199,7 @@ class GPU:
                 name = ready.pop(0)
                 slot = min(free)
                 free.remove(slot)
-                node = graph.node(name)
-                capture = capture_factory(name) if capture_factory is not None else None
-                sm = core(
-                    config,
-                    generate_kernel_programs(node),
-                    trace_capture=capture,
-                    memory=memory,
-                )
+                sm = core(config, generate_kernel_programs(graph.node(name)), memory=memory)
                 # Align the node's clock with the chip: completion cycles and
                 # busy-server timestamps all live in absolute chip cycles.
                 sm.cycle = clock

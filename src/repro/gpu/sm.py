@@ -49,7 +49,6 @@ class StreamingMultiprocessor:
         config: GPUConfig,
         programs: Sequence[Sequence[Instruction]],
         cache_policy: Optional[CacheManagementPolicy] = None,
-        trace_capture=None,
         memory: Optional[MemorySubsystem] = None,
     ) -> None:
         if len(programs) > config.sm.max_warps:
@@ -68,9 +67,6 @@ class StreamingMultiprocessor:
         self.counters = PerfCounters()
         self.cache_policy = cache_policy or CacheManagementPolicy()
         self.reuse_tracker = ReuseDistanceTracker() if config.track_reuse_distance else None
-        # Optional per-issue observer (repro.trace.capture.TraceCapture): sees
-        # every successfully issued instruction, never alters execution.
-        self.trace_capture = trace_capture
 
         self.cycle = 0
         self._next_token = 0
@@ -175,8 +171,6 @@ class StreamingMultiprocessor:
                 # MSHR full: the slot is wasted and the warp retries later.
                 self.counters.instructions -= 1
                 return
-        if self.trace_capture is not None:
-            self.trace_capture.record(warp.wid, instruction)
         if warp.done:
             self._unfinished_warps -= 1
             self.scheduler.on_warp_exit()

@@ -246,7 +246,6 @@ def measure_pbest(
     cycles: int = 12_000,
     warmup_cycles: int = 20_000,
     l1_scale: int = 64,
-    engine: Optional[str] = None,
 ) -> float:
     """Memory sensitivity metric: speedup with an ``l1_scale``× larger L1.
 
@@ -259,7 +258,7 @@ def measure_pbest(
     max_warps = min(config.max_warps, spec.num_warps)
 
     def run(cfg: GPUConfig) -> float:
-        sm = GPU(cfg, engine=engine).build_sm(programs)
+        sm = GPU(cfg).build_sm(programs)
         sm.set_warp_tuple(max_warps, max_warps)
         if warmup_cycles:
             sm.run_cycles(warmup_cycles)

@@ -41,9 +41,9 @@ and whose grammar it shares (:func:`jobs_arg`):
 * any other positive integer — that many workers,
 * anything else — a one-time warning naming the bad value, then serial.
 
-Worker processes force ``REPRO_JOBS=1`` for themselves so nested sweeps
-(e.g. a profile sweep inside a parallel training run) never spawn pools of
-pools.  Timeouts cannot preempt the serial path (there is no worker to
+Worker processes force ``REPRO_JOBS=1`` for themselves, and an escalated
+job runs under it too, so nested sweeps (e.g. a profile sweep inside a
+parallel training run) never spawn pools of pools.  Timeouts cannot preempt the serial path (there is no worker to
 abandon); serial execution still retries transient ``OSError``s.
 """
 
@@ -396,12 +396,16 @@ class SweepExecutor:
         try:
             while pending:
                 # Jobs that exhausted their pool attempts run one final time
-                # in this process — the path that cannot be OOM-killed.
+                # in this process — the path that cannot be OOM-killed —
+                # serially inside, as a pool worker runs them: a nested pool
+                # here would have none of this one's timeout.
                 for index in [i for i in pending if self._attempts[i] > self.retries]:
                     self._events["escalated"] += 1
                     self._attempts[index] += 1
                     pending.remove(index)
-                    yield index, fn(*args_list[index])
+                    with jobs_budget(1):
+                        result = fn(*args_list[index])
+                    yield index, result
                 if not pending:
                     break
                 if round_index:

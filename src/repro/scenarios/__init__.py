@@ -2,7 +2,7 @@
 
 One :class:`~repro.scenarios.grid.ScenarioGrid` declares a cross-product of
 axes — schemes, benchmarks, architecture knobs from
-:mod:`repro.gpu.config`, the simulator engine — and expands
+:mod:`repro.gpu.config`, Poise's strides and features, kernel graphs — and expands
 deterministically into frozen :class:`~repro.scenarios.grid.ScenarioPoint`
 objects.  The :class:`~repro.scenarios.runner.SweepRunner` executes points
 with one content-stable JSON artifact each, so N containers can split a

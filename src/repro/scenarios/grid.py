@@ -9,13 +9,6 @@ and maps onto one knob of the evaluation machinery:
 ``benchmark``
     A registered benchmark name — synthetic suites and the trace-native
     families alike.
-``engine``
-    Simulator core (``fast``/``legacy``), or ``None`` to inherit
-    ``REPRO_ENGINE``.  Points that pin an engine are executed with the
-    result and static-profile caches disabled so the named engine genuinely
-    runs every simulation (the caches are engine-agnostic by design — see
-    :mod:`repro.gpu.engine`); only the trained model is shared, as a fixed
-    input resolved on the base platform.
 ``l1_scale`` / ``l1_indexing`` / ``max_warps``
     Architecture parameters applied to :class:`repro.gpu.config.GPUConfig`.
 ``poise_strides``
@@ -47,8 +40,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.gpu.engine import ENGINES
-
 
 class ScenarioError(ValueError):
     """A scenario grid, axis value or shard specification is invalid."""
@@ -56,7 +47,6 @@ class ScenarioError(ValueError):
 
 #: Canonical axis iteration order (outermost first).
 AXIS_ORDER: Tuple[str, ...] = (
-    "engine",
     "scheme",
     "benchmark",
     "l1_scale",
@@ -70,7 +60,6 @@ AXIS_ORDER: Tuple[str, ...] = (
 
 #: Value a point takes for an axis the grid does not declare.
 AXIS_DEFAULTS: Dict[str, Any] = {
-    "engine": None,
     "scheme": "gto",
     "benchmark": None,  # required — a grid must declare benchmarks
     "l1_scale": 1,
@@ -119,12 +108,6 @@ def canonical_axis_value(axis: str, value: Any) -> Any:
         known = _known_benchmarks()
         if not isinstance(value, str) or value not in known:
             raise _axis_error(axis, value, f"a registered benchmark ({', '.join(sorted(known))})")
-        return value
-    if axis == "engine":
-        if value is None:
-            return None
-        if not isinstance(value, str) or value not in ENGINES:
-            raise _axis_error(axis, value, f"one of {', '.join(ENGINES)} (or None to inherit)")
         return value
     if axis == "l1_scale":
         return _check_int(axis, value, 1, "a positive integer capacity multiplier")
@@ -185,7 +168,6 @@ class ScenarioPoint:
 
     scheme: str
     benchmark: str
-    engine: Optional[str] = None
     l1_scale: int = 1
     l1_indexing: Optional[str] = None
     max_warps: Optional[int] = None
@@ -197,7 +179,6 @@ class ScenarioPoint:
     def payload(self) -> Dict[str, Any]:
         """JSON-representable axis assignment (tuples become lists)."""
         return {
-            "engine": self.engine,
             "scheme": self.scheme,
             "benchmark": self.benchmark,
             "l1_scale": self.l1_scale,
@@ -223,7 +204,7 @@ class ScenarioPoint:
     def describe(self) -> str:
         """Compact human-readable axis summary (non-default axes only)."""
         parts = [self.scheme, self.benchmark]
-        for axis in ("engine", "l1_scale", "l1_indexing", "max_warps",
+        for axis in ("l1_scale", "l1_indexing", "max_warps",
                      "poise_strides", "feature_mask", "num_sms", "kernel_mix"):
             value = getattr(self, axis)
             if value != AXIS_DEFAULTS[axis]:

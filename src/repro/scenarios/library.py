@@ -6,8 +6,8 @@ experiment modules for Figures 11–13 build their artifacts by evaluating
 exactly these grids, so `repro sweep run fig11-strides` and `repro run
 fig11` agree point for point.  The remaining grids generalize them: L1
 capacity × profile-guided schemes over the trace-native families,
-scheduler capacity × throttling schemes, an engine-parity cross-check, and
-a tiny ``smoke`` grid sized for CI sharding checks.
+scheduler capacity × throttling schemes, and a tiny ``smoke`` grid sized
+for CI sharding checks.
 """
 
 from __future__ import annotations
@@ -111,26 +111,14 @@ def _builtin_grids() -> List[ScenarioGrid]:
             description="Scheduler warp capacity × throttling schemes",
         ),
         ScenarioGrid(
-            "engine-parity",
-            {
-                "engine": ("fast", "legacy"),
-                "scheme": ("gto", "ccws"),
-                "benchmark": ("mvt", "stencil"),
-            },
-            description="Both simulator engines over the same points (caches bypassed) "
-            "— their metrics must be identical",
-        ),
-        ScenarioGrid(
             "smoke",
             {
                 "scheme": ("gto", "ccws"),
                 "benchmark": ("gather", "mvt"),
-                "engine": ("fast", "legacy"),
                 "num_sms": (None, 2),
             },
-            description="Tiny 2×2×2×2 grid for CI shard/union checks "
-            "(engine-pinned, so shards exercise the fast core and the legacy "
-            "oracle; the num_sms axis covers the single-SM and 2-SM chip paths)",
+            description="Tiny 2×2×2 grid for CI shard/union checks "
+            "(the num_sms axis covers the single-SM and 2-SM chip paths)",
         ),
     ]
 

@@ -250,7 +250,7 @@ def sweep_tables(payload: Dict[str, Any]) -> List[Table]:
             point = entry["point"]
             arch = ", ".join(
                 f"{axis}={point[axis]}"
-                for axis in ("engine", "l1_scale", "l1_indexing", "max_warps",
+                for axis in ("l1_scale", "l1_indexing", "max_warps",
                              "poise_strides", "feature_mask")
                 if point.get(axis) not in (None, 1)
             )

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.gpu.engine import pinned_engine
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT_VERSION,
     add_worker_cache,
@@ -100,14 +99,6 @@ def evaluate_point(point: ScenarioPoint, base_config) -> Dict[str, Any]:
     configuration — architecture and stride axes are deployment-time
     changes, the regression is trained on the baseline platform, exactly as
     in the paper's sensitivity studies (Figs. 11–13).
-
-    Points that pin an ``engine`` run with the result *and* static-profile
-    caches disabled — reads and writes: the caches are engine-agnostic by
-    design, so honouring a hit (or seeding an entry for the sibling point)
-    would silently skip the very engine the point exists to exercise.  The
-    trained model is the one deliberate exception: it is resolved once on
-    the base platform and shared, so engine-pinned points differ in nothing
-    but the core that executes them.
     """
     from repro.experiments.common import (
         run_mix_on_benchmark,
@@ -120,18 +111,12 @@ def evaluate_point(point: ScenarioPoint, base_config) -> Dict[str, Any]:
     if point.scheme.startswith("poise"):
         mask = list(point.feature_mask) if point.feature_mask is not None else None
         model = train_or_load_model(base_config, feature_mask=mask)
-    use_cache = point.engine is None
-    with pinned_engine(point.engine):
-        if point.kernel_mix is not None:
-            # DAG point: the benchmark's kernels run as a dependency graph
-            # on the point's chip (grid validation pins the scheme to gto).
-            outcome = run_mix_on_benchmark(
-                point.benchmark, config, point.kernel_mix, use_cache=use_cache
-            )
-        else:
-            outcome = run_scheme_on_benchmark(
-                point.scheme, point.benchmark, config, model=model, use_cache=use_cache
-            )
+    if point.kernel_mix is not None:
+        # DAG point: the benchmark's kernels run as a dependency graph on
+        # the point's chip (grid validation pins the scheme to gto).
+        outcome = run_mix_on_benchmark(point.benchmark, config, point.kernel_mix)
+    else:
+        outcome = run_scheme_on_benchmark(point.scheme, point.benchmark, config, model=model)
     return outcome_metrics(outcome)
 
 

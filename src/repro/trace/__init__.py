@@ -1,13 +1,15 @@
-"""Trace subsystem: capture, storage and replay of per-warp address traces.
+"""Trace subsystem: storage and replay of per-warp address traces.
 
 The paper evaluates Poise on real benchmark address streams; this package
 brings that style of trace-driven evaluation to the reproduction:
 
 * :mod:`repro.trace.codec` — a compact, versioned, streaming binary format
   (struct-packed records inside gzip, stdlib-only) with lazy per-warp
-  decoding,
-* :mod:`repro.trace.capture` — records the exact issued stream of any
-  simulated kernel through a hook in the SM cycle loop,
+  decoding.  A trace file is a kernel's warp programs: a completed run
+  issues exactly its programs, in order, so writing the programs is the
+  whole of capturing a kernel,
+* :mod:`repro.trace.graphio` — a kernel graph as a directory of node
+  traces plus a manifest of its dependency edges,
 * :mod:`repro.trace.adapter` — :class:`TraceKernelSpec`, a drop-in
   ``KernelSpec`` whose programs come from a trace file or a trace-native
   family; flows through the profiler, every scheduler, training and the
@@ -24,7 +26,6 @@ from repro.trace.adapter import (
     trace_benchmark_from_files,
     trace_kernel_from_file,
 )
-from repro.trace.capture import TraceCapture, capture_kernel, capture_kernel_to_file
 from repro.trace.codec import (
     FORMAT_VERSION,
     TraceFormatError,
@@ -47,14 +48,11 @@ from repro.trace.families import (
 __all__ = [
     "FAMILY_GENERATORS",
     "FORMAT_VERSION",
-    "TraceCapture",
     "TraceFormatError",
     "TraceKernelSpec",
     "TraceReader",
     "TraceWriter",
     "build_trace_benchmarks",
-    "capture_kernel",
-    "capture_kernel_to_file",
     "family_kernel",
     "family_names",
     "generate_family_programs",

@@ -137,8 +137,8 @@ class TraceWriter:
                 w.write_warp(warp_id, program)
         print(w.content_hash)
 
-    ``write_warp`` accepts any iterable of :class:`Instruction`, so a capture
-    or a generator can stream instructions without holding the whole kernel
+    ``write_warp`` accepts any iterable of :class:`Instruction`, so a
+    generator can stream instructions without holding the whole kernel
     in memory.  The writer refuses out-of-range fields (pc, dep_distance,
     address) and warp ids outside ``[0, num_warps)`` or written twice,
     instead of silently writing a file its reader would refuse.

@@ -1,24 +1,23 @@
 """Whole-graph capture/replay through the POISETRC trace codec.
 
 A captured :class:`~repro.workloads.graph.KernelGraph` becomes a directory:
-one ``.trc`` file per node (the node's exact issued stream, POISETRC
-format) plus a ``graph.json`` manifest recording the node order, the
-dependency edges and each trace's content hash.  ``load_graph_trace``
-rebuilds the graph as file-backed ``TraceKernelSpec`` nodes — replaying it
-through ``GPU.run_graph`` on the same configuration reproduces the original
-schedule and counters bit-identically (warps issue their programs in
-order, so per-node captured streams are exactly the node programs).
+one ``.trc`` file per node (the node's warp programs, POISETRC format) plus
+a ``graph.json`` manifest recording the node order, the dependency edges
+and each trace's content hash.  ``load_graph_trace`` rebuilds the graph as
+file-backed ``TraceKernelSpec`` nodes — warps issue their programs in
+order, so replaying it through ``GPU.run_graph`` on any configuration
+reproduces the original graph's schedule and counters bit-identically.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Union
 
 from repro.trace.adapter import trace_kernel_from_file
-from repro.trace.capture import TraceCapture
-from repro.trace.codec import TRACE_SUFFIX, TraceFormatError
+from repro.trace.codec import TRACE_SUFFIX, TraceFormatError, write_trace
+from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.graph import GraphError, KernelGraph
 
 #: Manifest filename and format tag inside a graph-trace directory.
@@ -26,54 +25,23 @@ GRAPH_MANIFEST = "graph.json"
 GRAPH_FORMAT = "poisetrc-graph/1"
 
 
-def capture_graph_to_dir(
-    graph: KernelGraph,
-    out_dir: Union[str, Path],
-    config=None,
-    max_cycles: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> Tuple[Path, "object"]:
-    """Run ``graph`` on a chip and write it as a graph-trace directory.
-
-    Returns ``(manifest_path, graph_run_result)``.  Every node must run to
-    completion — a truncated node capture would silently replay as a
-    shorter kernel — so this raises if the budget is exhausted first.
-    """
-    from repro.gpu.config import baseline_config
-    from repro.gpu.gpu import GPU
-
-    config = config or baseline_config()
+def capture_graph_to_dir(graph: KernelGraph, out_dir: Union[str, Path]) -> Path:
+    """Write ``graph`` as a graph-trace directory; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    captures: Dict[str, TraceCapture] = {}
-
-    def capture_factory(name: str) -> TraceCapture:
-        capture = captures[name] = TraceCapture()
-        return capture
-
-    result = GPU(config, engine=engine).run_graph(
-        graph, max_cycles=max_cycles, capture_factory=capture_factory
-    )
-    if not result.completed:
-        incomplete = [
-            name
-            for name in graph.node_names
-            if name not in result.node_results or not result.node_results[name].completed
-        ]
-        raise RuntimeError(
-            f"graph {graph.name!r} did not complete (stuck nodes: {incomplete}); "
-            f"a partial capture cannot replay bit-identically — raise max_cycles"
-        )
-
     nodes = []
     for node in graph.nodes:
         filename = f"{node.name}{TRACE_SUFFIX}"
-        content_hash = captures[node.name].write(
+        programs = generate_kernel_programs(node)
+        content_hash = write_trace(
             out_dir / filename,
-            kernel_name=node.name,
-            num_warps=node.num_warps,
-            extra_meta={"graph": graph.name},
+            programs,
+            meta={
+                "kernel": node.name,
+                "source": "capture",
+                "num_warps": len(programs),
+                "graph": graph.name,
+            },
         )
         nodes.append(
             {
@@ -91,7 +59,7 @@ def capture_graph_to_dir(
     }
     manifest_path = out_dir / GRAPH_MANIFEST
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest_path, result
+    return manifest_path
 
 
 def load_graph_trace(trace_dir: Union[str, Path], verify: bool = True) -> KernelGraph:

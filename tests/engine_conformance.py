@@ -22,6 +22,9 @@ shared verification layer that proves it:
   same contract to multi-SM chips running DAG workloads — the legacy N-SM
   chip is the oracle, and every candidate must reproduce its schedule,
   per-node counters and aggregate counters exactly;
+* :func:`fresh_runs_on` pins ``REPRO_ENGINE`` for runs that go through
+  the result cache and checks that each one really simulated on it, not
+  replayed an entry another engine computed;
 * the Hypothesis strategies (:data:`kernel_specs`, :data:`small_archs`,
   :data:`multi_sm_archs`, :data:`small_graphs`) and the deterministic
   controller/model builders are shared by the differential suite and any
@@ -35,17 +38,21 @@ test in those files parameterizes over the registry.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from repro.core.inference import PoiseParameters
 from repro.core.poise import PoiseController
 from repro.core.training import TrainedModel
+from repro.experiments.common import clear_caches
 from repro.gpu.config import CacheConfig, GPUConfig, MemoryConfig, SMConfig
-from repro.gpu.engine import ENGINE_LEGACY, ENGINES
+from repro.gpu.engine import ENGINE_ENV, ENGINE_LEGACY, ENGINES
 from repro.gpu.gpu import GPU
+from repro.obs.telemetry import phase_totals
 from repro.runtime import serialization
 from repro.schedulers import (
     GTOController,
@@ -66,6 +73,33 @@ CANDIDATE_ENGINES: Tuple[str, ...] = tuple(
 )
 
 SCHEMES = ("gto", "swl", "pcal", "poise", "static_best")
+
+#: Hypothesis phases of the oracle-differential properties: generate and
+#: replay examples, but never shrink a failure — every shrink step re-runs
+#: the legacy oracle, turning seconds into minutes before a drift is shown.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def simulate_calls() -> int:
+    """How many scheme or graph runs this process has simulated."""
+    return int(phase_totals().get("simulate", {}).get("calls", 0))
+
+
+@contextmanager
+def fresh_runs_on(engine: str, monkeypatch, runs: int) -> Iterator[None]:
+    """Run the body's cached runs on ``engine``, each one simulated afresh.
+
+    Pins ``REPRO_ENGINE`` and clears the memo; the caller gives each
+    engine its own cache dir.  The body must simulate exactly ``runs``
+    runs: a memo or disk hit would replay a result another engine computed.
+    """
+    monkeypatch.setenv(ENGINE_ENV, engine)
+    clear_caches()
+    before = simulate_calls()
+    yield
+    assert simulate_calls() - before == runs, (
+        f"{engine}: a run was served from the result cache instead of simulated"
+    )
 
 
 def fixed_model() -> TrainedModel:

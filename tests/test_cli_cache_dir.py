@@ -14,10 +14,11 @@ import os
 import pytest
 
 from repro.cli.main import main as repro_main
+from repro.experiments.common import clear_caches
 
 COMMANDS = {
     "run": ["run", "table04", "--fast"],
-    "sweep-run": ["sweep", "run", "smoke", "--fast", "--shard", "1/16"],
+    "sweep-run": ["sweep", "run", "smoke", "--fast", "--shard", "1/8"],
     "trace-replay": ["trace", "replay", "gather", "--schemes", "gto", "--fast"],
 }
 
@@ -27,6 +28,7 @@ def test_cache_dir_flag_is_not_exported(tmp_path, monkeypatch, capsys, argv):
     env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
     env_dir.mkdir()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(env_dir))
+    clear_caches()  # so the command computes, and stores, its own results
     assert repro_main([*argv, "--cache-dir", str(flag_dir)]) == 0
     capsys.readouterr()
     assert os.environ["REPRO_CACHE_DIR"] == str(env_dir)

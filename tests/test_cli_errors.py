@@ -130,7 +130,7 @@ def test_report_with_missing_points(sweep_cache, capsys):
     assert code == 0
     code, captured = run_cli(capsys, "sweep", "report", "smoke", "--fast")
     assert code == 2
-    assert "missing 8 of 16 point artifacts" in captured.err
+    assert "missing 4 of 8 point artifacts" in captured.err
     # The remediation hint is runnable as-is: same grid, same label.
     assert "repro sweep run smoke --fast" in captured.err
 
@@ -165,7 +165,7 @@ def test_successful_shard_then_report_round_trip(sweep_cache, capsys):
     assert run_cli(capsys, "sweep", "run", "smoke", "--fast", "--shard", "2/2")[0] == 0
     code, captured = run_cli(capsys, "sweep", "report", "smoke", "--fast")
     assert code == 0
-    assert "16 points aggregated" in captured.out
+    assert "8 points aggregated" in captured.out
     sweep_json = sweep_cache / "artifacts" / "sweeps" / "smoke" / "fast" / "sweep.json"
     assert sweep_json.exists()
 
@@ -192,7 +192,7 @@ def test_unknown_ambient_engine_fails_fast(sweep_cache, capsys, monkeypatch):
 def test_unknown_bench_engine_is_a_usage_error(capsys):
     """`repro bench --engines` with an unknown name is a usage error (exit 2,
     valid names listed) raised before anything is measured, like a bad
-    REPRO_ENGINE or `--set engine=`."""
+    REPRO_ENGINE."""
     with pytest.raises(SystemExit) as excinfo:
         repro_main(["bench", "--engines", "fast,turbo", "--dry-run"])
     assert excinfo.value.code == 2

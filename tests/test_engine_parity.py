@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from engine_conformance import fresh_runs_on
 from repro.experiments import common
 from repro.experiments.common import (
     ExperimentConfig,
@@ -97,12 +98,12 @@ def test_disk_cache_run_entries_hit_across_engines(
     without any simulation."""
     config = parity_config(tmp_path)
     monkeypatch.setenv(ENGINE_ENV, write_engine)
-    written = run_scheme_on_kernel("gto", PARITY_KERNEL, config, use_cache=True)
+    written = run_scheme_on_kernel("gto", PARITY_KERNEL, config)
 
     clear_caches()  # drop the in-memory layer; the disk layer persists
     monkeypatch.setenv(ENGINE_ENV, read_engine)
     monkeypatch.setattr(common, "GPU", _ExplodingGPU)
-    served = run_scheme_on_kernel("gto", PARITY_KERNEL, config, use_cache=True)
+    served = run_scheme_on_kernel("gto", PARITY_KERNEL, config)
 
     assert serialization.run_result_to_dict(served) == serialization.run_result_to_dict(
         written
@@ -135,12 +136,11 @@ def test_run_result_serialization_identical_across_engines(tmp_path, monkeypatch
     """The serialized form of a run — counters, energy, telemetry tuples —
     is byte-identical whichever engine produced it, and survives a
     round-trip comparing equal."""
-    config = parity_config(tmp_path)
     dicts = {}
     for engine in ("fast", "legacy"):
-        clear_caches()
-        monkeypatch.setenv(ENGINE_ENV, engine)
-        result = run_scheme_on_kernel("pcal", PARITY_KERNEL, config, use_cache=False)
+        config = parity_config(tmp_path / engine)
+        with fresh_runs_on(engine, monkeypatch, runs=1):
+            result = run_scheme_on_kernel("pcal", PARITY_KERNEL, config)
         dicts[engine] = serialization.run_result_to_dict(result)
     assert dicts["fast"] == dicts["legacy"]
     round_tripped = serialization.run_result_from_dict(
@@ -154,9 +154,9 @@ def test_in_memory_run_cache_shared_across_engine_switch(tmp_path, monkeypatch):
     in-memory cache slots (the key ignores the engine)."""
     config = parity_config(tmp_path)
     monkeypatch.setenv(ENGINE_ENV, "legacy")
-    first = run_scheme_on_kernel("gto", PARITY_KERNEL, config, use_cache=True)
+    first = run_scheme_on_kernel("gto", PARITY_KERNEL, config)
 
     monkeypatch.setenv(ENGINE_ENV, "fast")
     monkeypatch.setattr(common, "GPU", _ExplodingGPU)
-    second = run_scheme_on_kernel("gto", PARITY_KERNEL, config, use_cache=True)
+    second = run_scheme_on_kernel("gto", PARITY_KERNEL, config)
     assert second is first

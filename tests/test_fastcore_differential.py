@@ -38,6 +38,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from engine_conformance import (
     CANDIDATE_ENGINES,
+    NO_SHRINK,
     ORACLE,
     SCHEMES,
     SM_COUNTS,
@@ -86,7 +87,7 @@ def test_harness_covers_all_registered_engines() -> None:
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs, scheme=st.sampled_from(SCHEMES))
 def test_scheme_differential(spec: KernelSpec, scheme: str) -> None:
     """All engines agree under every evaluation scheme on random kernels."""
@@ -108,7 +109,7 @@ PINNED_SPEC = KernelSpec(
 )
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs, config=small_archs)
 @example(spec=PINNED_SPEC, config=small_arch(1, 4, 3, "hash", l2_indexing="linear"))
 @example(spec=PINNED_SPEC, config=small_arch(1, 2, 2, "linear", l2_indexing="linear"))
@@ -122,7 +123,7 @@ def test_architecture_differential(spec: KernelSpec, config: GPUConfig) -> None:
     assert_conformance(config, programs, max_cycles=12_000)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs)
 def test_apcm_cache_policy_differential(spec: KernelSpec) -> None:
     """The per-PC allocate/observe hooks fire identically in every engine."""
@@ -136,7 +137,7 @@ def test_apcm_cache_policy_differential(spec: KernelSpec) -> None:
     )
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs)
 def test_ccws_differential(spec: KernelSpec) -> None:
     programs = generate_kernel_programs(spec)
@@ -194,7 +195,7 @@ window_scripts = st.lists(
 )
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs, script=window_scripts)
 def test_windowed_control_differential(
     spec: KernelSpec, script: List[Tuple[int, int, int]]
@@ -214,7 +215,7 @@ def test_windowed_control_differential(
 
 
 @pytest.mark.parametrize("num_sms", SM_COUNTS)
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=8, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs, config=small_archs, script=window_scripts)
 def test_shared_memory_statistics_match_the_oracle(
     num_sms: int, spec: KernelSpec, config: GPUConfig,
@@ -248,7 +249,7 @@ def test_shared_memory_statistics_match_the_oracle(
 WIDE_WARPS = 48
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=NO_SHRINK)
 @given(
     spec=st.builds(
         lambda spec, num_warps, length: replace(
@@ -290,7 +291,7 @@ def test_wide_warp_masks_match_the_oracle(
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 @given(spec=kernel_specs, scheme=st.sampled_from(SCHEMES), chunk=st.integers(1, 40))
 def test_lazy_programs_refilled_mid_run_match_the_oracle(
     spec: KernelSpec, scheme: str, chunk: int

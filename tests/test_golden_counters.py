@@ -32,10 +32,11 @@ from pathlib import Path
 
 import pytest
 
+from engine_conformance import fresh_runs_on
 from repro.core.training import TrainedModel
-from repro.experiments.common import ExperimentConfig, run_scheme_on_kernel
+from repro.experiments.common import ExperimentConfig, clear_caches, run_scheme_on_kernel
 from repro.gpu.config import CacheConfig, SMConfig
-from repro.gpu.engine import ENGINES, pinned_engine
+from repro.gpu.engine import ENGINES
 from repro.runtime import serialization
 from repro.workloads.registry import get_benchmark
 from repro.workloads.spec import KernelSpec
@@ -113,7 +114,6 @@ def _replay_schemes(kernel: KernelSpec, config: ExperimentConfig, schemes) -> di
             kernel,
             config,
             model=golden_model() if scheme.startswith("poise") else None,
-            use_cache=False,
         )
         result_by_scheme[scheme] = {
             "counters": serialization.counters_to_dict(result.counters),
@@ -142,6 +142,7 @@ def run_golden(cache_dir: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def golden_replay(tmp_path_factory) -> dict:
+    clear_caches()  # a fresh cache dir and memo: every run simulates
     return run_golden(tmp_path_factory.mktemp("golden-cache"))
 
 
@@ -170,14 +171,14 @@ def test_counters_replay_bit_identical(golden_replay, scheme):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_base_counters_replay_under_every_engine(engine, tmp_path):
+def test_base_counters_replay_under_every_engine(engine, tmp_path, monkeypatch):
     """The base golden section replays byte-identically under every
     registered engine, against the committed fixture as-is.  This is the
     strongest form of the engine-parity guarantee: ``legacy`` and ``fast``
     both serialize to the very bytes already on disk."""
     fixture = json.loads(FIXTURE_PATH.read_text())
     config = golden_config(tmp_path / "cache")
-    with pinned_engine(engine):
+    with fresh_runs_on(engine, monkeypatch, runs=len(GOLDEN_SCHEMES)):
         replayed = _replay_schemes(GOLDEN_KERNEL, config, GOLDEN_SCHEMES)
     expected = {scheme: fixture["schemes"][scheme] for scheme in GOLDEN_SCHEMES}
     assert json.dumps(replayed, sort_keys=True) == json.dumps(expected, sort_keys=True), (
@@ -215,12 +216,12 @@ def test_extended_counters_replay(golden_replay, case):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("case", EXTENDED_CASES)
-def test_extended_engine_parity(case, engine, tmp_path):
+def test_extended_engine_parity(case, engine, tmp_path, monkeypatch):
     """Both engines replay the extended cases to the same golden counters —
     parity is pinned beyond the default architecture and workload family."""
     fixture = json.loads(FIXTURE_PATH.read_text())
     kernel, config = extended_cases(tmp_path)[case]
-    with pinned_engine(engine):
+    with fresh_runs_on(engine, monkeypatch, runs=len(EXTENDED_SCHEMES)):
         replayed = _replay_schemes(kernel, config, EXTENDED_SCHEMES)
     assert replayed == fixture["extended"][case]["schemes"], f"{case} under {engine}"
 

@@ -355,7 +355,7 @@ class TestSerialization:
         assert decode_value(json.loads(json.dumps(encode_value(value)))) == value
 
     def test_run_result_round_trip(self, sweep_spec, tmp_cache_config):
-        result = run_scheme_on_kernel("gto", sweep_spec, tmp_cache_config, use_cache=False)
+        result = run_scheme_on_kernel("gto", sweep_spec, tmp_cache_config)
         data = json.loads(json.dumps(run_result_to_dict(result)))
         restored = run_result_from_dict(data)
         assert restored.counters == result.counters
@@ -534,8 +534,8 @@ class TestJobsBudget:
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
         clear_caches()
-        # One cached point (no engine pin), so its runs would fan out.
-        overrides = ["engine=none", "num_sms=none", "scheme=ccws", "benchmark=gather"]
+        # One point, whose runs would fan out under the ambient budget.
+        overrides = ["num_sms=none", "scheme=ccws", "benchmark=gather"]
         argv = ["run", "smoke", "--fast", "--jobs", "1", "--cache-dir", str(tmp_path)]
         for override in overrides:
             argv += ["--set", override]

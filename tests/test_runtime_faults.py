@@ -229,6 +229,18 @@ class TestExecutorUnderFaults:
         assert report.transient_errors == 2  # retries + 1 pool attempts
         assert report.injected == 1
 
+    def test_escalated_job_runs_under_a_serial_budget(self, monkeypatch):
+        """An escalated job runs in the parent, under the jobs budget a pool
+        worker gets: a nested fan-out of its own would run on a pool with
+        none of this executor's timeout."""
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        monkeypatch.setenv("REPRO_FAULTS", "seed=0,executor:oserror:1:all")
+        executor = SweepExecutor(retries=0)
+        results, report = executor.map_with_report(_jobs_budget, [(), ()])
+        assert report.escalated == 1
+        assert results == ["1", "1"]
+        assert os.environ["REPRO_JOBS"] == "2"
+
     def test_serial_path_never_injects(self, monkeypatch):
         monkeypatch.setenv(
             "REPRO_FAULTS", "seed=0,executor:crash:4,executor:stall:4,stall=30"
@@ -242,6 +254,10 @@ class TestExecutorUnderFaults:
 
 def _square_job(x: int) -> int:
     return x * x
+
+
+def _jobs_budget() -> str:
+    return os.environ["REPRO_JOBS"]
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +375,22 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
     """The headline guarantee on the real simulator: a parallel sweep
     surviving a worker crash, an injected transient error and a torn
     artifact write produces byte-identical artifacts — and a byte-identical
-    aggregated ``sweep.json`` — to a clean serial run.  The smoke grid pins
-    ``engine``, and pinned points skip the result cache, so the
-    ``cache.store`` faults in this spec never fire; the test below covers
-    them on a cached grid."""
+    aggregated ``sweep.json`` — to a clean serial run.  Each run starts
+    with empty in-process caches, so the chaos run's workers compute and
+    store every result and its ``cache.store`` faults fire; the test below
+    counts them on a serial run."""
+    from repro.experiments.common import clear_caches
+
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     grid = get_grid("smoke")
 
+    clear_caches()
     clean = SweepRunner(grid, _tiny_config(tmp_path / "clean"))
     clean.run()
     clean_payload = aggregate(grid, clean.config)
     clean_sweep = write_sweep_artifact(clean_payload, tmp_path / "clean")
 
-    # seed=0 over the 16 smoke points: crash and oserror target distinct
+    # seed=0 over the 8 smoke points: crash and oserror target distinct
     # points (so both fire); one torn write on top.
     monkeypatch.setenv(
         "REPRO_FAULTS",
@@ -379,6 +398,7 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
         "runner.write:truncate:1,cache.store:oserror:2",
     )
     reset_fault_state()
+    clear_caches()
     chaos = SweepRunner(grid, _tiny_config(tmp_path / "chaos"))
     report = chaos.run_report(jobs=2)
 
@@ -390,6 +410,10 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
     assert report.repaired_writes == 1
     assert any(record.destination.exists() for record in report.quarantined)
     assert any("faults injected" in line for line in report.summary_lines())
+    assert any(
+        line.startswith("cache:") and "failed store" in line
+        for line in report.summary_lines()
+    )
 
     # ...and changed nothing observable.
     assert _artifact_bytes(chaos) == _artifact_bytes(clean)
@@ -401,9 +425,9 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
 
 
 def test_cache_store_faults_fire_on_a_cached_grid(tmp_path, monkeypatch):
-    """Flaky cache stores on a grid whose points use the result cache (no
-    ``engine`` axis): both injected store failures are counted, and the
-    point artifacts are byte-identical to a fault-free run."""
+    """Flaky cache stores on a serial sweep: both injected store failures
+    are counted, and the point artifacts are byte-identical to a
+    fault-free run."""
     from repro.experiments.common import clear_caches
     from repro.scenarios.grid import ScenarioGrid
 

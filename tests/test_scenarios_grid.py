@@ -38,7 +38,6 @@ _RAW_AXES = st.fixed_dictionaries(
     {"benchmark": axis_subset(BENCHMARK_POOL, max_size=3)},
     optional={
         "scheme": axis_subset(SCHEME_POOL, max_size=3),
-        "engine": axis_subset((None, "fast", "legacy")),
         "l1_scale": axis_subset((1, 2, 4)),
         "l1_indexing": axis_subset((None, "hash", "linear")),
         "max_warps": axis_subset((24, 32, 48)),
@@ -125,6 +124,7 @@ def test_unknown_axis_name_rejected():
     [
         ({"benchmark": ["mvt"], "scheme": ["bogus"]}, "axis 'scheme'"),
         ({"benchmark": ["not-a-benchmark"]}, "axis 'benchmark'"),
+        # The engine is REPRO_ENGINE's, never a grid axis.
         ({"benchmark": ["mvt"], "engine": ["turbo"]}, "axis 'engine'"),
         ({"benchmark": ["mvt"], "l1_scale": [0]}, "axis 'l1_scale'"),
         ({"benchmark": ["mvt"], "l1_scale": [True]}, "axis 'l1_scale'"),

@@ -4,8 +4,8 @@ The cheap Hypothesis properties inject a deterministic stub evaluator so
 hundreds of shard/union/resume cases run without simulating; the
 acceptance tests at the bottom run the real simulator on the tiny ``smoke``
 grid and pin the headline guarantees: shard unions are byte-identical to a
-full run, ``--resume`` recomputes exactly the deleted point, and the two
-engines produce identical point metrics.
+full run, ``--resume`` recomputes exactly the deleted point, and every
+engine produces identical point metrics.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.common import ExperimentConfig
-from repro.scenarios.grid import ScenarioError, ScenarioGrid
+from repro.scenarios.grid import ScenarioError, ScenarioGrid, ScenarioPoint
 from repro.scenarios.library import get_grid, named_grids
 from repro.scenarios.report import (
     SweepSchema,
@@ -297,7 +297,7 @@ def test_named_grids_are_valid_and_unique():
     for name, grid in grids.items():
         assert grid.name == name
         assert grid.size == len(grid.points())
-    assert grids["smoke"].size == 16  # the CI shard-check grid stays tiny
+    assert grids["smoke"].size == 8  # the CI shard-check grid stays tiny
 
 
 def test_get_grid_unknown_name():
@@ -378,51 +378,29 @@ def test_real_pooled_stop_checkpoints_and_resume_is_byte_identical(
     assert artifact_bytes(runner) == reference
 
 
-def test_engine_axis_points_have_identical_metrics(tmp_path):
-    """The engine-parity grid's reason to exist: the same scenario pinned to
-    each registered engine must produce identical metrics (caches are
-    bypassed).  Enumerating ``ENGINES`` means a new engine is covered here
-    the moment it is registered."""
+@pytest.mark.parametrize("scheme", ["ccws", "swl"])
+def test_point_metrics_are_engine_invariant(scheme, tmp_path, monkeypatch):
+    """One scenario point evaluated on each registered engine — its runs
+    and, under a profile-based scheme, its profiling sweep simulated afresh
+    on that engine — yields identical metrics.  Enumerating ``ENGINES``
+    covers a new engine the moment it is registered."""
+    from engine_conformance import fresh_runs_on
     from repro.gpu.engine import ENGINES
 
-    grid = ScenarioGrid(
-        "parity", {"engine": list(ENGINES), "scheme": ["ccws"], "benchmark": ["mvt"]}
-    )
-    config = tiny_config(tmp_path)
-    points = grid.points()
-    assert tuple(point.engine for point in points) == ENGINES
-    metrics = [evaluate_point(point, config) for point in points]
-    for point, point_metrics in zip(points[1:], metrics[1:]):
-        assert point_metrics == metrics[0], f"engine {point.engine} diverged"
-
-
-def test_engine_axis_bypasses_profile_caches_too(tmp_path):
-    """A profile-based scheme under a pinned engine must execute its
-    profiling sweep on that engine: no result/profile cache entry is read
-    or written, and every engine still agrees."""
-    from repro.experiments import common as experiments_common
-    from repro.gpu.engine import ENGINES
-
-    config = replace(
-        tiny_config(tmp_path),
-        profile_cycles=2_000,
-        profile_warmup=2_000,
-        profile_n_step=12,
-        profile_p_step=12,
-        run_max_cycles=10_000,
-    )
-    saved_memo = dict(experiments_common._MEMO)
-    experiments_common._MEMO.clear()
-    try:
-        points = ScenarioGrid(
-            "parity-swl",
-            {"engine": list(ENGINES), "scheme": ["swl"], "benchmark": ["mvt"]},
-        ).points()
-        metrics = [evaluate_point(point, config) for point in points]
-        for point, point_metrics in zip(points[1:], metrics[1:]):
-            assert point_metrics == metrics[0], f"engine {point.engine} diverged"
-        # Nothing leaked into the engine-agnostic caches.
-        assert not (tmp_path / "runs").exists()
-        assert not experiments_common._MEMO
-    finally:
-        experiments_common._MEMO.update(saved_memo)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    point = ScenarioPoint(scheme=scheme, benchmark="mvt")
+    metrics = {}
+    for engine in ENGINES:
+        config = replace(
+            tiny_config(tmp_path / engine),
+            profile_cycles=2_000,
+            profile_warmup=2_000,
+            profile_n_step=12,
+            profile_p_step=12,
+            run_max_cycles=10_000,
+        )
+        # The GTO baseline and the scheme's own run.
+        with fresh_runs_on(engine, monkeypatch, runs=2):
+            metrics[engine] = evaluate_point(point, config)
+    for engine, engine_metrics in metrics.items():
+        assert engine_metrics == metrics[ENGINES[0]], f"engine {engine} diverged"

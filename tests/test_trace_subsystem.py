@@ -1,8 +1,9 @@
 """Integration tests for the trace subsystem.
 
-The load-bearing guarantee: capturing a simulated kernel and replaying the
-trace reproduces the performance counters **bit-identically** to live
-generation — under plain GTO and under the model-driven Poise controller.
+The load-bearing guarantee: writing a kernel's programs as a trace and
+replaying it reproduces the performance counters **bit-identically** to
+live generation — under plain GTO and under the model-driven Poise
+controller — because a completed run issues exactly its programs.
 Around that, these tests pin the adapter's flow through the profiler, the
 scheme runners, the content-addressed cache, serialization, the registry
 and the CLI.
@@ -14,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from engine_conformance import simulate_calls
 from repro.core.training import TrainedModel
 from repro.experiments.common import (
     ExperimentConfig,
@@ -22,10 +24,12 @@ from repro.experiments.common import (
     get_profile,
     run_scheme_on_kernel,
 )
+from repro.gpu.config import baseline_config
+from repro.gpu.engine import ENGINES
+from repro.gpu.gpu import GPU
 from repro.runtime import serialization
 from repro.runtime.cache import content_key
 from repro.trace.adapter import TraceKernelSpec, trace_benchmark_from_files, trace_kernel_from_file
-from repro.trace.capture import TraceCapture, capture_kernel, capture_kernel_to_file
 from repro.trace.codec import write_trace
 from repro.trace.families import build_trace_benchmarks, family_kernel, family_names, generate_family_programs
 from repro.workloads.generator import _PROGRAM_CACHE, generate_kernel_programs
@@ -77,8 +81,9 @@ class TestCaptureReplay:
     @pytest.fixture(scope="class")
     def captured(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("captures") / "tiny.trc"
-        content_hash, live = capture_kernel_to_file(TINY_KERNEL, path)
-        return path, content_hash, live
+        programs = generate_kernel_programs(TINY_KERNEL)
+        content_hash = write_trace(path, programs, meta={"kernel": TINY_KERNEL.name})
+        return path, content_hash, programs
 
     def test_capture_records_the_full_program(self, captured):
         path, _, _ = captured
@@ -91,8 +96,10 @@ class TestCaptureReplay:
         config = tiny_config(tmp_path)
         model = fixed_model() if scheme == "poise" else None
         trace_spec = trace_kernel_from_file(path)
-        live = run_scheme_on_kernel(scheme, TINY_KERNEL, config, model=model, use_cache=False)
-        replay = run_scheme_on_kernel(scheme, trace_spec, config, model=model, use_cache=False)
+        before = simulate_calls()
+        live = run_scheme_on_kernel(scheme, TINY_KERNEL, config, model=model)
+        replay = run_scheme_on_kernel(scheme, trace_spec, config, model=model)
+        assert simulate_calls() - before == 2  # the replay is its own run
         assert replay.counters == live.counters
         assert replay.cycles == live.cycles
         assert replay.warp_tuple == live.warp_tuple
@@ -112,14 +119,14 @@ class TestCaptureReplay:
         with pytest.raises(ValueError, match="does not match"):
             generate_kernel_programs(swapped)
 
-    def test_incomplete_capture_raises(self):
-        with pytest.raises(RuntimeError, match="did not complete"):
-            capture_kernel(TINY_KERNEL, max_cycles=50)
-
-    def test_capture_hook_sees_every_issued_instruction(self):
-        capture, result = capture_kernel(TINY_KERNEL)
-        assert capture.num_warps == TINY_KERNEL.num_warps
-        assert capture.instructions == result.counters.instructions
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_completed_run_issues_every_instruction_once(self, captured, engine):
+        """Why a trace can be the programs themselves: a run that completes
+        issues each instruction of each warp exactly once."""
+        _, _, programs = captured
+        result = GPU(baseline_config(), engine=engine).run_kernel(programs)
+        assert result.completed
+        assert result.counters.instructions == sum(len(program) for program in programs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +384,27 @@ class TestTraceCLI:
         assert status == 0
         assert "bit-identical" in output
         assert (tmp_path / "mvt_k0.trc").exists()
+
+    def test_capture_writes_pinned_bytes(self, tmp_path, capsys, monkeypatch):
+        """The file is mvt's programs plus its metadata, byte for byte."""
+        import hashlib
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert self._main(["trace", "capture", "mvt", "--out", str(tmp_path)], capsys)[0] == 0
+        assert hashlib.sha256((tmp_path / "mvt_k0.trc").read_bytes()).hexdigest() == (
+            "c487638d6d931bf7b90d95537027a07cf1be6de9857fe3c592b7cba02fa5d6f5"
+        )
+
+    def test_capture_verifies_kernels_the_budget_truncates(self, tmp_path, capsys, monkeypatch):
+        """stencil and transpose outrun the default budget; the live run and
+        the replay stop at the same cycle with the same counters."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        status, output = self._main(
+            ["trace", "capture", "stencil", "transpose", "--out", str(tmp_path), "--verify"],
+            capsys,
+        )
+        assert status == 0
+        assert output.count("bit-identical") == 2
 
     def test_info_reports_invalid_files(self, tmp_path, capsys):
         bad = tmp_path / "bad.trc"
