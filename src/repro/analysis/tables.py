@@ -3,7 +3,7 @@
 Every experiment returns an :class:`ExperimentResult` holding one or more
 :class:`Table` objects — the same rows and series the corresponding table or
 figure in the paper reports — plus free-form notes.  Tables render to plain
-text (for the bench harness output) and to CSV (for EXPERIMENTS.md updates).
+text (for the bench harness output) and to CSV (for spreadsheets and plots).
 """
 
 from __future__ import annotations

@@ -12,17 +12,18 @@ reference points of the warp-tuple plane:
   has the whole L1 to itself, i.e. the locality that is recoverable once
   thrashing is removed.
 
-Both the offline trainer and the hardware inference engine build the vector
-through the same :class:`FeatureSampler` so the regression sees identically
-constructed inputs in both settings.
+Both the offline trainer (through ``repro.experiments.common.get_features``)
+and the hardware inference engine build the vector through the same
+:class:`FeatureSampler` so the regression sees identically constructed
+inputs in both settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.gpu.counters import PerfCounters
+from repro.gpu.counters import PerfCounters, measure_window
 
 #: Human-readable names of the eight features, in Table II order.
 FEATURE_NAMES: List[str] = [
@@ -48,6 +49,7 @@ class CounterSample:
     miss_rate: float
     avg_memory_latency: float
     instructions_per_load: float
+    ipc: float = 0.0  # not a feature: the HIE's search fallback compares it
 
     @classmethod
     def from_counters(cls, counters: PerfCounters) -> "CounterSample":
@@ -57,6 +59,7 @@ class CounterSample:
             miss_rate=counters.l1_miss_rate,
             avg_memory_latency=counters.aml,
             instructions_per_load=counters.instructions_per_load,
+            ipc=counters.ipc,
         )
 
 
@@ -119,8 +122,8 @@ class FeatureVector:
         Used by the Fig. 13 ablation, which retrains with one feature
         dropped from X.
         """
-        values = self.as_list()
-        return [value for index, value in enumerate(values) if index not in set(removed_indices)]
+        removed = set(removed_indices)
+        return [value for index, value in enumerate(self.as_list()) if index not in removed]
 
 
 class FeatureSampler:
@@ -138,16 +141,12 @@ class FeatureSampler:
 
     def sample_at(self, sm, n: int, p: int) -> CounterSample:
         """Steer the SM to ``(n, p)``, warm up, and sample one window."""
-        sm.set_warp_tuple(n, p)
-        if self.warmup_cycles:
-            sm.run_cycles(self.warmup_cycles)
-        before = sm.snapshot()
-        sm.run_cycles(self.sample_cycles)
-        window = sm.counters - before
+        window = measure_window(sm, n, p, self.warmup_cycles, self.sample_cycles)
         return CounterSample.from_counters(window)
 
-    def collect(self, sm, max_warps: Optional[int] = None) -> FeatureVector:
-        """Collect the full feature vector from a running SM.
+    def collect(self, sm, max_warps: Optional[int] = None) -> Tuple[FeatureVector, float]:
+        """Collect the full feature vector from a running SM, and the IPC
+        of its baseline window.
 
         Sampling order follows the paper: the reference point ``(1, 1)``
         first, then the baseline point (maximum warps), so the engine ends
@@ -157,4 +156,4 @@ class FeatureSampler:
             max_warps = sm.config.max_warps
         reference = self.sample_at(sm, 1, 1)
         baseline = self.sample_at(sm, max_warps, max_warps)
-        return FeatureVector.from_samples(baseline, reference)
+        return FeatureVector.from_samples(baseline, reference), baseline.ipc

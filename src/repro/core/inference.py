@@ -25,8 +25,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from repro.core.features import CounterSample, FeatureVector
+from repro.core.features import FeatureSampler, FeatureVector
 from repro.core.training import TrainedModel
+from repro.gpu.counters import measure_window
 
 
 @dataclass(frozen=True)
@@ -125,31 +126,17 @@ class HardwareInferenceEngine:
     ) -> None:
         self.model = model
         self.params = params or PoiseParameters.paper()
+        # The offline trainer samples through the same sampler and windows.
+        self.sampler = FeatureSampler(self.params.t_warmup, self.params.t_feature)
         self.state = HIEState.SAMPLE_REFERENCE
         self.epochs: List[EpochRecord] = []
-        self._last_window_ipc = 0.0
         self._baseline_window_ipc = 0.0
 
     # -- sampling helpers -----------------------------------------------------------
 
-    def _sample_window(self, sm, n: int, p: int, warmup: int, window: int) -> CounterSample:
-        sm.set_warp_tuple(n, p)
-        if warmup:
-            sm.run_cycles(warmup)
-        before = sm.snapshot()
-        sm.run_cycles(window)
-        delta = sm.counters - before
-        self._last_window_ipc = delta.ipc
-        return CounterSample.from_counters(delta)
-
     def _measure_ipc(self, sm, n: int, p: int) -> float:
         """Short sampling window used by the local search (T_search)."""
-        sm.set_warp_tuple(n, p)
-        sm.run_cycles(self.params.t_warmup)
-        before = sm.snapshot()
-        sm.run_cycles(self.params.t_search)
-        window = sm.counters - before
-        return window.ipc
+        return measure_window(sm, n, p, self.params.t_warmup, self.params.t_search).ipc
 
     # -- prediction stage -----------------------------------------------------------
 
@@ -163,22 +150,17 @@ class HardwareInferenceEngine:
         not actually beat the baseline (a free comparison — the counters were
         already collected for the feature vector).
         """
-        params = self.params
+        # The sampler's two windows are the SAMPLE_REFERENCE and
+        # SAMPLE_BASELINE states.
         self.state = HIEState.SAMPLE_REFERENCE
-        reference = self._sample_window(sm, 1, 1, params.t_warmup, params.t_feature)
+        vector, self._baseline_window_ipc = self.sampler.collect(sm, max_warps)
 
-        self.state = HIEState.SAMPLE_BASELINE
-        baseline = self._sample_window(sm, max_warps, max_warps, params.t_warmup, params.t_feature)
-        self._baseline_window_ipc = self._last_window_ipc
-
-        if baseline.instructions_per_load > params.i_max:
+        if vector.instructions_per_load > self.params.i_max:
             # Compute-intensive kernel: run at maximum warps, skip the search.
             self.state = HIEState.BYPASSED
-            vector = FeatureVector.from_samples(baseline, reference)
             return (max_warps, max_warps), True, vector
 
         self.state = HIEState.PREDICT
-        vector = FeatureVector.from_samples(baseline, reference)
         predicted = self.model.predict(vector, max_warps=max_warps)
         return predicted, False, vector
 

@@ -3,10 +3,10 @@
 Training is a one-time, offline activity performed by the GPU vendor.  For
 every kernel in the training set the pipeline:
 
-1. profiles the kernel over the ``{N, p}`` plane (via the profiling
+1. reads the kernel's profile over the ``{N, p}`` plane (via the profiling
    substrate) to obtain its speedup grid,
-2. samples the feature vector with the same warm-up/sample procedure the
-   hardware inference engine uses at runtime,
+2. reads its feature vector, sampled with the same warm-up/sample procedure
+   the hardware inference engine uses at runtime,
 3. filters out kernels that are statistically insignificant (the threshold
    criteria of Table IV: minimum speedup at the best tuple, minimum
    execution length, non-zero hit rate at the reference point),
@@ -24,18 +24,16 @@ compiler/constant-memory path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.features import NUM_FEATURES, FeatureSampler, FeatureVector
+from repro.core.features import NUM_FEATURES, FeatureVector
 from repro.core.regression import NegativeBinomialRegression
 from repro.core.scoring import DEFAULT_WEIGHTS, select_training_target
 from repro.gpu.config import GPUConfig, baseline_config
-from repro.gpu.gpu import GPU
-from repro.profiling.profiler import KernelProfiler, StaticProfile
+from repro.profiling.profiler import StaticProfile
 from repro.runtime.executor import SweepExecutor
-from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.spec import BenchmarkSpec, KernelSpec
 
 
@@ -90,11 +88,7 @@ class TrainedModel:
     metadata: Dict[str, float] = field(default_factory=dict)
 
     def active_features(self, vector: FeatureVector) -> List[float]:
-        values = vector.as_list()
-        if not self.feature_mask:
-            return values
-        removed = set(self.feature_mask)
-        return [value for index, value in enumerate(values) if index not in removed]
+        return vector.masked(self.feature_mask or ())
 
     def predict(self, vector: FeatureVector, max_warps: Optional[int] = None) -> Tuple[int, int]:
         """Apply the link function (Eq. 13) and reverse the training scaling."""
@@ -114,51 +108,44 @@ class TrainedModel:
 
 
 class TrainingPipeline:
-    """Profiles training kernels and fits the regression models."""
+    """Builds training examples from kernel measurements and fits the
+    regression models.
+
+    ``profile_of`` and ``features_of`` map a kernel to its static profile
+    and its feature vector; ``ExperimentConfig.training_pipeline`` passes
+    the result cache's readers.  Both must be picklable, since the kernels
+    fan out over worker processes.
+    """
 
     def __init__(
         self,
+        profile_of: Callable[[KernelSpec], StaticProfile],
+        features_of: Callable[[KernelSpec], FeatureVector],
         config: Optional[GPUConfig] = None,
-        profiler: Optional[KernelProfiler] = None,
-        sampler: Optional[FeatureSampler] = None,
         thresholds: Optional[TrainingThresholds] = None,
         scoring_weights: Sequence[float] = DEFAULT_WEIGHTS,
         feature_mask: Optional[Sequence[int]] = None,
-        executor: Optional[SweepExecutor] = None,
     ) -> None:
+        self.profile_of = profile_of
+        self.features_of = features_of
         self.config = config or baseline_config()
-        self.profiler = profiler or KernelProfiler(self.config)
-        self.sampler = sampler or FeatureSampler()
         self.thresholds = thresholds or TrainingThresholds()
         self.scoring_weights = tuple(scoring_weights)
         self.feature_mask = list(feature_mask) if feature_mask else None
-        self.executor = executor
 
     # -- per-kernel work ------------------------------------------------------------
 
-    def sample_features(self, spec: KernelSpec, programs=None) -> FeatureVector:
-        """Sample the feature vector exactly as the HIE would at runtime."""
-        if programs is None:
-            programs = generate_kernel_programs(spec)
-        sm = GPU(self.config).build_sm(programs)
-        max_warps = min(self.config.max_warps, spec.num_warps)
-        return self.sampler.collect(sm, max_warps=max_warps)
-
-    def build_example(
-        self, benchmark: BenchmarkSpec, spec: KernelSpec, profile: Optional[StaticProfile] = None
-    ) -> TrainingExample:
-        """Profile one kernel and construct its training example."""
-        if profile is None:
-            profile = self.profiler.profile(spec)
+    def build_example(self, benchmark: BenchmarkSpec, spec: KernelSpec) -> TrainingExample:
+        """Construct one kernel's training example from its profile and features."""
+        profile = self.profile_of(spec)
         grid = profile.speedup_grid()
         target = select_training_target(grid, self.scoring_weights)
-        features = self.sample_features(spec)
         baseline_counters = profile.baseline_counters
         baseline_cycles = getattr(baseline_counters, "cycles", 0) if baseline_counters else 0
         return TrainingExample(
             kernel_name=spec.name,
             benchmark_name=benchmark.name,
-            features=features,
+            features=self.features_of(spec),
             target=target.point,
             max_warps=profile.max_warps,
             best_speedup=profile.best_speedup(),
@@ -176,8 +163,7 @@ class TrainingPipeline:
         Results come back in submission order, keeping the example list (and
         therefore the fitted model) identical to a serial pass.
         """
-        executor = self.executor or SweepExecutor()
-        return executor.map(
+        return SweepExecutor().map(
             self.build_example,
             [(benchmark, spec) for benchmark in benchmarks for spec in benchmark.kernels],
         )
@@ -193,15 +179,12 @@ class TrainingPipeline:
                 f"got {len(admitted)} (of {len(examples)} profiled)"
             )
         scheduler_max = self.config.max_warps
-        removed = set(self.feature_mask or [])
+        removed = sorted(set(self.feature_mask or ()))
         matrix: List[List[float]] = []
         targets_n: List[float] = []
         targets_p: List[float] = []
         for example in admitted:
-            values = example.features.as_list()
-            if removed:
-                values = [v for index, v in enumerate(values) if index not in removed]
-            matrix.append(values)
+            matrix.append(example.features.masked(removed))
             scaled_n, scaled_p = example.scaled_target(scheduler_max)
             targets_n.append(scaled_n)
             targets_p.append(scaled_p)
@@ -214,7 +197,7 @@ class TrainingPipeline:
             alpha_weights=[float(w) for w in fit_n.weights],
             beta_weights=[float(w) for w in fit_p.weights],
             max_warps=scheduler_max,
-            feature_mask=sorted(removed) if removed else None,
+            feature_mask=removed or None,
             dispersion_n=fit_n.dispersion,
             dispersion_p=fit_p.dispersion,
             num_training_kernels=len(admitted),
@@ -226,7 +209,7 @@ class TrainingPipeline:
         )
 
     def train(self, benchmarks: Sequence[BenchmarkSpec]) -> Tuple[TrainedModel, List[TrainingExample]]:
-        """End-to-end training: profile, sample, filter and fit."""
+        """End-to-end training: build the examples, filter and fit."""
         examples = self.collect_examples(benchmarks)
         model = self.fit(examples)
         return model, examples

@@ -3,8 +3,9 @@
 Every module defines one :class:`~repro.experiments.common.ExperimentBase`
 subclass (auto-discovered by :mod:`repro.experiments.registry` and exposed
 through ``python -m repro``), plus thin module-level ``run(config)`` /
-``main()`` shims kept for direct scripting.  The mapping from paper
-table/figure to module is recorded in DESIGN.md §4 and EXPERIMENTS.md.
+``main()`` shims kept for direct scripting.  Each subclass names the
+paper table or figure it reproduces; ``python -m repro list`` and the
+README's experiment catalog list the mapping.
 """
 
 from repro.experiments.common import (

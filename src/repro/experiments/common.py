@@ -11,6 +11,7 @@ harness and reproduces the paper-shaped results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -183,9 +184,9 @@ class ExperimentConfig:
 
     def training_pipeline(self, feature_mask: Optional[Sequence[int]] = None) -> TrainingPipeline:
         return TrainingPipeline(
+            profile_of=functools.partial(get_profile, config=self),
+            features_of=functools.partial(get_features, config=self),
             config=self.gpu,
-            profiler=self.profiler(),
-            sampler=self.feature_sampler(),
             thresholds=TrainingThresholds(
                 min_speedup=(
                     self.training_min_speedup
@@ -273,21 +274,6 @@ def clear_caches(config: Optional[ExperimentConfig] = None) -> None:
             _disk(kind, config.cache_dir).clear()
 
 
-def _profile_key_payload(spec: KernelSpec, config: ExperimentConfig) -> dict:
-    """Everything that determines a :class:`StaticProfile`."""
-    return {
-        "kind": "profile",
-        "version": __version__,
-        "code": serialization.code_fingerprint(),
-        "spec": serialization.spec_payload(spec),
-        "gpu": serialization.gpu_payload(config.gpu),
-        "cycles_per_point": config.profile_cycles,
-        "warmup_cycles": config.profile_warmup,
-        "n_step": config.profile_n_step,
-        "p_step": config.profile_p_step,
-    }
-
-
 def _simulation_knobs(config: ExperimentConfig) -> dict:
     """The knobs both scheme runs and training read: the GPU, the profile
     grid, the Poise parameters and the feature-sampling window."""
@@ -347,16 +333,6 @@ def _model_key_payload(config: ExperimentConfig, feature_mask: Optional[Sequence
     }
 
 
-def get_profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
-    """Profile a kernel over the warp-tuple grid, through the result cache."""
-
-    def compute() -> StaticProfile:
-        with phase("profile"):
-            return config.profiler().profile(spec)
-
-    return _cached(_profile_key_payload(spec, config), config, compute)
-
-
 def cached_measurement(
     kind: str,
     spec: KernelSpec,
@@ -383,6 +359,25 @@ def cached_measurement(
     return _cached(payload, config, compute)
 
 
+def get_profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
+    """Profile a kernel over the warp-tuple grid, through the result cache."""
+
+    def compute() -> StaticProfile:
+        with phase("profile"):
+            return config.profiler().profile(spec)
+
+    return cached_measurement(
+        "profile",
+        spec,
+        config,
+        compute,
+        cycles_per_point=config.profile_cycles,
+        warmup_cycles=config.profile_warmup,
+        n_step=config.profile_n_step,
+        p_step=config.profile_p_step,
+    )
+
+
 def get_pbest(spec: KernelSpec, config: ExperimentConfig) -> float:
     """``spec``'s Pbest (fig16, table03a) through the result cache."""
     knobs = {"cycles": config.profile_cycles, "warmup_cycles": 20_000, "l1_scale": 64}
@@ -392,13 +387,19 @@ def get_pbest(spec: KernelSpec, config: ExperimentConfig) -> float:
 
 
 def get_features(spec: KernelSpec, config: ExperimentConfig) -> FeatureVector:
-    """The feature vector Poise's inference engine samples from ``spec``
-    (sec7b), through the result cache."""
+    """The feature vector Poise's inference engine samples from ``spec`` in
+    its first epoch (training, sec7b), through the result cache."""
+
+    def compute() -> FeatureVector:
+        sm = GPU(config.gpu).build_sm(generate_kernel_programs(spec))
+        max_warps = min(config.gpu.max_warps, spec.num_warps)
+        return config.feature_sampler().collect(sm, max_warps)[0]
+
     return cached_measurement(
         "features",
         spec,
         config,
-        lambda: config.training_pipeline().sample_features(spec),
+        compute,
         feature_window=[config.feature_warmup, config.feature_cycles],
     )
 

@@ -26,6 +26,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     cached_measurement,
 )
+from repro.gpu.counters import measure_window
 from repro.gpu.gpu import GPU
 from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.registry import get_benchmark
@@ -46,17 +47,12 @@ def _measure(config: ExperimentConfig, benchmark: str) -> dict:
         programs = generate_kernel_programs(spec)
         max_warps = min(gpu_config.max_warps, spec.num_warps)
 
-        # Baseline: everything polluting.
+        # Baseline: everything polluting.  Both windows span the whole run.
         sm_base = GPU(gpu_config).build_sm(programs)
-        sm_base.set_warp_tuple(max_warps, max_warps)
-        sm_base.run_cycles(cycles)
-        base = sm_base.counters
+        base = measure_window(sm_base, max_warps, max_warps, 0, cycles)
 
         # One polluting warp.
-        sm_p1 = GPU(gpu_config).build_sm(programs)
-        sm_p1.set_warp_tuple(max_warps, 1)
-        sm_p1.run_cycles(cycles)
-        split = sm_p1.counters
+        split = measure_window(GPU(gpu_config).build_sm(programs), max_warps, 1, 0, cycles)
 
         return {
             "benchmark": benchmark,

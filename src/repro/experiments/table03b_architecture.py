@@ -1,8 +1,9 @@
 """Table IIIb — baseline architecture parameters.
 
 Reports the simulated architecture side by side with the paper's GPGPU-Sim
-configuration, including the single-SM scaling decisions documented in
-DESIGN.md §2 (per-scheduler view, L2 slice, per-SM DRAM bandwidth share).
+configuration, including the single-SM scaling decisions that
+:mod:`repro.gpu.config` documents (per-scheduler view, L2 slice, per-SM
+DRAM bandwidth share).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Configuration objects for the GPU model.
 
 The defaults follow Table IIIb of the paper, scaled to the single-SM /
-single-scheduler view used throughout the reproduction (see DESIGN.md §2).
+single-scheduler view used throughout the reproduction.
 The paper's GPU has 32 SMs with two schedulers per SM and 24 warps per
 scheduler; Poise's warp-tuples live in the per-scheduler space ``[1..24]²``,
-which is exactly what this model exposes.  Setting ``num_sms > 1`` simulates
+which is exactly what this model exposes.  The other SMs are folded into
+the per-SM L2 slice and DRAM bandwidth share of :class:`MemoryConfig`.  Setting ``num_sms > 1`` simulates
 that many SMs against one shared L2/DRAM pair (see ``repro.gpu.chip``);
 ``num_sms = 1`` keeps the seed's single-SM model bit-for-bit.
 """

@@ -4,8 +4,8 @@ The hardware inference engine of Poise reconstructs its feature vector from
 seven 32-bit performance counters per SM (Section VII-I).  This module keeps
 a superset of those counters so that every experiment in the paper (hit-rate
 breakdowns, AML, energy, IPC) can be regenerated, and supports *window*
-sampling: the HIE snapshots the counters, lets the SM run for the sampling
-interval and reads back the delta.
+sampling: :func:`measure_window` pins a warp tuple, optionally warms up,
+then lets the SM run for the sampling interval and reads back the delta.
 """
 
 from __future__ import annotations
@@ -135,3 +135,19 @@ class PerfCounters:
             instructions_per_load=self.instructions_per_load,
         )
         return raw
+
+
+def measure_window(sm, n: int, p: int, warmup: int, cycles: int) -> PerfCounters:
+    """Pin ``(n, p)`` on ``sm``, run ``warmup`` cycles when non-zero, and
+    return the counters accumulated over the next ``cycles`` cycles.
+
+    Every offline and online sampler measures through this one window, so
+    a change to how windows are taken lands once.  With ``warmup=0`` on a
+    freshly built SM the window is the whole run.
+    """
+    sm.set_warp_tuple(n, p)
+    if warmup:
+        sm.run_cycles(warmup)
+    before = sm.snapshot()
+    sm.run_cycles(cycles)
+    return sm.counters - before

@@ -23,7 +23,6 @@ from repro.profiling.profiler import (
     KernelProfiler,
     StaticProfile,
     measure_pbest,
-    profile_kernel,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "harmonic_mean_speedup",
     "measure_pbest",
     "normalize",
-    "profile_kernel",
 ]

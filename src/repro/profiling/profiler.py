@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple  # noqa: F401  (Sequence used in hints)
 
 from repro.gpu.config import GPUConfig, baseline_config
+from repro.gpu.counters import measure_window
 from repro.gpu.gpu import GPU, RunResult
 from repro.runtime.executor import SweepExecutor
 from repro.workloads.generator import generate_kernel_programs
@@ -135,12 +136,7 @@ class KernelProfiler:
         if programs is None:
             programs = generate_kernel_programs(spec)
         sm = gpu.build_sm(programs)
-        sm.set_warp_tuple(n, p)
-        if self.warmup_cycles:
-            sm.run_cycles(self.warmup_cycles)
-        before = sm.snapshot()
-        sm.run_cycles(self.cycles_per_point)
-        counters = sm.counters - before
+        counters = measure_window(sm, n, p, self.warmup_cycles, self.cycles_per_point)
         return RunResult(
             counters=counters,
             cycles=counters.cycles,
@@ -226,20 +222,6 @@ def _measure_point_job(
     return profiler.measure_point(spec, n, p)
 
 
-def profile_kernel(
-    spec: KernelSpec,
-    config: Optional[GPUConfig] = None,
-    cycles_per_point: int = 12_000,
-    n_step: int = 1,
-    p_step: int = 1,
-) -> StaticProfile:
-    """Convenience wrapper over :class:`KernelProfiler`."""
-    profiler = KernelProfiler(
-        config=config, cycles_per_point=cycles_per_point, n_step=n_step, p_step=p_step
-    )
-    return profiler.profile(spec)
-
-
 def measure_pbest(
     spec: KernelSpec,
     config: Optional[GPUConfig] = None,
@@ -259,13 +241,7 @@ def measure_pbest(
 
     def run(cfg: GPUConfig) -> float:
         sm = GPU(cfg).build_sm(programs)
-        sm.set_warp_tuple(max_warps, max_warps)
-        if warmup_cycles:
-            sm.run_cycles(warmup_cycles)
-        before = sm.snapshot()
-        sm.run_cycles(cycles)
-        window = sm.counters - before
-        return window.ipc
+        return measure_window(sm, max_warps, max_warps, warmup_cycles, cycles).ipc
 
     base_ipc = run(config)
     big_ipc = run(config.with_l1_scale(l1_scale))

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.gpu.counters import measure_window
+
 
 @dataclass(frozen=True)
 class CCWSParameters:
@@ -45,10 +47,9 @@ class CCWSController:
         history: List[Tuple[int, float]] = []
 
         while not sm.done and sm.cycle < end_cycle:
-            sm.set_warp_tuple(limit, limit)
-            before = sm.snapshot()
-            sm.run_cycles(min(params.epoch_cycles, end_cycle - sm.cycle))
-            window = sm.counters - before
+            window = measure_window(
+                sm, limit, limit, 0, min(params.epoch_cycles, end_cycle - sm.cycle)
+            )
             hit_rate = window.l1_hit_rate
             history.append((limit, hit_rate))
             if window.l1_accesses == 0:

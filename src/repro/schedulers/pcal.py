@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.gpu.counters import measure_window
 from repro.profiling.profiler import StaticProfile
 from repro.schedulers.base import WarpTupleController
 from repro.schedulers.swl import derive_swl_limit
@@ -51,12 +52,8 @@ class PCALController(WarpTupleController):
     # -- sampling -------------------------------------------------------------------
 
     def _sample(self, sm, n: int, p: int) -> float:
-        sm.set_warp_tuple(n, p)
-        sm.run_cycles(self.params.warmup_cycles)
-        before = sm.snapshot()
-        sm.run_cycles(self.params.sample_cycles)
-        window = sm.counters - before
-        return window.ipc
+        params = self.params
+        return measure_window(sm, n, p, params.warmup_cycles, params.sample_cycles).ipc
 
     # -- search ---------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.gpu.counters import measure_window
 from repro.schedulers.base import WarpTupleController
 
 
@@ -34,11 +35,8 @@ class RandomRestartController(WarpTupleController):
         self.params = params
 
     def _sample(self, sm, n: int, p: int) -> float:
-        sm.set_warp_tuple(n, p)
-        sm.run_cycles(self.params.warmup_cycles)
-        before = sm.snapshot()
-        sm.run_cycles(self.params.sample_cycles)
-        return (sm.counters - before).ipc
+        params = self.params
+        return measure_window(sm, n, p, params.warmup_cycles, params.sample_cycles).ipc
 
     def _local_search(
         self, sm, start: Tuple[int, int], max_warps: int

@@ -77,9 +77,10 @@ class TestFeatureSampler:
     def test_collect_steers_both_reference_points(self, baseline_gpu_config, simple_kernel_spec):
         sm = GPU(baseline_gpu_config).build_sm(generate_kernel_programs(simple_kernel_spec))
         sampler = FeatureSampler(warmup_cycles=200, sample_cycles=800)
-        vector = sampler.collect(sm, max_warps=simple_kernel_spec.num_warps)
+        vector, baseline_ipc = sampler.collect(sm, max_warps=simple_kernel_spec.num_warps)
         # After collection the SM is back at the baseline tuple.
         assert sm.warp_tuple == (simple_kernel_spec.num_warps, simple_kernel_spec.num_warps)
+        assert baseline_ipc > 0.0
         values = vector.as_list()
         assert len(values) == NUM_FEATURES
         assert all(isinstance(v, float) for v in values)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -20,7 +21,6 @@ from engine_conformance import fresh_runs_on
 from repro.experiments import common
 from repro.experiments.common import (
     ExperimentConfig,
-    _profile_key_payload,
     _run_key_payload,
     clear_caches,
     get_profile,
@@ -78,9 +78,14 @@ def test_cache_key_payloads_do_not_encode_engine(tmp_path, monkeypatch):
     payloads = {}
     for engine in ("fast", "legacy"):
         monkeypatch.setenv(ENGINE_ENV, engine)
+        profile_payloads = []
+        with mock.patch.object(
+            common, "_cached", lambda payload, *_: profile_payloads.append(payload)
+        ):
+            get_profile(PARITY_KERNEL, config)
         payloads[engine] = (
             json.dumps(_run_key_payload("gto", PARITY_KERNEL, config, None), sort_keys=True),
-            json.dumps(_profile_key_payload(PARITY_KERNEL, config), sort_keys=True),
+            json.dumps(profile_payloads[0], sort_keys=True),
             content_key(_run_key_payload("gto", PARITY_KERNEL, config, None)),
         )
     assert payloads["fast"] == payloads["legacy"]

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.gpu.config import EnergyConfig
-from repro.gpu.counters import PerfCounters
+from repro.gpu.counters import PerfCounters, measure_window
 from repro.gpu.energy import EnergyModel
+from repro.gpu.engine import ENGINES
+from repro.gpu.gpu import GPU
 from repro.gpu.reuse import ReuseDistanceTracker
+from repro.workloads.generator import generate_kernel_programs
 
 
 class TestPerfCounters:
@@ -63,6 +66,23 @@ class TestPerfCounters:
         payload = PerfCounters(cycles=10, instructions=5).as_dict()
         assert payload["ipc"] == pytest.approx(0.5)
         assert "l1_hit_rate" in payload
+
+
+class TestMeasureWindow:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unwarmed_window_on_a_fresh_sm_is_the_whole_run(
+        self, engine, baseline_gpu_config, simple_kernel_spec
+    ):
+        """fig04's rows: with no warm-up, a fresh SM's window holds exactly
+        what a plain pinned run of the same length accumulates."""
+        gpu = GPU(baseline_gpu_config, engine=engine)
+        programs = generate_kernel_programs(simple_kernel_spec)
+        plain = gpu.build_sm(programs)
+        plain.set_warp_tuple(8, 1)
+        plain.run_cycles(3_000)
+        window = measure_window(gpu.build_sm(programs), 8, 1, 0, 3_000)
+        assert window == plain.counters
+        assert window.instructions > 0
 
 
 class TestEnergyModel:

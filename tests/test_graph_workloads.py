@@ -54,7 +54,6 @@ from repro.experiments.common import (
     ExperimentConfig,
     _graph_key_payload,
     _model_key_payload,
-    _profile_key_payload,
     _run_key_payload,
     mix_graph_for_benchmark,
     run_graph_for_config,
@@ -439,7 +438,9 @@ def _measurement_payload(measure):
 
 #: Each result-cache kind's payload under a config (fixed kernel, graph, model).
 PAYLOADS = {
-    "profile": lambda config: _profile_key_payload(_MEMO_SPEC, config),
+    "profile": lambda config: _measurement_payload(
+        lambda: common.get_profile(_MEMO_SPEC, config)
+    ),
     "run": lambda config: _run_key_payload("poise", _MEMO_SPEC, config, _MEMO_MODEL),
     "graph-run": lambda config: _graph_key_payload(_MEMO_GRAPH, config),
     "model": lambda config: _model_key_payload(config, None),

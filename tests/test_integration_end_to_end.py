@@ -6,11 +6,33 @@ the scaled-down configuration.  They are the slowest tests in the suite
 shared between them.
 """
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from repro.core.model_store import load_model, save_model
-from repro.experiments.common import run_scheme_on_benchmark, run_scheme_on_kernel
-from repro.workloads.registry import get_benchmark
+from repro.core.features import FeatureSampler
+from repro.core.model_store import load_model, model_to_dict, save_model
+from repro.core.training import TrainedModel
+from repro.experiments.common import (
+    ExperimentConfig,
+    clear_caches,
+    get_features,
+    run_scheme_on_benchmark,
+    run_scheme_on_kernel,
+    train_model,
+    train_or_load_model,
+)
+from repro.profiling.profiler import KernelProfiler
+from repro.workloads.registry import get_benchmark, training_benchmarks
+
+
+@pytest.fixture
+def fresh_fast_config(tmp_path):
+    """The fast configuration on an empty cache dir and an empty memo."""
+    clear_caches()
+    yield replace(ExperimentConfig.fast(), cache_dir=tmp_path)
+    clear_caches()
 
 
 class TestTrainingPipeline:
@@ -25,10 +47,9 @@ class TestTrainingPipeline:
         assert loaded.alpha_weights == pytest.approx(tiny_model.alpha_weights)
 
     def test_model_predicts_valid_tuples_for_unseen_kernels(self, tiny_model, fast_config):
-        pipeline = fast_config.training_pipeline()
         for benchmark_name in ("ii", "bfs"):
             spec = get_benchmark(benchmark_name).kernels[0]
-            features = pipeline.sample_features(spec)
+            features = get_features(spec, fast_config)
             n, p = tiny_model.predict(features, max_warps=spec.num_warps)
             assert 1 <= p <= n <= spec.num_warps
 
@@ -59,3 +80,63 @@ class TestSchemeExecution:
         gto = run_scheme_on_benchmark("gto", "mm", fast_config)
         swl = run_scheme_on_benchmark("swl", "mm", fast_config)
         assert swl.l1_hit_rate >= gto.l1_hit_rate - 0.02
+
+
+class TestOneSamplingProcedure:
+    def test_hie_first_epoch_samples_the_vector_training_reads(
+        self, fresh_fast_config, monkeypatch
+    ):
+        """Poise's inference engine samples through ``FeatureSampler`` with
+        the training windows, so its first-epoch vector is ``get_features``'."""
+        sampled = []
+        collect = FeatureSampler.collect
+
+        def spy(self, sm, max_warps=None):
+            result = collect(self, sm, max_warps)
+            sampled.append(result[0])
+            return result
+
+        monkeypatch.setattr(FeatureSampler, "collect", spy)
+        model = TrainedModel(
+            alpha_weights=[0.0] * 7 + [math.log(8)],
+            beta_weights=[0.0] * 7 + [math.log(2)],
+            max_warps=24,
+        )
+        spec = get_benchmark("mm").kernels[0]
+        run_scheme_on_kernel("poise", spec, fresh_fast_config, model=model)
+        assert sampled, "the inference engine never called the feature sampler"
+        assert sampled[0] == get_features(spec, fresh_fast_config)
+
+
+class TestTrainingReadsTheResultCache:
+    def test_base_and_ablation_training_profile_each_kernel_once(
+        self, fresh_fast_config, monkeypatch
+    ):
+        profiled = []
+        profile = KernelProfiler.profile
+
+        def spy(self, spec):
+            profiled.append(spec.name)
+            return profile(self, spec)
+
+        monkeypatch.setattr(KernelProfiler, "profile", spy)
+        train_or_load_model(fresh_fast_config)
+        train_or_load_model(fresh_fast_config, feature_mask=[5])
+        kernels = [
+            spec.name
+            for benchmark in training_benchmarks()
+            for spec in fresh_fast_config.limited_kernels(benchmark, training=True)
+        ]
+        assert sorted(profiled) == sorted(kernels)
+
+    def test_pooled_training_fits_the_serial_model(
+        self, fresh_fast_config, monkeypatch, no_children_left
+    ):
+        serial = train_model(fresh_fast_config)
+        clear_caches()
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        pooled = train_model(
+            replace(fresh_fast_config, cache_dir=fresh_fast_config.cache_dir / "pooled")
+        )
+        assert model_to_dict(pooled) == model_to_dict(serial)
+        assert no_children_left()

@@ -395,16 +395,33 @@ class TestTraceCLI:
             "c487638d6d931bf7b90d95537027a07cf1be6de9857fe3c592b7cba02fa5d6f5"
         )
 
-    def test_capture_verifies_kernels_the_budget_truncates(self, tmp_path, capsys, monkeypatch):
-        """stencil and transpose outrun the default budget; the live run and
-        the replay stop at the same cycle with the same counters."""
+    def test_capture_verifies_the_longest_kernels_to_completion(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """stencil and transpose need about 16.5 and 18.5 cycles per
+        instruction; the default budget runs both to completion."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         status, output = self._main(
             ["trace", "capture", "stencil", "transpose", "--out", str(tmp_path), "--verify"],
             capsys,
         )
         assert status == 0
+        cycles = {
+            row.split()[0]: int(row.split()[1])
+            for row in output.splitlines()
+            if row.startswith(("stencil_k0", "transpose_k0"))
+        }
+        assert cycles == {"stencil_k0": 2_368_638, "transpose_k0": 2_663_605}
         assert output.count("bit-identical") == 2
+
+    def test_capture_marks_a_run_the_budget_stops_truncated(self, tmp_path, capsys):
+        status, output = self._main(
+            ["trace", "capture", "mvt", "--out", str(tmp_path), "--verify",
+             "--max-cycles", "2000"],
+            capsys,
+        )
+        assert status == 0
+        assert "truncated" in output and "bit-identical" not in output
 
     def test_info_reports_invalid_files(self, tmp_path, capsys):
         bad = tmp_path / "bad.trc"
