@@ -144,11 +144,7 @@ def test_fast_profile_sweep_speedup(benchmark, tmp_path):
     print(
         f"sweep over {result['points']} grid points: "
         f"cold {result['cold_seconds']:.2f}s, warm {result['warm_seconds']:.3f}s "
-        f"({result['warm_speedup']:.0f}x), "
-        f"parallel({result['parallel_jobs']}) {result['parallel_seconds']:.2f}s"
-    )
-    assert result["parallel_matches_serial"], (
-        "parallel sweep must produce counters identical to the serial path"
+        f"({result['warm_speedup']:.0f}x)"
     )
     assert result["warm_speedup"] >= 3.0, (
         f"cached sweep only {result['warm_speedup']:.1f}x faster than the "

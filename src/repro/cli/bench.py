@@ -11,8 +11,7 @@ the current directory) with:
   (gto/swl/pcal/poise/static_best) × representative synthetic and
   trace-family kernels × every engine — so the perf trajectory accumulates
   comparable data points,
-* the fast-profile sweep wall-clock (cold serial vs. warm persistent-cache
-  vs. parallel).
+* the fast-profile sweep wall-clock (cold vs. warm persistent cache).
 
 Every record carries ``engine``, ``python_version`` and ``cpu_count``; all
 timing is ``time.perf_counter``.  Unless ``--dry-run`` is given, the
@@ -32,7 +31,7 @@ trajectory`` reports.
 
 Usage::
 
-    python -m repro bench [--output PATH] [--jobs N] [--max-cycles N]
+    python -m repro bench [--output PATH] [--max-cycles N]
                           [--engines fast,legacy] [--skip-matrix]
                           [--matrix-cycles N] [--gate RATIO] [--dry-run]
 """
@@ -72,7 +71,7 @@ from repro.runtime.bench import (
     memory_stall_config,
     memory_stall_kernel,
 )
-from repro.runtime.executor import jobs_arg, resolve_jobs
+from repro.runtime.executor import resolve_jobs
 from repro.version import __version__
 
 DEFAULT_OUTPUT = Path("BENCH_throughput.json")
@@ -83,11 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT,
         help="trajectory file to append to (default: ./BENCH_throughput.json)",
-    )
-    parser.add_argument(
-        "--jobs", type=jobs_arg, default=4,
-        help="worker count for the parallel sweep measurement; 0 or 'auto' = "
-        "one per CPU core (default 4)",
     )
     parser.add_argument(
         "--max-cycles", type=int, default=80_000,
@@ -107,7 +101,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--skip-sweep", action="store_true",
-        help="skip the cold/warm/parallel profile-sweep measurement",
+        help="skip the cold/warm profile-sweep measurement",
     )
     parser.add_argument(
         "--gate", type=float, default=None, metavar="RATIO",
@@ -201,13 +195,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.skip_sweep:
         # A fresh temp directory keeps the cold sweep honest.
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-            sweep = measure_sweep(Path(tmp), parallel_jobs=args.jobs)
+            sweep = measure_sweep(Path(tmp))
         print(
             f"fast-profile sweep ({sweep['points']} points): "
             f"cold {sweep['cold_seconds']:.2f}s, warm {sweep['warm_seconds']:.3f}s "
-            f"({sweep['warm_speedup']:.0f}x), "
-            f"parallel({sweep['parallel_jobs']}) {sweep['parallel_seconds']:.2f}s, "
-            f"identical counters: {sweep['parallel_matches_serial']}"
+            f"({sweep['warm_speedup']:.0f}x)"
         )
         stage_done("sweep")
 

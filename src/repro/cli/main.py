@@ -17,14 +17,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import closing
+from dataclasses import replace
+from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.tables import Table
+from repro.analysis.tables import ExperimentResult, Table
 from repro.cli import runner
 from repro.experiments import registry
-from repro.experiments.common import default_cache_dir
-from repro.runtime.executor import SweepExecutor, jobs_arg, jobs_budget
+from repro.experiments.common import default_cache_dir, preset_config, run_plan
+from repro.obs.telemetry import (
+    add_worker_cache,
+    describe_phases,
+    describe_run_cache,
+    telemetry_delta,
+    telemetry_snapshot,
+)
+from repro.runtime.executor import SweepExecutor, jobs_arg
 from repro.version import __version__
 
 
@@ -44,21 +52,22 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     _add_scale_flags(parser)
     parser.add_argument(
         "--jobs", type=jobs_arg, default=None, metavar="N",
-        help="the REPRO_JOBS budget of the whole command: experiments fan out "
-        "over N worker processes, writing each artifact as it lands, and a "
-        "lone experiment fans out its own runs; 0 or 'auto' = one per CPU "
-        "core (default: serial, or the REPRO_JOBS environment variable)",
+        help="run the command's plan (the profiles, feature vectors, models "
+        "and runs its experiments read) on N worker processes, then write "
+        "the artifacts; 0 or 'auto' = one per CPU core (default: serial, or "
+        "the REPRO_JOBS environment variable)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECS",
-        help="per-experiment wall-clock timeout when running in parallel: a "
-        "worker still busy after SECS of waiting on its experiment is "
-        "abandoned and the experiment retried (default: REPRO_TIMEOUT, or "
-        "no timeout)",
+        help="per-job wall-clock timeout of the plan (a job is one kernel's "
+        "misses in one stage, or one miss when there are fewer kernels than "
+        "workers) when running in parallel: a worker still busy after SECS "
+        "of waiting on its job is abandoned and the job retried (default: "
+        "REPRO_TIMEOUT, or no timeout)",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
-        help="retry budget per experiment for transient failures — worker "
+        help="retry budget per planned job for transient failures — worker "
         "death, timeouts, OSError (default: REPRO_RETRIES, or 2)",
     )
     parser.add_argument(
@@ -172,65 +181,45 @@ def _cmd_list(workloads: bool = False) -> int:
 def _cmd_run(ids: Sequence[str], args: argparse.Namespace) -> int:
     label = _label(args)
     cache_dir = _cache_dir(args)
-    ordered: List[str] = []
-    for experiment_id in ids:
-        registry.get(experiment_id)  # raises KeyError with suggestions
-        if experiment_id not in ordered:
-            ordered.append(experiment_id)
+    # registry.get raises KeyError with suggestions for an unknown id.
+    experiments = [registry.get(experiment_id) for experiment_id in dict.fromkeys(ids)]
+    config = replace(preset_config(label), cache_dir=Path(cache_dir))
+
+    # One plan: every entry the experiments read, computed once on one
+    # executor; the builds then read the warm cache in this process.
+    telemetry_before = telemetry_snapshot()
+    executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout, retries=args.retries)
+    report = run_plan(
+        [entry for experiment in experiments for entry in experiment.plan(config)], executor
+    )
 
     schema_failures: List[str] = []
-
-    def _finish(experiment_id: str, payload: dict) -> None:
-        """Validate, persist and report one artifact as soon as it exists —
-        an interrupt or a later experiment's crash never discards it."""
-        experiment = registry.get(experiment_id)
+    for experiment in experiments:
+        payload = runner.run_experiment(experiment.id, config)
         try:
             experiment.validate_artifact(payload)
             status = "ok"
         except ValueError as error:
-            schema_failures.append(f"{experiment_id}: {error}")
+            schema_failures.append(f"{experiment.id}: {error}")
             status = "SCHEMA-INVALID"
         path = runner.write_artifact(payload, cache_dir, label)
         print(
-            f"{experiment_id:<9} {experiment.artifact:<14} "
+            f"{experiment.id:<9} {experiment.artifact:<14} "
             f"{payload['elapsed_seconds']:>8.1f}s  {status}  {path}",
             flush=True,
         )
         if args.print_tables:
-            from repro.analysis.tables import ExperimentResult
-
             print()
             print(ExperimentResult.from_dict(payload).to_text())
             print()
-
-    from repro.obs.telemetry import (
-        add_worker_cache,
-        describe_phases,
-        describe_run_cache,
-        telemetry_delta,
-        telemetry_snapshot,
-    )
-
-    telemetry_before = telemetry_snapshot()
-    executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout, retries=args.retries)
-    job_args = [(experiment_id, label, cache_dir) for experiment_id in ordered]
-    with jobs_budget(args.jobs), closing(
-        executor.imap(runner.run_experiment, job_args)
-    ) as payloads:
-        for experiment_id, payload in zip(ordered, payloads):
-            _finish(experiment_id, payload)
-    report = executor.last_report
-    if report is not None and not report.clean:
+    if not report.clean:
         print(f"\n{report.summary()}")
 
-    # Run telemetry.  The phase timers are per-process (a parallel run
+    # Run telemetry.  The phase timers are per-process (a parallel plan
     # reports the parent's share), but the cache counters are complete:
     # pool workers ship their deltas home with their results
     # (JobReport.worker_cache), merged into the line printed here.
-    delta = add_worker_cache(
-        telemetry_delta(telemetry_before),
-        report.worker_cache if report is not None else None,
-    )
+    delta = add_worker_cache(telemetry_delta(telemetry_before), report.worker_cache)
     print(f"cache: {describe_run_cache(delta)}")
     if delta["phases"]:
         print(f"phases: {describe_phases(delta['phases'])}")

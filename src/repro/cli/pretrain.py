@@ -24,9 +24,8 @@ from typing import Optional, Sequence
 
 from repro.core.model_store import save_model
 from repro.core.training import prediction_errors
-from repro.experiments.common import ExperimentConfig, store_model
-from repro.runtime.executor import jobs_arg, jobs_budget
-from repro.workloads.registry import training_benchmarks
+from repro.experiments.common import ExperimentConfig, plan_training, run_plan, store_model
+from repro.runtime.executor import SweepExecutor, jobs_arg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -45,23 +44,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=jobs_arg,
         default=None,
         metavar="N",
-        help="profile training kernels over N worker processes "
-        "(0 or 'auto' = one per CPU core; overrides REPRO_JOBS)",
+        help="profile and sample the training kernels on N worker processes, "
+        "then fit here (0 or 'auto' = one per CPU core; default: serial, or "
+        "the REPRO_JOBS environment variable)",
     )
     args = parser.parse_args(argv)
 
     config = ExperimentConfig.fast() if args.fast else ExperimentConfig.full()
     pipeline = config.training_pipeline()
-    benchmarks = [
-        config.limited_benchmark(benchmark, training=True)
-        for benchmark in training_benchmarks()
-    ]
+    benchmarks = config.training_split()
     total_kernels = sum(len(benchmark.kernels) for benchmark in benchmarks)
     print(f"profiling {total_kernels} training kernels ({config.label} configuration)...")
 
     start = time.perf_counter()
-    with jobs_budget(args.jobs):
-        examples = pipeline.collect_examples(benchmarks)
+    run_plan(plan_training(config), SweepExecutor(jobs=args.jobs))
+    examples = pipeline.collect_examples(benchmarks)
     model = pipeline.fit(examples)
     elapsed = time.perf_counter() - start
 

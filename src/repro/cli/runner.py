@@ -6,9 +6,9 @@ cache key, package version, wall-clock).  Artifacts live under
 
     <cache_dir>/artifacts/<label>/<experiment_id>.json
 
-and are written atomically, like the result cache.  The module-level
-:func:`run_experiment` is the picklable job the CLI streams through
-:meth:`~repro.runtime.executor.SweepExecutor.imap`, serial or ``--jobs N``.
+and are written atomically, like the result cache.  The CLI builds each
+experiment with :func:`run_experiment`, in-process, once its plan has
+filled the result cache.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 import datetime
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.experiments import registry
+from repro.experiments.common import ExperimentConfig
 from repro.runtime.cache import atomic_write_json
 from repro.version import __version__
 
@@ -35,16 +35,10 @@ def artifact_path(cache_dir: Union[str, Path], label: str, experiment_id: str) -
     return artifacts_dir(cache_dir, label) / f"{experiment_id}.json"
 
 
-def run_experiment(
-    experiment_id: str,
-    label: str = "full",
-    cache_dir: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run one registered experiment and return its artifact payload."""
+def run_experiment(experiment_id: str, config: ExperimentConfig) -> Dict[str, object]:
+    """Run one registered experiment under ``config`` and return its
+    artifact payload."""
     experiment = registry.get(experiment_id)
-    config = experiment.make_config(label)
-    if cache_dir is not None:
-        config = replace(config, cache_dir=Path(cache_dir))
     start = time.perf_counter()
     result = experiment.run(config)
     elapsed = time.perf_counter() - start

@@ -27,7 +27,7 @@ import sys
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table
-from repro.runtime.executor import jobs_arg, jobs_budget
+from repro.runtime.executor import jobs_arg
 from repro.scenarios.grid import ScenarioError, ScenarioGrid, parse_shard
 from repro.scenarios.library import apply_overrides, get_grid, named_grids
 from repro.scenarios.report import (
@@ -74,11 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip points whose artifact already validates; corrupt "
                      "artifacts are quarantined and recomputed")
     run.add_argument("--jobs", type=jobs_arg, default=None, metavar="N",
-                     help="the REPRO_JOBS budget of the whole command: points fan "
-                     "out over N worker processes, writing each artifact as it "
-                     "lands, and a point run in this process fans out its own "
-                     "runs; 0 or 'auto' = one per CPU core (default: serial, or "
-                     "the REPRO_JOBS environment variable)")
+                     help="fan the points out over N worker processes, writing "
+                     "each artifact as it lands; 0 or 'auto' = one per CPU core "
+                     "(default: serial, or the REPRO_JOBS environment variable)")
     run.add_argument("--timeout", type=float, default=None, metavar="SECS",
                      help="per-point wall-clock timeout in seconds: a worker still "
                      "busy after SECS of waiting on its point is abandoned and the "
@@ -173,16 +171,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for signum in (signal.SIGINT, signal.SIGTERM)
     }
     try:
-        with jobs_budget(args.jobs):
-            report = runner.run_report(
-                shard=shard,
-                resume=args.resume,
-                jobs=args.jobs,
-                progress=progress,
-                timeout=args.timeout,
-                retries=args.retries,
-                stop=lambda: received["signum"] is not None,
-            )
+        report = runner.run_report(
+            shard=shard,
+            resume=args.resume,
+            jobs=args.jobs,
+            progress=progress,
+            timeout=args.timeout,
+            retries=args.retries,
+            stop=lambda: received["signum"] is not None,
+        )
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)

@@ -33,7 +33,6 @@ from repro.core.regression import NegativeBinomialRegression
 from repro.core.scoring import DEFAULT_WEIGHTS, select_training_target
 from repro.gpu.config import GPUConfig, baseline_config
 from repro.profiling.profiler import StaticProfile
-from repro.runtime.executor import SweepExecutor
 from repro.workloads.spec import BenchmarkSpec, KernelSpec
 
 
@@ -113,8 +112,8 @@ class TrainingPipeline:
 
     ``profile_of`` and ``features_of`` map a kernel to its static profile
     and its feature vector; ``ExperimentConfig.training_pipeline`` passes
-    the result cache's readers.  Both must be picklable, since the kernels
-    fan out over worker processes.
+    the result cache's readers, whose entries a plan computes first
+    (``repro.experiments.common.plan_training``).
     """
 
     def __init__(
@@ -154,19 +153,12 @@ class TrainingPipeline:
         )
 
     def collect_examples(self, benchmarks: Sequence[BenchmarkSpec]) -> List[TrainingExample]:
-        """Build one training example per kernel of every benchmark.
-
-        Each example needs a full warp-tuple-grid profile plus a feature
-        sample — independent simulations, so the kernels fan out over the
-        sweep executor when ``REPRO_JOBS`` allows (and run in-process, with
-        the executor's retry of transient ``OSError``s, when it does not).
-        Results come back in submission order, keeping the example list (and
-        therefore the fitted model) identical to a serial pass.
-        """
-        return SweepExecutor().map(
-            self.build_example,
-            [(benchmark, spec) for benchmark in benchmarks for spec in benchmark.kernels],
-        )
+        """Build one training example per kernel of every benchmark, in order."""
+        return [
+            self.build_example(benchmark, spec)
+            for benchmark in benchmarks
+            for spec in benchmark.kernels
+        ]
 
     # -- fitting ---------------------------------------------------------------------
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+from contextlib import closing
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.tables import ExperimentResult
 from repro.core.inference import PoiseParameters
@@ -31,7 +33,7 @@ from repro.profiling.metrics import harmonic_mean
 from repro.profiling.profiler import KernelProfiler, StaticProfile, measure_pbest
 from repro.runtime import serialization
 from repro.runtime.cache import DiskCache, content_key
-from repro.runtime.executor import SweepExecutor
+from repro.runtime.executor import JobReport, SweepExecutor
 from repro.version import __version__
 from repro.schedulers import (
     APCMPolicy,
@@ -213,6 +215,10 @@ class ExperimentConfig:
     def limited_benchmark(self, benchmark: BenchmarkSpec, training: bool = False) -> BenchmarkSpec:
         return replace(benchmark, kernels=self.limited_kernels(benchmark, training=training))
 
+    def training_split(self) -> List[BenchmarkSpec]:
+        """The training benchmarks, limited to the kernels training reads."""
+        return [self.limited_benchmark(benchmark, True) for benchmark in training_benchmarks()]
+
 
 # ---------------------------------------------------------------------------
 # The result cache: one per-process memo in front of the content-addressed disk
@@ -244,22 +250,42 @@ def _disk(kind: str, cache_dir: Path) -> DiskCache:
     return DiskCache(cache_dir)
 
 
+class _Miss(Exception):
+    """Raised by :func:`_cached` instead of computing while :func:`_probe`
+    reads a missing entry; ``args``: its key, payload, config and compute."""
+
+
+#: True while :func:`_probe` reads an entry.
+_probing: ContextVar[bool] = ContextVar("probing", default=False)
+
+
 def _cached(payload: dict, config: ExperimentConfig, compute: Callable):
     """The memo, else the disk entry ``payload`` names, else ``compute()``
     (stored to disk); whichever answers fills the memo.
 
     A corrupt or undecodable disk entry is a miss like an absent one.
+    ``compute`` is a picklable callable, so a plan can run it on a worker.
     """
     key = content_key(payload)
     if key not in _MEMO:
-        encode, decode = _CODECS[payload["kind"]]
-        disk = _disk(payload["kind"], config.cache_dir)
-        result = disk.load(payload, decode)
-        if result is None:
-            result = compute()
-            disk.store(payload, encode(result))
-        _MEMO[key] = result
+        decode = _CODECS[payload["kind"]][1]
+        result = _disk(payload["kind"], config.cache_dir).load(payload, decode)
+        if result is not None:
+            _MEMO[key] = result
+        elif _probing.get():
+            raise _Miss(key, payload, config, compute)
+        else:
+            _store(payload, config, compute())
     return _MEMO[key]
+
+
+def _store(payload: dict, config: ExperimentConfig, result) -> Optional[Path]:
+    """Make ``result`` the memo slot and the disk entry of ``payload``.
+    Returns the entry's path, or ``None`` when the (best-effort) write
+    failed."""
+    _MEMO[content_key(payload)] = result
+    encode = _CODECS[payload["kind"]][0]
+    return _disk(payload["kind"], config.cache_dir).store(payload, encode(result))
 
 
 def clear_caches(config: Optional[ExperimentConfig] = None) -> None:
@@ -272,6 +298,158 @@ def clear_caches(config: Optional[ExperimentConfig] = None) -> None:
     if config is not None:
         for kind in ("run", "model"):
             _disk(kind, config.cache_dir).clear()
+
+
+# ---------------------------------------------------------------------------
+# Plans: the entries a build reads, computed before it
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Entry:
+    """One result-cache entry a build reads, through ``fn(*args)``.
+    ``kernel`` (a spec or a graph) is the job a plan computes it in;
+    ``model`` is the entry whose weights key a Poise run.
+    """
+
+    fn: Callable
+    args: Tuple
+    kernel: object = None
+    model: Optional["Entry"] = None
+
+    def read(self):
+        return self.fn(*self.args)
+
+
+def _probe(entry: Entry) -> Optional[_Miss]:
+    """Read ``entry`` without computing it: ``None`` when it is in the memo
+    or on disk (now in the memo), else its miss."""
+    token = _probing.set(True)
+    try:
+        entry.read()
+    except _Miss as miss:
+        return miss
+    finally:
+        _probing.reset(token)
+    return None
+
+
+#: Plan stage per entry kind: one-kernel measurements 0 (the default), models 1, runs 2.
+_STAGES = {"model": 1, "run": 2, "graph-run": 2}
+
+
+def _needs(kernel, payload: dict, config: ExperimentConfig) -> List[Entry]:
+    """The one-kernel measurements a missing entry's compute reads: a
+    model's training inputs, a profile-driven run's profile."""
+    if payload["kind"] == "model":
+        return plan_training(config)
+    if payload["kind"] == "run" and payload["scheme"] in PROFILE_CONTROLLERS:
+        return [measurement(get_profile, kernel, config)]
+    return []
+
+
+def _compute_all(misses: List[tuple]) -> list:
+    """A plan's job: compute each of its misses and store it.  A miss with
+    no payload, a slice of a profile's grid, is only computed: the parent
+    assembles the profile.  A retried job reads back what its failed
+    attempt stored."""
+    results = []
+    for payload, config, compute in misses:
+        if payload is None:
+            results.append(compute())
+        elif _disk(payload["kind"], config.cache_dir).path_for(payload).exists():
+            results.append(_cached(payload, config, compute))
+        else:
+            results.append(compute())
+            _store(payload, config, results[-1])
+    return results
+
+
+def _deal(kernel, miss: tuple, workers: int) -> List[tuple]:
+    """``miss`` as the misses of separate jobs: a profile's grid dealt into
+    a slice per worker, any other miss whole."""
+    payload, config, _ = miss
+    if payload["kind"] != "profile":
+        return [miss]
+    profiler = config.profiler()
+    points = profiler.grid(kernel)
+    return [
+        (None, config, functools.partial(profiler.measure_points, kernel, points[i::workers]))
+        for i in range(min(workers, len(points)))
+    ]
+
+
+def run_plan(plan: Iterable[Entry], executor: SweepExecutor) -> JobReport:
+    """Compute each entry of ``plan`` that is in neither the memo nor on
+    disk, once, so the builds that read them compute nothing.
+
+    Measurements run on ``executor``, then models are fitted here, then runs
+    go on ``executor``.  A job computes and stores one kernel's misses of a
+    stage, so its programs are generated once and an interrupted plan
+    resumes from the cache; a stage with fewer kernels than workers makes a
+    job of each miss instead and deals each profile's grid over the
+    workers.  A missing entry brings in what its compute reads
+    (:func:`_needs`); a Poise run is probed once its model is fitted.
+    Returns both stages' accounting, merged.
+    """
+    # Per stage, each missing entry's key -> (kernel, its miss's args).
+    misses: List[Dict[str, Tuple[object, tuple]]] = [{}, {}, {}]
+    seen: Set[Entry] = set()
+    keyed_by_models: List[Entry] = []
+
+    def record(entry: Entry) -> List[Entry]:
+        """File ``entry``'s miss, if any, and return what its compute reads."""
+        miss = _probe(entry)
+        if miss is None:
+            return []
+        key, payload, config, _ = miss.args
+        misses[_STAGES.get(payload["kind"], 0)].setdefault(key, (entry.kernel, miss.args[1:]))
+        return _needs(entry.kernel, payload, config)
+
+    def run_stage(stage: Dict[str, Tuple[object, tuple]]) -> JobReport:
+        by_kernel: Dict[object, List[str]] = {}
+        for key, (kernel, _) in stage.items():
+            by_kernel.setdefault(kernel, []).append(key)
+        if len(by_kernel) >= executor.jobs:
+            jobs = [[(key, stage[key][1]) for key in keys] for keys in by_kernel.values()]
+        else:
+            jobs = [
+                [(key, miss)]
+                for key, (kernel, whole) in stage.items()
+                for miss in _deal(kernel, whole, executor.jobs)
+            ]
+        slices: Dict[str, dict] = {}
+        misses_of = [([miss for _, miss in job],) for job in jobs]
+        with closing(executor.imap(_compute_all, misses_of)) as results:
+            # Results first, so the stream (and its accounting) runs even empty.
+            for computed, job in zip(results, jobs):
+                for result, (key, (payload, _, _)) in zip(computed, job):
+                    if payload is None:
+                        slices.setdefault(key, {}).update(result)
+                    else:
+                        _MEMO[key] = result  # the job stored it
+        for key, measured in slices.items():
+            spec, (payload, config, _) = stage[key]
+            _store(payload, config, config.profiler().profile(spec, measured))
+        return executor.last_report
+
+    for entry in plan:
+        for item in (entry.model, entry):
+            if item is None or item in seen:
+                continue
+            seen.add(item)
+            if item.model is not None:
+                keyed_by_models.append(item)
+                continue
+            for need in record(item):  # measurements, which need nothing
+                if need not in seen:
+                    seen.add(need)
+                    record(need)
+    report = run_stage(misses[0])
+    for _, (payload, config, fit) in misses[1].values():
+        _store(payload, config, fit())
+    for entry in keyed_by_models:
+        record(entry)
+    return report + run_stage(misses[2])
 
 
 def _simulation_knobs(config: ExperimentConfig) -> dict:
@@ -342,7 +520,7 @@ def cached_measurement(
     **knobs,
 ):
     """``compute()``, a one-kernel measurement made outside the scheme runs,
-    through the result cache.
+    through the result cache (``compute`` must be picklable).
 
     The key names the measurement's ``kind`` (which picks its codec), the
     spec, the GPU it simulates (``config.gpu`` unless given) and every knob
@@ -359,18 +537,18 @@ def cached_measurement(
     return _cached(payload, config, compute)
 
 
+def _profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
+    with phase("profile"):
+        return config.profiler().profile(spec)
+
+
 def get_profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
     """Profile a kernel over the warp-tuple grid, through the result cache."""
-
-    def compute() -> StaticProfile:
-        with phase("profile"):
-            return config.profiler().profile(spec)
-
     return cached_measurement(
         "profile",
         spec,
         config,
-        compute,
+        functools.partial(_profile, spec, config),
         cycles_per_point=config.profile_cycles,
         warmup_cycles=config.profile_warmup,
         n_step=config.profile_n_step,
@@ -381,27 +559,32 @@ def get_profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
 def get_pbest(spec: KernelSpec, config: ExperimentConfig) -> float:
     """``spec``'s Pbest (fig16, table03a) through the result cache."""
     knobs = {"cycles": config.profile_cycles, "warmup_cycles": 20_000, "l1_scale": 64}
-    return cached_measurement(
-        "pbest", spec, config, lambda: measure_pbest(spec, config.gpu, **knobs), **knobs
-    )
+    compute = functools.partial(measure_pbest, spec, config.gpu, **knobs)
+    return cached_measurement("pbest", spec, config, compute, **knobs)
+
+
+def _features(spec: KernelSpec, config: ExperimentConfig) -> FeatureVector:
+    sm = GPU(config.gpu).build_sm(generate_kernel_programs(spec))
+    max_warps = min(config.gpu.max_warps, spec.num_warps)
+    return config.feature_sampler().collect(sm, max_warps)[0]
 
 
 def get_features(spec: KernelSpec, config: ExperimentConfig) -> FeatureVector:
     """The feature vector Poise's inference engine samples from ``spec`` in
     its first epoch (training, sec7b), through the result cache."""
-
-    def compute() -> FeatureVector:
-        sm = GPU(config.gpu).build_sm(generate_kernel_programs(spec))
-        max_warps = min(config.gpu.max_warps, spec.num_warps)
-        return config.feature_sampler().collect(sm, max_warps)[0]
-
     return cached_measurement(
         "features",
         spec,
         config,
-        compute,
+        functools.partial(_features, spec, config),
         feature_window=[config.feature_warmup, config.feature_cycles],
     )
+
+
+def measurement(read: Callable, spec: KernelSpec, config: ExperimentConfig) -> Entry:
+    """The entry of a one-kernel measurement ``read(spec, config)``, e.g.
+    :func:`get_profile`, :func:`get_features` or :func:`get_pbest`."""
+    return Entry(read, (spec, config), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +596,19 @@ def train_model(
 ) -> TrainedModel:
     """Train the regression on the training split (one-time, offline)."""
     pipeline = config.training_pipeline(feature_mask=feature_mask)
-    benchmarks = [
-        config.limited_benchmark(benchmark, training=True)
-        for benchmark in training_benchmarks()
-    ]
     with phase("train"):
-        model, _ = pipeline.train(benchmarks)
+        model, _ = pipeline.train(config.training_split())
     return model
+
+
+def plan_training(config: ExperimentConfig) -> List[Entry]:
+    """The profiles and feature vectors :func:`train_model` reads."""
+    return [
+        measurement(read, spec, config)
+        for benchmark in config.training_split()
+        for spec in benchmark.kernels
+        for read in (get_profile, get_features)
+    ]
 
 
 def train_or_load_model(
@@ -437,8 +626,13 @@ def train_or_load_model(
     return _cached(
         _model_key_payload(config, feature_mask),
         config,
-        lambda: train_model(config, feature_mask=feature_mask),
+        functools.partial(train_model, config, feature_mask),
     )
+
+
+def model_entry(config: ExperimentConfig, feature_mask: Optional[Sequence[int]] = None) -> Entry:
+    """The entry of the model :func:`train_or_load_model` resolves."""
+    return Entry(train_or_load_model, (config, tuple(feature_mask) if feature_mask else None))
 
 
 def store_model(
@@ -450,14 +644,20 @@ def store_model(
     the memo slot and the ``model-<key>.json`` entry that
     :func:`train_or_load_model` reads.  Returns the entry's path, or
     ``None`` when the (best-effort) disk write failed."""
-    payload = _model_key_payload(config, feature_mask)
-    _MEMO[content_key(payload)] = model
-    return _disk("model", config.cache_dir).store(payload, model_to_dict(model))
+    return _store(_model_key_payload(config, feature_mask), config, model)
 
 
 # ---------------------------------------------------------------------------
 # Scheme execution
 # ---------------------------------------------------------------------------
+
+#: The controllers built from a static profile of the kernel they run.
+PROFILE_CONTROLLERS = {
+    "swl": SWLController,
+    "pcal": PCALController,
+    "static_best": StaticBestController,
+}
+
 
 def _build_controller(
     scheme: str,
@@ -469,12 +669,8 @@ def _build_controller(
     scheme = scheme.lower()
     if scheme == "gto":
         return GTOController(), None
-    if scheme == "swl":
-        return SWLController(profile=get_profile(spec, config)), None
-    if scheme == "pcal":
-        return PCALController(profile=get_profile(spec, config)), None
-    if scheme == "static_best":
-        return StaticBestController(profile=get_profile(spec, config)), None
+    if scheme in PROFILE_CONTROLLERS:
+        return PROFILE_CONTROLLERS[scheme](profile=get_profile(spec, config)), None
     if scheme == "ccws":
         return CCWSController(), None
     if scheme == "random_restart":
@@ -495,6 +691,21 @@ def _build_controller(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _simulate(
+    scheme: str, spec: KernelSpec, config: ExperimentConfig, model: Optional[TrainedModel]
+) -> RunResult:
+    controller, cache_policy = _build_controller(scheme, spec, config, model)
+    gpu = GPU(config.gpu)
+    programs = generate_kernel_programs(spec)
+    with phase("simulate"):
+        return gpu.run_kernel(
+            programs,
+            controller=controller,
+            max_cycles=config.run_max_cycles,
+            cache_policy=cache_policy,
+        )
+
+
 def run_scheme_on_kernel(
     scheme: str,
     spec: KernelSpec,
@@ -503,66 +714,30 @@ def run_scheme_on_kernel(
 ) -> RunResult:
     """Run one kernel to completion (or the cycle budget) under a scheme.
 
-    Results go through the result cache, so a sweep worker's runs survive
-    into the parent process and across invocations.
+    Results go through the result cache, so a run survives across
+    invocations.
     """
-
-    def simulate() -> RunResult:
-        controller, cache_policy = _build_controller(scheme, spec, config, model)
-        gpu = GPU(config.gpu)
-        programs = generate_kernel_programs(spec)
-        with phase("simulate"):
-            return gpu.run_kernel(
-                programs,
-                controller=controller,
-                max_cycles=config.run_max_cycles,
-                cache_policy=cache_policy,
-            )
-
-    return _cached(_run_key_payload(scheme, spec, config, model), config, simulate)
-
-
-#: Schemes whose controller consumes a static profile of the kernel.
-_PROFILE_BASED_SCHEMES = frozenset({"swl", "pcal", "static_best"})
-
-
-def prefetch_runs(
-    pairs: Sequence[Tuple[str, KernelSpec]],
-    config: ExperimentConfig,
-    model: Optional[TrainedModel] = None,
-) -> None:
-    """Fan missing (scheme, kernel) runs out over the sweep executor.
-
-    After this returns, every pair is resident in the memo, so the serial
-    aggregation code that follows only sees memo hits.  With
-    ``REPRO_JOBS=1`` (the default) this is a no-op and the runs are computed
-    lazily exactly as before — the counters are identical either way.
-    """
-    executor = SweepExecutor()
-    if not executor.parallel:
-        return
-    todo: Dict[str, Tuple[str, KernelSpec, dict]] = {}
-    for scheme, spec in pairs:
-        payload = _run_key_payload(scheme, spec, config, model)
-        key = content_key(payload)
-        if key not in _MEMO:
-            todo.setdefault(key, (scheme, spec, payload))
-    if len(todo) <= 1:
-        return
-    # Static profiles feed several controllers; compute them up front in this
-    # process (their grid points fan out on the same executor) so the run
-    # workers find them in the disk cache instead of each re-sweeping.
-    for scheme, spec, _ in todo.values():
-        if scheme.lower() in _PROFILE_BASED_SCHEMES:
-            get_profile(spec, config)
-    results = executor.map(
-        run_scheme_on_kernel,
-        [(scheme, spec, config, model) for scheme, spec, _ in todo.values()],
+    return _cached(
+        _run_key_payload(scheme, spec, config, model),
+        config,
+        functools.partial(_simulate, scheme, spec, config, model),
     )
-    for (_, _, payload), result in zip(todo.values(), results):
-        # The worker stored its result: the memo takes it from disk, or
-        # takes the returned copy if that best-effort store failed.
-        _cached(payload, config, lambda result=result: result)
+
+
+def run_entry(
+    scheme: str, spec: KernelSpec, config: ExperimentConfig, model: Optional[Entry] = None
+) -> Entry:
+    """The entry of :func:`run_scheme_on_kernel`'s run.  A Poise run names
+    its model by the model's entry, ``config``'s own when ``model`` is
+    ``None``; other schemes read no model."""
+    if scheme.startswith("poise"):
+        model = model or model_entry(config)
+        return Entry(_run_on_model, (scheme, spec, config, model), spec, model)
+    return Entry(run_scheme_on_kernel, (scheme, spec, config), spec)
+
+
+def _run_on_model(scheme: str, spec: KernelSpec, config: ExperimentConfig, model: Entry) -> RunResult:
+    return run_scheme_on_kernel(scheme, spec, config, model=model.read())
 
 
 @dataclass
@@ -582,6 +757,19 @@ class BenchmarkOutcome:
     telemetry: Dict[str, object] = field(default_factory=dict)
 
 
+def plan_benchmark(
+    scheme: str, benchmark_name: str, config: ExperimentConfig, model: Optional[Entry] = None
+) -> List[Entry]:
+    """The entries :func:`run_scheme_on_benchmark` reads: each kernel's GTO
+    baseline and its ``scheme`` run."""
+    entries = []
+    for spec in config.limited_kernels(get_benchmark(benchmark_name)):
+        entries.append(run_entry("gto", spec, config))
+        if scheme != "gto":
+            entries.append(run_entry(scheme, spec, config, model))
+    return entries
+
+
 def run_scheme_on_benchmark(
     scheme: str,
     benchmark_name: str,
@@ -596,10 +784,6 @@ def run_scheme_on_benchmark(
     """
     benchmark = get_benchmark(benchmark_name)
     kernels = config.limited_kernels(benchmark)
-    pairs: List[Tuple[str, KernelSpec]] = [("gto", spec) for spec in kernels]
-    if scheme != "gto":
-        pairs.extend((scheme, spec) for spec in kernels)
-    prefetch_runs(pairs, config, model=model)
     speedups: List[float] = []
     hit_rates: List[float] = []
     amls: List[float] = []
@@ -682,13 +866,30 @@ def run_graph_for_config(graph, config: ExperimentConfig):
     chains get the same per-kernel budget a single-kernel run would.
     """
 
-    def simulate():
-        gpu = GPU(config.gpu)
-        budget = config.run_max_cycles * max(1, len(graph.nodes))
-        with phase("simulate"):
-            return gpu.run_graph(graph, max_cycles=budget)
+    return _cached(
+        _graph_key_payload(graph, config),
+        config,
+        functools.partial(_simulate_graph, graph, config),
+    )
 
-    return _cached(_graph_key_payload(graph, config), config, simulate)
+
+def _simulate_graph(graph, config: ExperimentConfig):
+    budget = config.run_max_cycles * max(1, len(graph.nodes))
+    with phase("simulate"):
+        return GPU(config.gpu).run_graph(graph, max_cycles=budget)
+
+
+def _single_sm(config: ExperimentConfig) -> ExperimentConfig:
+    """``config`` on one SM: where a graph's nodes run alone for reference."""
+    return config if config.gpu.num_sms == 1 else config.with_gpu(replace(config.gpu, num_sms=1))
+
+
+def plan_mix(benchmark_name: str, config: ExperimentConfig, mix: str) -> List[Entry]:
+    """The entries :func:`run_mix_on_benchmark` reads: the graph run and
+    each node's single-SM GTO reference."""
+    graph = mix_graph_for_benchmark(benchmark_name, config, mix)
+    reference = [run_entry("gto", node, _single_sm(config)) for node in graph.nodes]
+    return [Entry(run_graph_for_config, (graph, config), graph)] + reference
 
 
 def run_mix_on_benchmark(
@@ -708,11 +909,7 @@ def run_mix_on_benchmark(
     """
     graph = mix_graph_for_benchmark(benchmark_name, config, mix)
     graph_result = run_graph_for_config(graph, config)
-    reference_config = (
-        config
-        if config.gpu.num_sms == 1
-        else config.with_gpu(replace(config.gpu, num_sms=1))
-    )
+    reference_config = _single_sm(config)
     reference_counters = None
     reference_cycles = 0
     reference_energy_pj = 0.0
@@ -758,6 +955,18 @@ def run_mix_on_benchmark(
     )
 
 
+def plan_schemes(
+    schemes: Sequence[str], config: ExperimentConfig, benchmarks: Optional[Sequence[str]] = None
+) -> List[Entry]:
+    """The entries :func:`evaluate_schemes` reads."""
+    if benchmarks is None:
+        benchmarks = evaluation_benchmark_names()
+    return [
+        entry for scheme in schemes for name in benchmarks
+        for entry in plan_benchmark(scheme, name, config)
+    ]
+
+
 def evaluate_schemes(
     schemes: Sequence[str],
     config: ExperimentConfig,
@@ -769,30 +978,13 @@ def evaluate_schemes(
     Returns ``results[scheme][benchmark] -> BenchmarkOutcome``.
     """
     if benchmarks is None:
-        benchmarks = [benchmark.name for benchmark in evaluation_benchmarks()]
-    needs_model = any(s.startswith("poise") for s in schemes)
-    if model is None and needs_model:
+        benchmarks = evaluation_benchmark_names()
+    if model is None and any(s.startswith("poise") for s in schemes):
         model = train_or_load_model(config)
-    # Fan the full (scheme, kernel) cross product out in one sweep so the
-    # executor sees maximum parallelism; the per-benchmark aggregation below
-    # then runs entirely against the warm run cache.
-    suite_kernels = {name: config.limited_kernels(get_benchmark(name)) for name in benchmarks}
-    pairs: List[Tuple[str, KernelSpec]] = [
-        ("gto", spec) for name in benchmarks for spec in suite_kernels[name]
-    ]
-    for scheme in schemes:
-        if scheme == "gto":
-            continue
-        pairs.extend((scheme, spec) for name in benchmarks for spec in suite_kernels[name])
-    prefetch_runs(pairs, config, model=model)
-    results: Dict[str, Dict[str, BenchmarkOutcome]] = {}
-    for scheme in schemes:
-        results[scheme] = {}
-        for name in benchmarks:
-            results[scheme][name] = run_scheme_on_benchmark(
-                scheme, name, config, model=model
-            )
-    return results
+    return {
+        scheme: {name: run_scheme_on_benchmark(scheme, name, config, model) for name in benchmarks}
+        for scheme in schemes
+    }
 
 
 def evaluation_benchmark_names() -> List[str]:
@@ -868,9 +1060,9 @@ class ExperimentBase:
 
     A subclass declares its identity (``experiment_id``, the paper
     ``artifact`` it reproduces, a human ``title``), an :class:`ArtifactSchema`
-    for its output, and implements :meth:`build`.  The registry
-    (:mod:`repro.experiments.registry`) discovers subclasses automatically;
-    the per-module ``main()`` entry points are thin shims over :meth:`cli`.
+    for its output, implements :meth:`build` and declares what the build
+    reads in :meth:`plan`.  The registry (:mod:`repro.experiments.registry`)
+    discovers subclasses automatically; running a module calls :meth:`cli`.
     """
 
     #: Stable identifier, e.g. ``fig07`` — doubles as the CLI/artifact name.
@@ -881,6 +1073,11 @@ class ExperimentBase:
     title: str = ""
     #: Structural expectations for the emitted artifact.
     schema: ArtifactSchema = ArtifactSchema()
+
+    def plan(self, config: ExperimentConfig) -> List[Entry]:
+        """The result-cache entries :meth:`build` (with its default
+        arguments) reads under ``config``; none by default."""
+        return []
 
     def build(self, config: ExperimentConfig, **overrides) -> "ExperimentResult":
         """Produce the experiment's result (implemented by subclasses)."""

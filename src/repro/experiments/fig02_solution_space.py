@@ -24,6 +24,8 @@ from repro.experiments.common import (
     ExperimentBase,
     ExperimentConfig,
     get_profile,
+    measurement,
+    run_entry,
     run_scheme_on_kernel,
 )
 from repro.workloads.registry import get_benchmark
@@ -40,6 +42,10 @@ class Fig02SolutionSpace(ExperimentBase):
         required_scalars=("ccws_speedup", "max_speedup"),
         required_tables=("speedup grid", "summary points"),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        spec = get_benchmark("ii").kernels[DEFAULT_KERNEL_INDEX]
+        return [measurement(get_profile, spec, config), run_entry("pcal", spec, config)]
 
     def build(self, config: ExperimentConfig, benchmark: str = "ii") -> ExperimentResult:
         spec = get_benchmark(benchmark).kernels[DEFAULT_KERNEL_INDEX]

@@ -16,12 +16,14 @@ large-footprint workloads (bfs) show little ``h_p`` gain at all.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
     ArtifactSchema,
+    Entry,
     ExperimentBase,
     ExperimentConfig,
     cached_measurement,
@@ -42,31 +44,32 @@ def _measure(config: ExperimentConfig, benchmark: str) -> dict:
     spec = get_benchmark(benchmark).kernels[0]
     gpu_config = replace(config.gpu, track_reuse_distance=True)
     cycles = config.profile_warmup + config.profile_cycles
-
-    def measure() -> dict:
-        programs = generate_kernel_programs(spec)
-        max_warps = min(gpu_config.max_warps, spec.num_warps)
-
-        # Baseline: everything polluting.  Both windows span the whole run.
-        sm_base = GPU(gpu_config).build_sm(programs)
-        base = measure_window(sm_base, max_warps, max_warps, 0, cycles)
-
-        # One polluting warp.
-        split = measure_window(GPU(gpu_config).build_sm(programs), max_warps, 1, 0, cycles)
-
-        return {
-            "benchmark": benchmark,
-            "h_p": split.polluting_hit_rate,
-            "h_np": split.nonpolluting_hit_rate,
-            "h_o": base.l1_hit_rate,
-            "intra_share": base.intra_warp_hit_share,
-            "inter_share": base.inter_warp_hit_share,
-            "reuse_distance": sm_base.reuse_tracker.average_distance,
-        }
-
+    measure = functools.partial(_breakdown, benchmark, spec, gpu_config, cycles)
     return cached_measurement(
         "hit-breakdown", spec, config, measure, gpu=gpu_config, cycles=cycles
     )
+
+
+def _breakdown(benchmark: str, spec, gpu_config, cycles: int) -> dict:
+    programs = generate_kernel_programs(spec)
+    max_warps = min(gpu_config.max_warps, spec.num_warps)
+
+    # Baseline: everything polluting.  Both windows span the whole run.
+    sm_base = GPU(gpu_config).build_sm(programs)
+    base = measure_window(sm_base, max_warps, max_warps, 0, cycles)
+
+    # One polluting warp.
+    split = measure_window(GPU(gpu_config).build_sm(programs), max_warps, 1, 0, cycles)
+
+    return {
+        "benchmark": benchmark,
+        "h_p": split.polluting_hit_rate,
+        "h_np": split.nonpolluting_hit_rate,
+        "h_o": base.l1_hit_rate,
+        "intra_share": base.intra_warp_hit_share,
+        "inter_share": base.inter_warp_hit_share,
+        "reuse_distance": sm_base.reuse_tracker.average_distance,
+    }
 
 
 class Fig04HitRateBreakdown(ExperimentBase):
@@ -78,6 +81,12 @@ class Fig04HitRateBreakdown(ExperimentBase):
         required_scalars=("ii_delta_hp",),
         required_tables=("hit-rate breakdown",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return [
+            Entry(_measure, (config, name), get_benchmark(name).kernels[0])
+            for name in DEFAULT_WORKLOADS
+        ]
 
     def build(
         self, config: ExperimentConfig, workloads: Optional[List[str]] = None

@@ -20,10 +20,16 @@ from repro.experiments.common import (
     ExperimentBase,
     ExperimentConfig,
     get_profile,
+    measurement,
 )
 from repro.workloads.registry import get_benchmark
 
 DEFAULT_KERNELS: Tuple[Tuple[str, int], ...] = (("ii", 0), ("ii", 1))
+
+
+def _kernel(benchmark_name: str, kernel_index: int):
+    benchmark = get_benchmark(benchmark_name)
+    return benchmark.kernels[min(kernel_index, len(benchmark.kernels) - 1)]
 
 
 def _neighbourhood_mean(grid, point) -> float:
@@ -41,6 +47,9 @@ class Fig05Scoring(ExperimentBase):
     artifact = "Figure 5"
     title = "Scoring performance peaks vs cliffs (Eq. 12)"
     schema = ArtifactSchema(min_tables=1, required_tables=("raw peak",))
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return [measurement(get_profile, _kernel(*kernel), config) for kernel in DEFAULT_KERNELS]
 
     def build(
         self,
@@ -68,8 +77,7 @@ class Fig05Scoring(ExperimentBase):
             )
         )
         for benchmark_name, kernel_index in kernels:
-            benchmark = get_benchmark(benchmark_name)
-            spec = benchmark.kernels[min(kernel_index, len(benchmark.kernels) - 1)]
+            spec = _kernel(benchmark_name, kernel_index)
             profile = get_profile(spec, config)
             grid = profile.speedup_grid()
             peak = best_raw_point(grid)

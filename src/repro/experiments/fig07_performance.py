@@ -19,6 +19,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
+    plan_schemes,
 )
 from repro.profiling.metrics import harmonic_mean
 
@@ -41,6 +42,9 @@ class Fig07Performance(ExperimentBase):
         + ("max_poise",),
         required_tables=("IPC normalised to GTO",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_schemes(EVALUATION_SCHEMES, config)
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         benchmarks = evaluation_benchmark_names()

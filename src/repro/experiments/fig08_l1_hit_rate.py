@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
+    plan_schemes,
 )
 from repro.experiments.fig07_performance import SCHEME_LABELS
 from repro.profiling.metrics import arithmetic_mean
@@ -32,6 +33,9 @@ class Fig08L1HitRate(ExperimentBase):
         required_scalars=tuple(f"mean_hit_{scheme}" for scheme in EVALUATION_SCHEMES),
         required_tables=("L1 hit rate",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_schemes(EVALUATION_SCHEMES, config)
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         benchmarks = evaluation_benchmark_names()

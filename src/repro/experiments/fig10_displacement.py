@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentBase,
     ExperimentConfig,
     evaluation_benchmark_names,
+    plan_schemes,
     run_scheme_on_benchmark,
     train_or_load_model,
 )
@@ -37,6 +38,9 @@ class Fig10Displacement(ExperimentBase):
         ),
         required_tables=("displacement",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_schemes(("poise",), config)
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         model = train_or_load_model(config)

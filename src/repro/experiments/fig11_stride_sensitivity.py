@@ -21,7 +21,7 @@ from repro.experiments.common import (
 )
 from repro.profiling.metrics import harmonic_mean
 from repro.scenarios.library import FIG11_STRIDES, fig11_grid
-from repro.scenarios.runner import evaluate_grid
+from repro.scenarios.runner import evaluate_grid, plan_grid
 
 DEFAULT_STRIDES: Tuple[Tuple[int, int], ...] = FIG11_STRIDES
 
@@ -35,6 +35,9 @@ class Fig11StrideSensitivity(ExperimentBase):
         required_scalars=tuple(f"hmean_{n}_{p}" for n, p in DEFAULT_STRIDES),
         required_tables=("per stride",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_grid(fig11_grid(), config)
 
     def build(
         self,

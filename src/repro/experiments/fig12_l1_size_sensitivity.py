@@ -24,7 +24,7 @@ from repro.experiments.common import (
 )
 from repro.profiling.metrics import harmonic_mean
 from repro.scenarios.library import FIG12_SCALES, fig12_grid
-from repro.scenarios.runner import evaluate_grid
+from repro.scenarios.runner import evaluate_grid, plan_grid
 
 DEFAULT_SCALES = FIG12_SCALES  # 16 KB, 32 KB, 64 KB
 
@@ -38,6 +38,9 @@ class Fig12L1SizeSensitivity(ExperimentBase):
         required_scalars=tuple(f"hmean_{16 * scale}KB" for scale in DEFAULT_SCALES),
         required_tables=("same-size GTO baseline",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_grid(fig12_grid(), config)
 
     def build(
         self,

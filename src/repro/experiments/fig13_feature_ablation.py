@@ -25,7 +25,7 @@ from repro.experiments.common import (
 )
 from repro.profiling.metrics import harmonic_mean
 from repro.scenarios.library import FIG13_ABLATIONS, fig13_grid
-from repro.scenarios.runner import evaluate_grid
+from repro.scenarios.runner import evaluate_grid, plan_grid
 
 #: Feature indices (0-based into Table II's x1..x8) removed one at a time.
 DEFAULT_ABLATIONS = FIG13_ABLATIONS  # x7, x6, x5, x4, x3
@@ -40,6 +40,9 @@ class Fig13FeatureAblation(ExperimentBase):
         required_scalars=tuple(f"hmean_minus_x{index + 1}" for index in DEFAULT_ABLATIONS),
         required_tables=("all-features",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_grid(fig13_grid(), config)
 
     def build(
         self,

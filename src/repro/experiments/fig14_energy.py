@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
+    plan_schemes,
 )
 from repro.profiling.metrics import arithmetic_mean
 
@@ -31,6 +32,9 @@ class Fig14Energy(ExperimentBase):
         required_scalars=("mean_energy_ratio", "min_energy_ratio"),
         required_tables=("Energy",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_schemes(("gto", "poise"), config)
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         benchmarks = evaluation_benchmark_names()

@@ -23,6 +23,7 @@ from repro.experiments.common import (
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
+    plan_schemes,
 )
 from repro.profiling.metrics import harmonic_mean
 
@@ -44,6 +45,9 @@ class Fig15ApcmRandomRestart(ExperimentBase):
         required_scalars=tuple(f"hmean_{scheme}" for scheme in SCHEMES),
         required_tables=("IPC normalised to GTO",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return plan_schemes(SCHEMES, config)
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         benchmarks = evaluation_benchmark_names()

@@ -20,6 +20,8 @@ from repro.experiments.common import (
     ExperimentConfig,
     compute_benchmark_names,
     get_pbest,
+    measurement,
+    plan_schemes,
     run_scheme_on_benchmark,
     train_or_load_model,
 )
@@ -36,6 +38,12 @@ class Fig16ComputeIntensive(ExperimentBase):
         required_scalars=("hmean_poise", "min_poise"),
         required_tables=("compute-intensive",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        benchmarks = compute_benchmark_names()
+        return plan_schemes(("poise",), config, benchmarks) + [
+            measurement(get_pbest, get_benchmark(name).kernels[0], config) for name in benchmarks
+        ]
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         model = train_or_load_model(config)

@@ -18,6 +18,8 @@ from repro.experiments.common import (
     ExperimentBase,
     ExperimentConfig,
     get_profile,
+    measurement,
+    plan_benchmark,
     run_scheme_on_benchmark,
     train_or_load_model,
 )
@@ -43,6 +45,10 @@ class Fig17CaseStudy(ExperimentBase):
         required_scalars=("best_speedup",),
         required_tables=("static profile summary", "runtime warp-tuples"),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        spec = get_benchmark("bfs").kernels[0]
+        return [measurement(get_profile, spec, config)] + plan_benchmark("poise", "bfs", config)
 
     def build(self, config: ExperimentConfig, benchmark: str = "bfs") -> ExperimentResult:
         model = train_or_load_model(config)

@@ -20,16 +20,11 @@ import pkgutil
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple, Type
+from typing import List, Optional, Tuple, Type
 
 import repro.experiments as _experiments_pkg
 from repro.analysis.tables import ExperimentResult
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    preset_config,
-)
+from repro.experiments.common import ArtifactSchema, Entry, ExperimentBase, ExperimentConfig
 
 #: Module names matching this pattern must contribute a registered experiment.
 EXPERIMENT_MODULE_PATTERN = re.compile(r"^(fig|table|sec)")
@@ -49,10 +44,10 @@ class Experiment:
     module: str
     cls: Type[ExperimentBase]
     schema: ArtifactSchema
-    config_factory: Callable[[str], ExperimentConfig]
 
-    def make_config(self, label: str = "full") -> ExperimentConfig:
-        return self.config_factory(label)
+    def plan(self, config: ExperimentConfig) -> List[Entry]:
+        """The result-cache entries the experiment reads under ``config``."""
+        return self.cls().plan(config)
 
     def run(
         self, config: Optional[ExperimentConfig] = None, **overrides
@@ -121,7 +116,6 @@ def _discover() -> Tuple[Experiment, ...]:
                 module=f"repro.experiments.{module_name}",
                 cls=cls,
                 schema=cls.schema,
-                config_factory=preset_config,
             )
         )
     return tuple(sorted(experiments, key=lambda experiment: experiment.id))

@@ -19,6 +19,8 @@ from repro.experiments.common import (
     ExperimentConfig,
     get_features,
     get_profile,
+    measurement,
+    model_entry,
     train_or_load_model,
 )
 from repro.profiling.metrics import arithmetic_mean
@@ -34,6 +36,14 @@ class Sec7bPredictionError(ExperimentBase):
         required_scalars=("mean_error_n", "mean_error_p"),
         required_tables=("prediction error",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return [model_entry(config)] + [
+            measurement(read, spec, config)
+            for benchmark in evaluation_benchmarks()
+            for spec in config.limited_kernels(benchmark)
+            for read in (get_profile, get_features)
+        ]
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         model = train_or_load_model(config)

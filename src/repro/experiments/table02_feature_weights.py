@@ -17,6 +17,7 @@ from repro.experiments.common import (
     ArtifactSchema,
     ExperimentBase,
     ExperimentConfig,
+    model_entry,
     train_or_load_model,
 )
 
@@ -30,6 +31,9 @@ class Table02FeatureWeights(ExperimentBase):
         required_scalars=("num_training_kernels", "dispersion_n", "dispersion_p"),
         required_tables=("features and weights",),
     )
+
+    def plan(self, config: ExperimentConfig) -> list:
+        return [model_entry(config)]
 
     def build(self, config: ExperimentConfig) -> ExperimentResult:
         model = train_or_load_model(config)

@@ -8,7 +8,6 @@ from typing import Dict, List, Optional, Sequence, Tuple  # noqa: F401  (Sequenc
 from repro.gpu.config import GPUConfig, baseline_config
 from repro.gpu.counters import measure_window
 from repro.gpu.gpu import GPU, RunResult
-from repro.runtime.executor import SweepExecutor
 from repro.workloads.generator import generate_kernel_programs
 from repro.workloads.spec import KernelSpec
 
@@ -90,7 +89,6 @@ class KernelProfiler:
         warmup_cycles: int = 4_000,
         n_step: int = 1,
         p_step: int = 1,
-        executor: Optional[SweepExecutor] = None,
         engine: Optional[str] = None,
     ) -> None:
         self.config = config or baseline_config()
@@ -98,7 +96,6 @@ class KernelProfiler:
         self.warmup_cycles = warmup_cycles
         self.n_step = max(1, n_step)
         self.p_step = max(1, p_step)
-        self.executor = executor
         # Simulator-core selection; ``None`` defers to REPRO_ENGINE at build
         # time.  Both engines are bit-identical, so a profile never records
         # which one measured it.
@@ -145,81 +142,41 @@ class KernelProfiler:
             completed=sm.done,
         )
 
-    def profile(self, spec: KernelSpec) -> StaticProfile:
+    def grid(self, spec: KernelSpec) -> List[Tuple[int, int]]:
+        """The points :meth:`profile` measures, the baseline ``(max, max)`` first."""
+        max_warps = min(self.config.max_warps, spec.num_warps)
+        return list(dict.fromkeys([(max_warps, max_warps)] + self._grid_points(max_warps)))
+
+    def measure_points(
+        self, spec: KernelSpec, points: Sequence[Tuple[int, int]]
+    ) -> Dict[Tuple[int, int], RunResult]:
+        """Measure each of ``points``, simulating one set of generated programs."""
+        programs = generate_kernel_programs(spec)
+        return {(n, p): self.measure_point(spec, n, p, programs=programs) for n, p in points}
+
+    def profile(
+        self,
+        spec: KernelSpec,
+        measured: Optional[Dict[Tuple[int, int], RunResult]] = None,
+    ) -> StaticProfile:
         """Profile one kernel over the (possibly subsampled) warp-tuple grid.
 
-        Every grid point is an independent simulation, so when the resolved
-        executor has more than one worker the points are fanned out over a
-        process pool; results are keyed by their ``(n, p)`` point, so the
-        profile is identical to a serial sweep.
+        ``measured`` holds every :meth:`grid` point's result when they were
+        measured elsewhere (a plan deals a profile's points over its
+        workers); by default :meth:`measure_points` measures them here.
         """
-        max_warps = min(self.config.max_warps, spec.num_warps)
-        programs = generate_kernel_programs(spec)
-        baseline = self.measure_point(spec, max_warps, max_warps, programs=programs)
+        points = self.grid(spec)
+        if measured is None:
+            measured = self.measure_points(spec, points)
+        baseline = measured[points[0]]
         profile = StaticProfile(
             kernel=spec,
-            max_warps=max_warps,
+            max_warps=points[0][0],
             baseline_ipc=baseline.ipc,
             baseline_counters=baseline.counters,
         )
-        profile.ipc[(max_warps, max_warps)] = baseline.ipc
-        points = list(
-            dict.fromkeys(
-                point for point in self._grid_points(max_warps) if point not in profile.ipc
-            )
-        )
-        executor = self.executor or SweepExecutor()
-        # Trace-backed kernels stay on the serial path: each worker would
-        # otherwise re-decode the whole trace file per grid point, while the
-        # serial loop shares the one decoded ``programs`` across all points.
-        trace_backed = hasattr(spec, "materialise_programs")
-        if executor.parallel and len(points) > 1 and not trace_backed:
-            results = executor.map(
-                _measure_point_job,
-                [
-                    (
-                        self.config,
-                        spec,
-                        n,
-                        p,
-                        self.cycles_per_point,
-                        self.warmup_cycles,
-                        self.engine,
-                    )
-                    for n, p in points
-                ],
-            )
-            for (n, p), result in zip(points, results):
-                profile.ipc[(n, p)] = result.ipc
-        else:
-            for n, p in points:
-                result = self.measure_point(spec, n, p, programs=programs)
-                profile.ipc[(n, p)] = result.ipc
+        profile.ipc.update((point, measured[point].ipc) for point in points)
         return profile
-
-
-def _measure_point_job(
-    config: GPUConfig,
-    spec: KernelSpec,
-    n: int,
-    p: int,
-    cycles_per_point: int,
-    warmup_cycles: int,
-    engine: Optional[str] = None,
-) -> RunResult:
-    """Module-level worker for one grid point (must be picklable).
-
-    The worker regenerates the kernel's programs from the spec — generation
-    is seeded, so the traces (and therefore the counters) are identical to
-    the ones a serial sweep uses.
-    """
-    profiler = KernelProfiler(
-        config=config,
-        cycles_per_point=cycles_per_point,
-        warmup_cycles=warmup_cycles,
-        engine=engine,
-    )
-    return profiler.measure_point(spec, n, p)
 
 
 def measure_pbest(

@@ -19,9 +19,8 @@ scheme (gto/swl/pcal/poise/static_best) × representative synthetic and
 trace-family kernels × both engines, one row per combination, so the
 committed trajectory accumulates comparable data points instead of a single
 snapshot.  ``measure_sweep`` times the fast-profile warp-tuple sweep cold
-(every point simulated, the seed's serial path) and warm (served from the
-persistent result cache), plus a parallel re-sweep used to check counter
-equivalence.
+(every point simulated) and warm (served from the persistent result
+cache).
 
 All wall-clock measurement uses ``time.perf_counter`` and every record
 carries the ``engine`` that produced it plus the host ``python_version``
@@ -43,7 +42,6 @@ from repro.gpu.engine import resolve_engine
 from repro.gpu.gpu import GPU, RunResult
 from repro.obs.telemetry import phase
 from repro.profiling.profiler import KernelProfiler
-from repro.runtime.executor import SweepExecutor, jobs_budget
 from repro.workloads.generator import fill_programs, generate_kernel_programs
 from repro.workloads.spec import KernelSpec
 
@@ -337,31 +335,16 @@ def _matrix_model():
 
 
 def _matrix_controller(scheme: str, profile, model):
-    from repro.core.inference import PoiseParameters
     from repro.core.poise import PoiseController
-    from repro.schedulers import (
-        GTOController,
-        PCALController,
-        StaticBestController,
-        SWLController,
-    )
+    from repro.experiments.common import PROFILE_CONTROLLERS, ExperimentConfig
+    from repro.schedulers import GTOController
 
     if scheme == "gto":
         return GTOController()
-    if scheme == "swl":
-        return SWLController(profile=profile)
-    if scheme == "pcal":
-        return PCALController(profile=profile)
-    if scheme == "static_best":
-        return StaticBestController(profile=profile)
+    if scheme in PROFILE_CONTROLLERS:
+        return PROFILE_CONTROLLERS[scheme](profile=profile)
     if scheme == "poise":
-        return PoiseController(
-            model,
-            PoiseParameters(
-                t_period=30_000, t_warmup=1_000, t_feature=4_000, t_search=1_200,
-                threshold_cycles=2_000,
-            ),
-        )
+        return PoiseController(model, ExperimentConfig.fast().poise_params)
     raise ValueError(f"unknown matrix scheme {scheme!r}")
 
 
@@ -381,11 +364,12 @@ def measure_matrix(
     engine-agnostic by bit-identity); Poise uses the fixed-weight model, so
     the matrix needs no training pipeline and is deterministic end to end.
     """
+    from repro.experiments.common import PROFILE_CONTROLLERS
+
     kernels = list(kernels if kernels is not None else matrix_kernels())
     engines = [resolve_engine(engine) for engine in engines]
     model = _matrix_model()
     rows: List[Dict[str, object]] = []
-    profile_schemes = {"swl", "pcal", "static_best"}
     for entry in kernels:
         spec = entry["spec"]
         num_sms = int(entry.get("num_sms", 1))
@@ -393,7 +377,7 @@ def measure_matrix(
         programs = generate_kernel_programs(spec)
         fill_programs(programs)  # the first timed cell must not pay generation
         profile = None
-        if profile_schemes.intersection(schemes):
+        if PROFILE_CONTROLLERS.keys() & set(schemes):
             profiler = KernelProfiler(
                 config=config,
                 cycles_per_point=2_000,
@@ -435,16 +419,11 @@ def measure_matrix(
     return rows
 
 
-def measure_sweep(
-    cache_dir: Path,
-    spec: Optional[KernelSpec] = None,
-    parallel_jobs: int = 4,
-) -> Dict[str, object]:
-    """Time the fast-profile warp-tuple sweep cold, warm and in parallel.
+def measure_sweep(cache_dir: Path, spec: Optional[KernelSpec] = None) -> Dict[str, object]:
+    """Time the fast-profile warp-tuple sweep cold and warm.
 
     ``cache_dir`` must be fresh for the cold number to be honest.  Returns
-    wall-clock timings plus whether the parallel re-sweep reproduced the
-    serial grid bit-for-bit.
+    the wall-clock timings of both passes.
     """
     # Imported here: experiments.common pulls in the whole scheme zoo, which
     # the throughput-only path doesn't need.
@@ -453,24 +432,15 @@ def measure_sweep(
     spec = spec or memory_divergent_kernel()
     config = replace(ExperimentConfig.fast(), cache_dir=Path(cache_dir))
 
-    # The cold pass must be the serial path, whatever the ambient
-    # environment exports.
-    with jobs_budget(1):
-        clear_caches()
-        start = time.perf_counter()
-        cold_profile = get_profile(spec, config)
-        cold_seconds = time.perf_counter() - start
-
-        clear_caches()  # memory layer only; the disk layer persists
-        start = time.perf_counter()
-        warm_profile = get_profile(spec, config)
-        warm_seconds = max(time.perf_counter() - start, 1e-9)
-
+    clear_caches()
     start = time.perf_counter()
-    profiler = config.profiler()
-    profiler.executor = SweepExecutor(jobs=parallel_jobs)
-    parallel_profile = profiler.profile(spec)
-    parallel_seconds = time.perf_counter() - start
+    cold_profile = get_profile(spec, config)
+    cold_seconds = time.perf_counter() - start
+
+    clear_caches()  # memory layer only; the disk layer persists
+    start = time.perf_counter()
+    get_profile(spec, config)
+    warm_seconds = max(time.perf_counter() - start, 1e-9)
 
     clear_caches()
     return {
@@ -479,9 +449,4 @@ def measure_sweep(
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "warm_speedup": cold_seconds / warm_seconds,
-        "parallel_jobs": parallel_jobs,
-        "parallel_seconds": parallel_seconds,
-        "parallel_matches_serial": (
-            parallel_profile.ipc == cold_profile.ipc == warm_profile.ipc
-        ),
     }

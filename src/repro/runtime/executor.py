@@ -32,8 +32,8 @@ On top of the fan-out sits the fault-tolerance layer:
   result, and from :meth:`SweepExecutor.map_with_report`.
 
 The worker count comes from ``jobs=`` or the ``REPRO_JOBS`` environment
-variable, the one budget every ``--jobs`` flag sets (:func:`jobs_budget`)
-and whose grammar it shares (:func:`jobs_arg`):
+variable, the default of every ``--jobs`` flag, whose grammar the flags
+share (:func:`jobs_arg`):
 
 * unset or ``1`` — serial execution in-process (the default; this is also
   what tests use for determinism-by-construction),
@@ -41,10 +41,12 @@ and whose grammar it shares (:func:`jobs_arg`):
 * any other positive integer — that many workers,
 * anything else — a one-time warning naming the bad value, then serial.
 
-Worker processes force ``REPRO_JOBS=1`` for themselves, and an escalated
-job runs under it too, so nested sweeps (e.g. a profile sweep inside a
-parallel training run) never spawn pools of pools.  Timeouts cannot preempt the serial path (there is no worker to
-abandon); serial execution still retries transient ``OSError``s.
+Only a command builds an executor, once: ``repro run`` and ``pretrain``
+run their plan on it, ``sweep run`` its models' plan and then its points.
+No job starts a pool of its own, so a job escalated into the parent runs
+as it would in a worker.
+Timeouts cannot preempt the serial path (there is no worker to abandon);
+serial execution still retries transient ``OSError``s.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -144,26 +146,6 @@ def jobs_arg(raw: str) -> int:
         ) from None
 
 
-@contextmanager
-def jobs_budget(jobs: Optional[int]) -> Iterator[None]:
-    """Make a parsed ``--jobs`` value the ``REPRO_JOBS`` budget of every
-    fan-out in this scope: the command's own and the nested ones its
-    in-process jobs start (prefetched runs, profile grids, training).
-
-    ``None`` (the flag was not given) leaves ``REPRO_JOBS`` as it is.
-    """
-    previous = os.environ.get(JOBS_ENV)
-    if jobs is not None:
-        os.environ[JOBS_ENV] = str(jobs)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(JOBS_ENV, None)
-        else:
-            os.environ[JOBS_ENV] = previous
-
-
 def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
     """Per-job wall-clock timeout in seconds; ``None``/``0`` disables."""
     if timeout is None:
@@ -177,11 +159,6 @@ def resolve_retries(retries: Optional[int] = None) -> int:
     if retries is None:
         retries = env_number(RETRIES_ENV, int, DEFAULT_RETRIES, f"{DEFAULT_RETRIES} retries")
     return max(0, int(retries))
-
-
-def _worker_init() -> None:
-    """Run in every pool worker: force serial execution for nested sweeps."""
-    os.environ[JOBS_ENV] = "1"
 
 
 def _job_with_cache_delta(fn: Callable, *args) -> Tuple[Any, Dict[str, int]]:
@@ -220,6 +197,16 @@ class JobReport:
     def to_dict(self) -> Dict[str, Any]:
         """The plain-dict form telemetry sidecars and bench entries embed."""
         return asdict(self)
+
+    def __add__(self, other: "JobReport") -> "JobReport":
+        """The accounting of both fan-outs together."""
+        counts = {
+            name: count + getattr(other, name)
+            for name, count in vars(self).items()
+            if name != "worker_cache"
+        }
+        cache = Counter(self.worker_cache or {}) + Counter(other.worker_cache or {})
+        return JobReport(**counts, worker_cache=dict(cache) or None)
 
     @property
     def clean(self) -> bool:
@@ -286,10 +273,6 @@ class SweepExecutor:
         self._injected: Set[int] = set()
         self._events: Counter = Counter()
         self._worker_cache: Counter = Counter()
-
-    @property
-    def parallel(self) -> bool:
-        return self.jobs > 1
 
     @property
     def last_report(self) -> Optional[JobReport]:
@@ -396,16 +379,12 @@ class SweepExecutor:
         try:
             while pending:
                 # Jobs that exhausted their pool attempts run one final time
-                # in this process — the path that cannot be OOM-killed —
-                # serially inside, as a pool worker runs them: a nested pool
-                # here would have none of this one's timeout.
+                # in this process — the path that cannot be OOM-killed.
                 for index in [i for i in pending if self._attempts[i] > self.retries]:
                     self._events["escalated"] += 1
                     self._attempts[index] += 1
                     pending.remove(index)
-                    with jobs_budget(1):
-                        result = fn(*args_list[index])
-                    yield index, result
+                    yield index, fn(*args_list[index])
                 if not pending:
                     break
                 if round_index:
@@ -413,10 +392,7 @@ class SweepExecutor:
                 round_index += 1
                 try:
                     if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(self.jobs, len(pending)),
-                            initializer=_worker_init,
-                        )
+                        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
                     futures = [
                         self._submit(pool, fn, args_list, index, spec) for index in pending
                     ]

@@ -41,7 +41,7 @@ import os
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT_VERSION,
@@ -120,6 +120,17 @@ def evaluate_point(point: ScenarioPoint, base_config) -> Dict[str, Any]:
     return outcome_metrics(outcome)
 
 
+def plan_point(point: ScenarioPoint, base_config) -> List:
+    """The result-cache entries :func:`evaluate_point` reads."""
+    from repro.experiments.common import model_entry, plan_benchmark, plan_mix
+
+    config = point.experiment_config(base_config)
+    if point.kernel_mix is not None:
+        return plan_mix(point.benchmark, config, point.kernel_mix)
+    model = model_entry(base_config, point.feature_mask)
+    return plan_benchmark(point.scheme, point.benchmark, config, model)
+
+
 def outcome_metrics(outcome) -> Dict[str, Any]:
     """The content-stable metrics payload of one ``BenchmarkOutcome``."""
     metrics: Dict[str, Any] = {name: getattr(outcome, name) for name in POINT_METRICS}
@@ -152,6 +163,11 @@ def evaluate_grid(
     artifacts, just ``{point: metrics}`` backed by the ordinary run caches.
     """
     return {point: evaluate_point(point, base_config) for point in grid.points()}
+
+
+def plan_grid(grid: ScenarioGrid, base_config) -> List:
+    """The result-cache entries :func:`evaluate_grid` reads."""
+    return [entry for point in grid.points() for entry in plan_point(point, base_config)]
 
 
 @dataclass(frozen=True)
@@ -415,12 +431,16 @@ class SweepRunner:
             todo.append(point)
         spec = faults.active_spec()
         write_plan = spec.site_plan("runner.write", len(todo)) if spec else {}
+        executor = SweepExecutor(jobs=jobs, timeout=timeout, retries=retries)
         if self._evaluate is not None:
             evaluate, job_args = self._evaluate, [(point,) for point in todo]
         else:
-            self._prefetch_models(todo)
+            from repro.experiments.common import model_entry, run_plan
+
+            # The points' models, resolved once here for the workers to read.
+            poise = [point for point in todo if point.scheme.startswith("poise")]
+            run_plan([model_entry(self.config, point.feature_mask) for point in poise], executor)
             evaluate, job_args = evaluate_point, [(point, self.config) for point in todo]
-        executor = SweepExecutor(jobs=jobs, timeout=timeout, retries=retries)
         with closing(executor.imap(evaluate, job_args)) as results:
             for index, point in enumerate(todo):
                 if stop is not None and stop():
@@ -502,16 +522,3 @@ class SweepRunner:
                 )
                 report.repaired_writes += 1
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _prefetch_models(self, todo: Sequence[ScenarioPoint]) -> None:
-        """Resolve every model the shard needs once, in this process, so the
-        disk cache hands it to the workers instead of each retraining."""
-        from repro.experiments.common import train_or_load_model
-
-        masks = {
-            point.feature_mask for point in todo if point.scheme.startswith("poise")
-        }
-        for mask in sorted(masks, key=lambda value: (value is not None, value)):
-            train_or_load_model(
-                self.config, feature_mask=list(mask) if mask is not None else None
-            )

@@ -208,7 +208,6 @@ JOBS_COMMANDS = [
     ["run-all", "--fast"],
     ["sweep", "run", "smoke", "--fast"],
     ["pretrain", "--fast"],
-    ["bench", "--dry-run"],
 ]
 
 

@@ -14,14 +14,24 @@ from __future__ import annotations
 import json
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import repro.experiments.common as common
 from repro.cli import runner
 from repro.cli.main import main as cli_main
 from repro.experiments import registry
-from repro.experiments.common import ArtifactSchema, ExperimentBase, default_cache_dir
+from repro.experiments.common import (
+    ArtifactSchema,
+    ExperimentBase,
+    default_cache_dir,
+    preset_config,
+    run_plan,
+)
+from repro.runtime.cache import content_key
+from repro.runtime.executor import SweepExecutor
 
 EXPERIMENTS_DIR = Path(__file__).resolve().parents[1] / "src" / "repro" / "experiments"
 
@@ -53,7 +63,7 @@ class TestDiscovery:
             assert experiment.id and experiment.artifact and experiment.title
             assert issubclass(experiment.cls, ExperimentBase)
             assert isinstance(experiment.schema, ArtifactSchema)
-            config = experiment.make_config("fast")
+            config = preset_config("fast")
             assert config.label == "fast"
 
     def test_module_without_subclass_is_rejected(self, monkeypatch):
@@ -111,6 +121,32 @@ def test_cli_smoke_artifact_validates(cli_artifacts_dir, experiment_id):
     registry.get(experiment_id).validate_artifact(payload)
     assert payload["config"]["label"] == "fast"
     assert payload["version"]
+
+
+@pytest.mark.parametrize("experiment_id", registry.experiment_ids())
+def test_plan_names_exactly_what_the_build_reads(cli_artifacts_dir, experiment_id, monkeypatch):
+    """An experiment's plan names every result-cache entry its build reads,
+    and nothing more: once the plan has run (all disk hits after the run-all
+    above), the build finds every read in the memo, so it computes nothing."""
+    experiment = registry.get(experiment_id)
+    config = replace(preset_config("fast"), cache_dir=default_cache_dir())
+    common.clear_caches()
+    run_plan(experiment.plan(config), SweepExecutor(jobs=1))
+    planned = set(common._MEMO)
+    read = set()
+    cached = common._cached
+
+    def reading(payload, config, compute):
+        key = content_key(payload)
+        assert key in common._MEMO, (
+            f"{experiment_id}'s build reads a {payload['kind']} entry its plan misses"
+        )
+        read.add(key)
+        return cached(payload, config, compute)
+
+    monkeypatch.setattr(common, "_cached", reading)
+    experiment.run(config)
+    assert read == planned
 
 
 def test_report_covers_all_artifacts(cli_artifacts_dir, capsys):

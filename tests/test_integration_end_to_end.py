@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.features import FeatureSampler
-from repro.core.model_store import load_model, model_to_dict, save_model
+from repro.core.model_store import load_model, save_model
 from repro.core.training import TrainedModel
 from repro.experiments.common import (
     ExperimentConfig,
@@ -20,7 +20,6 @@ from repro.experiments.common import (
     get_features,
     run_scheme_on_benchmark,
     run_scheme_on_kernel,
-    train_model,
     train_or_load_model,
 )
 from repro.profiling.profiler import KernelProfiler
@@ -129,14 +128,20 @@ class TestTrainingReadsTheResultCache:
         ]
         assert sorted(profiled) == sorted(kernels)
 
-    def test_pooled_training_fits_the_serial_model(
+    def test_pooled_pretrain_stores_the_serial_models_bytes(
         self, fresh_fast_config, monkeypatch, no_children_left
     ):
-        serial = train_model(fresh_fast_config)
+        from repro.cli.pretrain import main as pretrain
+
+        def models(cache_dir):
+            return {path.name: path.read_bytes() for path in cache_dir.glob("model-*.json")}
+
+        train_or_load_model(fresh_fast_config)
+        serial = models(fresh_fast_config.cache_dir)
+        pooled_dir = fresh_fast_config.cache_dir / "pooled"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(pooled_dir))
         clear_caches()
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        pooled = train_model(
-            replace(fresh_fast_config, cache_dir=fresh_fast_config.cache_dir / "pooled")
-        )
-        assert model_to_dict(pooled) == model_to_dict(serial)
+        assert pretrain(["--fast", "--jobs", "2"]) == 0
+        assert len(serial) == 1
+        assert models(pooled_dir) == serial
         assert no_children_left()

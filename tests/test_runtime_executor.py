@@ -18,12 +18,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.model_store import model_to_dict
 from repro.experiments.common import (
     ExperimentConfig,
     clear_caches,
     evaluate_schemes,
     get_profile,
+    measurement,
+    model_entry,
+    plan_schemes,
+    run_plan,
     run_scheme_on_kernel,
+    train_or_load_model,
 )
 from repro.gpu.config import baseline_config
 from repro.profiling.profiler import KernelProfiler
@@ -37,6 +43,7 @@ from repro.runtime.serialization import (
     run_result_from_dict,
     run_result_to_dict,
 )
+from repro.workloads.registry import get_benchmark
 from repro.workloads.spec import KernelSpec
 
 
@@ -235,50 +242,101 @@ class TestStreaming:
         assert executor.last_report.attempts == 1
 
 
+@pytest.fixture
+def pools(tmp_path, monkeypatch):
+    """The pid of the process that started each pool: a pool started in a
+    worker shows its pid, since forked workers inherit this patch."""
+    import repro.runtime.executor as executor_module
+
+    log = tmp_path / "pools.log"
+    log.touch()
+
+    class RecordedPool(executor_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordedPool)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
 class TestSerialParallelEquivalence:
-    def test_profile_sweep_identical(self, sweep_spec):
-        """REPRO_JOBS=1 and REPRO_JOBS=4 sweeps measure identical grids."""
-        config = baseline_config(max_cycles=40_000)
-        kwargs = dict(cycles_per_point=1_500, warmup_cycles=1_000, n_step=3, p_step=3)
-        serial = KernelProfiler(config, executor=SweepExecutor(jobs=1), **kwargs).profile(
-            sweep_spec
-        )
-        parallel = KernelProfiler(config, executor=SweepExecutor(jobs=4), **kwargs).profile(
-            sweep_spec
-        )
-        assert serial.ipc == parallel.ipc
-        assert serial.baseline_ipc == parallel.baseline_ipc
-        assert serial.baseline_counters == parallel.baseline_counters
+    def test_serial_and_pooled_plans_compute_identical_entries(
+        self, tmp_path, pools, no_children_left
+    ):
+        """A plan computes the same profiles, model, run counters and
+        speedups on one worker and on two, where both stages run on the
+        pool and the parent keeps the copies the workers return."""
+        spec = get_benchmark("bfs").kernels[0]
+        schemes, benchmarks = ("gto", "swl", "poise"), ["bfs", "mvt"]
 
-    def test_profile_sweep_identical_via_env(self, sweep_spec, monkeypatch):
-        config = baseline_config(max_cycles=40_000)
-        kwargs = dict(cycles_per_point=1_500, warmup_cycles=1_000, n_step=4, p_step=4)
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        serial = KernelProfiler(config, **kwargs).profile(sweep_spec)
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        parallel = KernelProfiler(config, **kwargs).profile(sweep_spec)
-        assert serial.ipc == parallel.ipc
+        def read(config):
+            runs = {}
+            for scheme, outcomes in evaluate_schemes(schemes, config, benchmarks).items():
+                for name, outcome in outcomes.items():
+                    counters = {k: r.counters for k, r in outcome.kernel_results.items()}
+                    runs[scheme, name] = (outcome.speedup, counters)
+            profile = get_profile(spec, config)
+            model = model_to_dict(train_or_load_model(config))
+            return profile.ipc, profile.baseline_counters, model, runs
 
-    def test_evaluate_schemes_identical_counters(self, tmp_cache_config, monkeypatch):
-        """The full evaluation path agrees between serial and parallel runs."""
-        config = replace(tmp_cache_config, kernels_per_benchmark=1)
-        benchmarks = ["bfs"]
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        serial = evaluate_schemes(("gto", "swl"), config, benchmarks=benchmarks)
-        clear_caches(config)  # drop memory AND disk so the parallel pass recomputes
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        parallel = evaluate_schemes(("gto", "swl"), config, benchmarks=benchmarks)
-        for scheme in ("gto", "swl"):
-            for name in benchmarks:
-                lhs = serial[scheme][name]
-                rhs = parallel[scheme][name]
-                assert lhs.speedup == rhs.speedup
-                assert lhs.kernel_results.keys() == rhs.kernel_results.keys()
-                for kernel in lhs.kernel_results:
-                    assert (
-                        lhs.kernel_results[kernel].counters
-                        == rhs.kernel_results[kernel].counters
-                    )
+        def computed(jobs):
+            clear_caches()
+            config = replace(ExperimentConfig.fast(), cache_dir=tmp_path / f"jobs{jobs}")
+            plan = [measurement(get_profile, spec, config), model_entry(config)]
+            run_plan(plan + plan_schemes(schemes, config, benchmarks), SweepExecutor(jobs=jobs))
+            in_memo = read(config)
+            clear_caches()
+            assert read(config) == in_memo  # each kept copy is its own entry
+            return in_memo
+
+        serial = computed(1)
+        assert pools() == []
+        pooled = computed(2)
+        clear_caches()
+        # Measurements, then runs (on two kernels, one job each).
+        assert pools() == [os.getpid()] * 2
+        assert serial == pooled
+        assert no_children_left()
+
+    def test_a_profile_dealt_over_two_workers_equals_the_serial_one(
+        self, tmp_path, pools, no_children_left
+    ):
+        """With fewer kernels than workers, a profile's grid is measured in
+        slices on the pool and assembled here: same profile, same bytes."""
+        spec = get_benchmark("ii").kernels[0]
+
+        def profiled(jobs):
+            clear_caches()
+            config = replace(ExperimentConfig.fast(), cache_dir=tmp_path / f"jobs{jobs}")
+            run_plan([measurement(get_profile, spec, config)], SweepExecutor(jobs=jobs))
+            (entry,) = (config.cache_dir / "runs").glob("*.json")
+            return get_profile(spec, config), entry.name, entry.read_bytes()
+
+        serial, pooled = profiled(1), profiled(2)
+        clear_caches()
+        assert pools() == [os.getpid()]
+        assert serial[0].ipc == pooled[0].ipc
+        assert serial[0].baseline_counters == pooled[0].baseline_counters
+        assert serial[1:] == pooled[1:]
+        assert no_children_left()
+
+    def test_a_retried_job_reads_back_what_its_failed_attempt_stored(
+        self, sweep_spec, tmp_cache_config
+    ):
+        from repro.experiments.common import _compute_all, _probe
+
+        miss = _probe(measurement(get_profile, sweep_spec, tmp_cache_config))
+        _, payload, config, compute = miss.args
+        (stored,) = _compute_all([(payload, config, compute)])
+        clear_caches()
+
+        def recompute():
+            raise AssertionError("the stored entry was computed again")
+
+        (read_back,) = _compute_all([(payload, config, recompute)])
+        assert read_back.ipc == stored.ipc
 
 
 class TestDiskCache:
@@ -495,28 +553,33 @@ class TestWorkerCacheTelemetry:
         assert executor.last_report.worker_cache in (None, {})
 
 
-class TestJobsBudget:
-    """Every ``--jobs`` flag is the budget of its command's nested fan-outs too."""
+class TestOneFanOutPerCommand:
+    """A command fans out once, on the executor it builds."""
 
-    def test_a_lone_experiment_gives_its_nested_fan_outs_the_jobs_budget(
-        self, tmp_path, monkeypatch
+    def test_a_cold_run_starts_one_pool_per_stage_and_none_in_a_worker(
+        self, tmp_path, pools, no_children_left
     ):
-        from repro.cli import runner
         from repro.cli.main import main
 
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        budgets = []
-        run_experiment = runner.run_experiment
+        clear_caches()
+        cache_dir = tmp_path / "cache"
+        assert main(["run", "fig07", "--fast", "--jobs", "2", "--cache-dir", str(cache_dir)]) == 0
+        # Profiles and runs miss; the model is fitted in this process.
+        assert pools() == [os.getpid()] * 2
+        assert no_children_left()
 
-        def recording(*args):
-            budgets.append(SweepExecutor().jobs)
-            return run_experiment(*args)
+    def test_a_cold_pooled_run_all_computes_each_entry_once(self, tmp_path, capsys):
+        from repro.cli.main import main
 
-        monkeypatch.setattr(runner, "run_experiment", recording)
-        assert main(["run", "table04", "--fast", "--jobs", "2", "--cache-dir", str(tmp_path)]) == 0
-        assert budgets == [2]
-        assert "REPRO_JOBS" not in os.environ  # the budget ends with the command
+        clear_caches()
+        cache_dir = tmp_path / "cache"
+        assert main(["run-all", "--fast", "--jobs", "2", "--cache-dir", str(cache_dir)]) == 0
+        cache_line = next(
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("cache: ")
+        )
+        entries = len(list((cache_dir / "runs").glob("*.json")))
+        entries += len(list(cache_dir.glob("model-*.json")))
+        assert cache_line.startswith(f"cache: 0 hits, {entries} misses, {entries} stores")
 
     def test_sweep_jobs_one_starts_no_pool_under_an_ambient_budget(
         self, tmp_path, monkeypatch
@@ -534,7 +597,6 @@ class TestJobsBudget:
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
         clear_caches()
-        # One point, whose runs would fan out under the ambient budget.
         overrides = ["num_sms=none", "scheme=ccws", "benchmark=gather"]
         argv = ["run", "smoke", "--fast", "--jobs", "1", "--cache-dir", str(tmp_path)]
         for override in overrides:

@@ -229,17 +229,38 @@ class TestExecutorUnderFaults:
         assert report.transient_errors == 2  # retries + 1 pool attempts
         assert report.injected == 1
 
-    def test_escalated_job_runs_under_a_serial_budget(self, monkeypatch):
-        """An escalated job runs in the parent, under the jobs budget a pool
-        worker gets: a nested fan-out of its own would run on a pool with
-        none of this executor's timeout."""
+    def test_an_escalated_job_starts_no_pool(self, tmp_path, monkeypatch):
+        """A planned run escalated into the parent runs there as it would in
+        a worker: the plan's one pool is the only one, even under an
+        ambient REPRO_JOBS."""
+        import repro.runtime.executor as executor_module
+        from repro.experiments.common import clear_caches, run_entry, run_plan
+        from repro.workloads.spec import KernelSpec
+
+        started = []
+
+        class RecordedPool(executor_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(os.getpid())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordedPool)
         monkeypatch.setenv("REPRO_JOBS", "2")
         monkeypatch.setenv("REPRO_FAULTS", "seed=0,executor:oserror:1:all")
-        executor = SweepExecutor(retries=0)
-        results, report = executor.map_with_report(_jobs_budget, [(), ()])
+        specs = [
+            KernelSpec(name=f"escalated{seed}", num_warps=8, instructions_per_warp=300, seed=seed)
+            for seed in (3, 4)
+        ]
+        config = replace(ExperimentConfig.fast(), cache_dir=tmp_path)
+        plan = [run_entry(scheme, spec, config) for spec in specs for scheme in ("gto", "ccws")]
+        clear_caches()
+        try:
+            report = run_plan(plan, SweepExecutor(retries=0))
+            assert all(entry.read().cycles > 0 for entry in plan)
+        finally:
+            clear_caches()
         assert report.escalated == 1
-        assert results == ["1", "1"]
-        assert os.environ["REPRO_JOBS"] == "2"
+        assert started == [os.getpid()]
 
     def test_serial_path_never_injects(self, monkeypatch):
         monkeypatch.setenv(
@@ -254,10 +275,6 @@ class TestExecutorUnderFaults:
 
 def _square_job(x: int) -> int:
     return x * x
-
-
-def _jobs_budget() -> str:
-    return os.environ["REPRO_JOBS"]
 
 
 # ---------------------------------------------------------------------------

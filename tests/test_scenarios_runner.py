@@ -378,6 +378,33 @@ def test_real_pooled_stop_checkpoints_and_resume_is_byte_identical(
     assert artifact_bytes(runner) == reference
 
 
+def test_a_planned_grid_leaves_its_points_nothing_to_compute(tmp_path, monkeypatch):
+    """``plan_grid`` names every entry ``evaluate_grid`` reads: a
+    profile-driven run's profile, and a DAG point's graph run with its
+    single-SM references."""
+    import repro.experiments.common as common
+    from repro.runtime.executor import SweepExecutor
+    from repro.scenarios.runner import evaluate_grid, plan_grid
+
+    def compute():
+        raise AssertionError("a planned entry was computed again")
+
+    config = tiny_config(tmp_path)
+    grids = [
+        ScenarioGrid("mix", {"benchmark": ["mvt"], "num_sms": [2], "kernel_mix": ["chain"]}),
+        ScenarioGrid("profiled", {"benchmark": ["mvt"], "scheme": ["swl"]}),
+    ]
+    common.clear_caches()
+    try:
+        common.run_plan([e for grid in grids for e in plan_grid(grid, config)], SweepExecutor())
+        cached = common._cached
+        monkeypatch.setattr(common, "_cached", lambda payload, cfg, _: cached(payload, cfg, compute))
+        for grid in grids:
+            assert len(evaluate_grid(grid, config)) == 1
+    finally:
+        common.clear_caches()
+
+
 @pytest.mark.parametrize("scheme", ["ccws", "swl"])
 def test_point_metrics_are_engine_invariant(scheme, tmp_path, monkeypatch):
     """One scenario point evaluated on each registered engine — its runs
