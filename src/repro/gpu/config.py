@@ -120,10 +120,10 @@ class GPUConfig:
     #: chip model: that many SMs time-multiplexed against one shared L2/DRAM
     #: busy-server pair, so inter-SM contention becomes measurable.
     num_sms: int = 1
-    #: Chip interleave quantum in cycles: with ``num_sms > 1`` every SM is
-    #: advanced to the next multiple of this absolute-cycle grid before any SM
-    #: crosses it, which makes the interleaved memory-request order (and hence
-    #: all counters) independent of controller window sizes and engines.
+    #: Chip interleave quantum in cycles: with ``num_sms > 1`` the shared
+    #: L2 serves new requests in ``(cycle // sm_quantum, sm_id, per-SM)``
+    #: order (:mod:`repro.gpu.chip`), which makes every counter independent
+    #: of the engine and of controller windows that end on this grid.
     sm_quantum: int = 100
     max_cycles: int = 200_000
     track_reuse_distance: bool = False

@@ -15,6 +15,34 @@ Two engines execute kernels, bit-identically:
   golden-counter tests and the N-way conformance harness
   (``tests/engine_conformance.py``).
 
+Core protocol
+-------------
+Besides the controller surface (``cycle``, ``counters``, ``done``,
+``warp_tuple``, ``set_warp_tuple``, ``snapshot``, ``run_cycles``,
+``run_to_completion``, ...), every core has ``loop()``, which returns its
+cycle loop as a coroutine:
+
+* ``next(loop)`` yields ``(cycle, unfinished)``: the SM's clock and its
+  count of unfinished warps;
+* ``loop.send((limit, horizon))`` runs until the clock reaches ``limit``,
+  the last warp retires, or a load is about to send a *new* request to
+  the shared L2 at a cycle ``>= horizon``, and yields ``(cycle,
+  unfinished)`` again.  That stop comes before the load changes any
+  state, so the next resume issues the same load.  A stopped SM is
+  resumed with a later horizon; :data:`NO_HORIZON` never stops it;
+* ``loop.close()`` publishes the SM's counters, memory statistics and
+  state.  Until then ``cycle``, ``done`` and ``counters`` may be stale:
+  only the shared L2/DRAM busy clocks are written back at every stop and
+  reloaded at every resume, since other SMs' loops serve requests in
+  between.
+
+The owner of a loop closes it, and no core stores its own loop: the
+loop's frame refers to the core, and a core holding its loop would be a
+reference cycle that only the cyclic collector frees.  ``run_cycles`` and
+``run_to_completion`` are :func:`run_alone`; the chip scheduler
+(:mod:`repro.gpu.chip`) interleaves several loops over one shared memory.
+The ``legacy`` core's loop wraps its ``_step``.
+
 Adding an engine is one registry entry here plus a branch in
 :func:`repro.gpu.chip.core_class_for_engine`: the conformance harness and
 golden replay enumerate :data:`ENGINES`.
@@ -32,6 +60,7 @@ hit for the other.
 from __future__ import annotations
 
 import os
+import sys
 from typing import Optional
 
 #: Environment variable naming the engine to simulate with.
@@ -42,6 +71,9 @@ ENGINE_LEGACY = "legacy"
 
 #: Every recognised engine name.
 ENGINES = (ENGINE_FAST, ENGINE_LEGACY)
+
+#: A horizon no clock reaches: the loop never stops before an L2 request.
+NO_HORIZON = sys.maxsize
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -59,3 +91,11 @@ def resolve_engine(engine: Optional[str] = None) -> str:
         )
     return value
 
+
+def run_alone(sm, limit: int) -> None:
+    """Run ``sm`` by itself until its clock reaches ``limit`` or it
+    finishes: one resume of a fresh loop, closed so that it publishes."""
+    loop = sm.loop()
+    next(loop)
+    loop.send((limit, NO_HORIZON))
+    loop.close()

@@ -27,9 +27,11 @@ state:
   legacy strict-LRU victim order, with no stamps and no way scans;
 * **the L2/DRAM busy servers** are served inside the loop with the legacy
   arithmetic *operation for operation* (same float products, same
-  ``max``/``min`` clamps, same ``int()`` truncation); the shared
-  :class:`FastMemorySubsystem` state is bound to locals when a slice starts
-  and written back when it ends;
+  ``max``/``min`` clamps, same ``int()`` truncation).  The busy clocks of
+  the shared :class:`FastMemorySubsystem` are reloaded each time the loop
+  resumes and written back each time it stops, because other SMs' loops
+  serve requests in between; its request statistics are published when
+  the loop is closed;
 * **the MSHR file** becomes a set of in-flight line addresses (capacity
   check is a ``len()``) plus the per-line waiter lists already shared with
   the response heap;
@@ -39,8 +41,9 @@ state:
   greedy-then-oldest pick is the last warp if its bit is still set in
   ``ready & vital``, else the lowest set bit.
 
-The whole ``deliver → pick → issue`` step is fused into one function with
-every piece of mutable state bound to locals; runs of consecutive ALU
+The whole ``deliver → pick → issue`` step is fused into one coroutine,
+:meth:`FastStreamingMultiprocessor.loop`, with every piece of mutable state
+bound to locals once and kept there between resumes; runs of consecutive ALU
 instructions issue as a single batched update (provably equivalent: an ALU
 issue changes nothing but ``pc``, the cycle counter and three counters, so
 ``k`` sticky ALU issues commute with the loop as long as no response is due
@@ -50,9 +53,7 @@ Two classes of dead cycle advance the clock in one jump instead of one tick
 each, both to ``min(next memory completion, run limit)``:
 
 * **no-ready stalls** — no vital warp can issue, credited to
-  ``cycles`` and ``stall_cycles``.  A slice that starts with no vital warp
-  ready and no response due before its limit is one such stall, credited
-  before any state is bound;
+  ``cycles`` and ``stall_cycles``;
 * **MSHR-full retries** — the greedy-then-oldest pick lands on a load that
   would miss while every MSHR entry is in flight, so the slot is wasted and
   the warp retries.  Memory-sensitive kernels spend most of their cycles
@@ -71,10 +72,13 @@ the next completion-heap head:
   and the cache policy's ``allow_allocate`` is a query.
 
 Each cycle of the span is therefore an identical MSHR-stall cycle.  Every
-jump target is clamped to the run limit, so a jump never crosses a
+jump target is clamped to the resume's limit, so a jump never crosses a
 controller window boundary (``run_cycles`` / ``snapshot`` /
-``set_warp_tuple``) and windowed controllers see the oracle's per-window
-counter deltas.
+``set_warp_tuple``) nor a barrier of the chip scheduler, and windowed
+controllers see the oracle's per-window counter deltas.  Jumps need no
+clamp at the resume's *horizon*: they send no request to the L2, and the
+loop stops only before a new L2 request at or past the horizon (see
+:mod:`repro.gpu.chip`).
 
 Bit-identity with the legacy core — every counter, every cycle — is pinned
 by the golden-counter fixtures and by the differential Hypothesis suite in
@@ -85,10 +89,11 @@ from __future__ import annotations
 
 import heapq
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.gpu.config import CacheConfig, GPUConfig, MemoryConfig
 from repro.gpu.counters import PerfCounters
+from repro.gpu.engine import run_alone
 from repro.gpu.isa import Instruction
 from repro.gpu.reuse import ReuseDistanceTracker
 from repro.gpu.sm import CacheManagementPolicy
@@ -135,8 +140,10 @@ class FastMemorySubsystem:
     """The state of :class:`repro.gpu.memory.MemorySubsystem` (L2 sets,
     both busy-server clocks, the request statistics), read and written by
     the fused loop of :class:`FastStreamingMultiprocessor`, which serves
-    every request inline.  A chip's SMs share one instance; they run one
-    slice at a time, so binding it to locals per slice is exact.
+    every request inline.  A chip's SMs share one instance; the chip
+    scheduler resumes one SM loop at a time, and each loop reloads the busy
+    clocks when it resumes and writes them back when it stops, so serving
+    requests from locals in between is exact.
     """
 
     __slots__ = (
@@ -288,14 +295,14 @@ class FastStreamingMultiprocessor:
     def run_cycles(self, budget: int) -> int:
         """Run for up to ``budget`` cycles (or until the kernel finishes)."""
         start = self.cycle
-        self._run(self.cycle + budget)
+        run_alone(self, self.cycle + budget)
         return self.cycle - start
 
     def run_to_completion(self, max_cycles: Optional[int] = None) -> int:
         limit = self.cycle + (
             max_cycles if max_cycles is not None else self.config.max_cycles
         )
-        self._run(limit)
+        run_alone(self, limit)
         return self.cycle
 
     # -- scheduler bits -----------------------------------------------------------
@@ -316,22 +323,16 @@ class FastStreamingMultiprocessor:
 
     # -- the fused cycle loop -----------------------------------------------------
 
-    def _run(self, limit: int) -> None:
+    def loop(self) -> Generator[Tuple[int, int], Tuple[int, int], None]:
+        """The fused cycle loop as a coroutine: the core protocol of
+        :mod:`repro.gpu.engine`.  State is bound to locals once; counters
+        and state are published when the loop is closed."""
         cycle = self.cycle
         unfinished = self._unfinished
-        if cycle >= limit or not unfinished:
-            return
         responses = self._responses
         next_completion = responses[0][0] if responses else _NO_RESPONSE
-        if not self._ready & self._vital and next_completion >= limit:
-            # An idle slice: no vital warp can issue and nothing lands before
-            # the limit, so the whole span is one no-ready stall.
-            self.cycle = limit
-            self.counters.cycles += limit - cycle
-            self.counters.stall_cycles += limit - cycle
-            return
 
-        # ---- counter accumulators (flushed to self.counters on exit) --------
+        # ---- counter accumulators (published to self.counters on close) -----
         cycles_c = busy_c = stall_c = instr_c = loads_c = 0
         l1_acc = l1_hit = l1_miss = l1_byp = 0
         pol_acc = pol_hit = npol_acc = npol_hit = 0
@@ -369,7 +370,7 @@ class FastStreamingMultiprocessor:
         heappop = heapq.heappop
         refresh = self._refresh_bits
 
-        # ---- the shared L2/DRAM state, written back on exit ------------------
+        # ---- the shared L2/DRAM state: busy clocks reloaded at each resume --
         memory = self.memory
         mem_cfg = memory.config
         l2 = memory.l2
@@ -379,8 +380,6 @@ class FastStreamingMultiprocessor:
         max_queue_delay = mem_cfg.max_queue_delay
         l2_service = memory.l2_service
         dram_service = memory.dram_service
-        l2_busy = memory._l2_busy_until
-        dram_busy = memory._dram_busy_until
 
         # Per-warp row cache: GTO is sticky, so consecutive issues almost
         # always come from the same warp and the row locals stay hot.
@@ -395,260 +394,277 @@ class FastStreamingMultiprocessor:
         filled_w = 0
         out_w: Dict[int, Tuple[int, int]] = {}
 
-        while cycle < limit and unfinished:
-            # ---- deliver memory responses due this cycle --------------------
-            while next_completion <= cycle:
-                completion, _, line, waiters = heappop(responses)
-                del waiters_map[line]
-                for wid, token in waiters:
-                    out = outstanding[wid]
-                    fd, issue_cycle = out.pop(token)
-                    # Each waiter is charged its own latency: merged loads
-                    # issue later than the primary, so their round trip is
-                    # shorter.
-                    missreq_c += 1
-                    misslat_c += completion - issue_cycle
-                    if fd <= minfd[wid]:
-                        new_min = _NO_BLOCK
-                        for pending in out.values():
-                            first_dep = pending[0]
-                            if first_dep < new_min:
-                                new_min = first_dep
-                        minfd[wid] = new_min
-                    pc = pcs[wid]
-                    if not out and pc >= plens[wid]:
-                        alive[wid] = False
-                        unfinished -= 1
-                        refresh()
-                        vital = self._vital
-                    elif (
-                        not ready >> wid & 1 and pc < plens[wid] and pc < minfd[wid]
-                    ):
-                        # The raised min-first-dependent unblocked the warp.
-                        ready |= 1 << wid
-                mshr_lines.discard(line)
-                next_completion = responses[0][0] if responses else _NO_RESPONSE
+        try:
+            while True:
+                limit, horizon = yield cycle, unfinished
+                l2_busy = memory._l2_busy_until
+                dram_busy = memory._dram_busy_until
+                while cycle < limit and unfinished:
+                    # ---- deliver memory responses due this cycle ------------
+                    while next_completion <= cycle:
+                        completion, _, line, waiters = heappop(responses)
+                        del waiters_map[line]
+                        for wid, token in waiters:
+                            out = outstanding[wid]
+                            fd, issue_cycle = out.pop(token)
+                            # Each waiter is charged its own latency: merged loads
+                            # issue later than the primary, so their round trip is
+                            # shorter.
+                            missreq_c += 1
+                            misslat_c += completion - issue_cycle
+                            if fd <= minfd[wid]:
+                                new_min = _NO_BLOCK
+                                for pending in out.values():
+                                    first_dep = pending[0]
+                                    if first_dep < new_min:
+                                        new_min = first_dep
+                                minfd[wid] = new_min
+                            pc = pcs[wid]
+                            if not out and pc >= plens[wid]:
+                                alive[wid] = False
+                                unfinished -= 1
+                                refresh()
+                                vital = self._vital
+                            elif (
+                                not ready >> wid & 1
+                                and pc < plens[wid]
+                                and pc < minfd[wid]
+                            ):
+                                # The raised min-first-dependent unblocked the warp.
+                                ready |= 1 << wid
+                        mshr_lines.discard(line)
+                        next_completion = responses[0][0] if responses else _NO_RESPONSE
 
-            # ---- pick a warp: sticky, else the oldest ready vital one -------
-            candidates = ready & vital
-            if not candidates:
-                # No vital warp can issue: jump to the next completion (the
-                # delivery loop left it in the future).  With none in flight
-                # the last warp retired above, and the oracle's step ends
-                # with one stall cycle.
-                if responses:
-                    target = next_completion if next_completion < limit else limit
-                else:
-                    target = cycle + 1
-                cycles_c += target - cycle
-                stall_c += target - cycle
-                cycle = target
-                continue
-            if not candidates & last_bit:
-                last_bit = candidates & -candidates
-                last = last_bit.bit_length() - 1
-            wid = last
-            pc = pcs[wid]
-
-            if wid != cur:
-                cur = wid
-                prog_w = progs[wid]
-                plen_w = plens[wid]
-                filled_w = len(prog_w)
-                out_w = outstanding[wid]
-
-            if pc >= filled_w:
-                filled_w = fills[wid](pc)
-            inst = prog_w[pc]
-            line = inst.line_addr
-            if line is None:
-                # ---- ALU burst: issue every consecutive sticky ALU slot -----
-                # Bounds: the warp must stay schedulable (pc < minfd, < plen),
-                # no response may become due (cycle < next_completion) and the
-                # budget holds (cycle < limit).  Within those bounds each step
-                # is exactly one legacy ALU issue; a burst that stops at the
-                # filled length (<= plen) resumes, after a refill, on the next
-                # iteration — the sticky pick returns the same warp.
-                stop = minfd[wid]
-                if filled_w < stop:
-                    stop = filled_w
-                bound = pc + (limit - cycle)
-                if bound < stop:
-                    stop = bound
-                bound = pc + (next_completion - cycle)
-                if bound < stop:
-                    stop = bound
-                npc = pc + 1
-                while npc < stop and prog_w[npc].line_addr is None:
-                    npc += 1
-                k = npc - pc
-                pcs[wid] = npc
-                instr_c += k
-                cycle += k
-                cycles_c += k
-                busy_c += k
-            else:
-                # ---- load issue: one set lookup, the L2/DRAM inline ---------
-                polluting = pollute[wid]
-                if policy_active:
-                    allocate = polluting and allow_allocate(inst, wid)
-                else:
-                    allocate = polluting
-                l1_set = l1[line]
-                # The line's last warp, or None on a miss; a hit is
-                # re-inserted below as the set's newest line.
-                prev = l1_set.pop(line, None)
-                if (
-                    prev is None
-                    and line not in mshr_lines
-                    and len(mshr_lines) >= mshr_cap
-                ):
-                    # ---- MSHR-retry span: jump to the next fill -------------
-                    # A would-be miss with no MSHR entry (new or merged)
-                    # wastes the slot, and every cycle up to the next response
-                    # is the same wasted slot (see the module docstring), so
-                    # the span is credited in one jump, clamped to ``limit``
-                    # so no window boundary is crossed.  A full MSHR file
-                    # means a response is in flight, and the delivery loop
-                    # above left it in the future, so the jump is at least
-                    # one cycle.
-                    target = next_completion if next_completion < limit else limit
-                    mshr_stall += target - cycle
-                    cycles_c += target - cycle
-                    busy_c += target - cycle
-                    cycle = target
-                    continue
-
-                instr_c += 1
-                loads_c += 1
-                l1_acc += 1
-                if polluting:
-                    pol_acc += 1
-                else:
-                    npol_acc += 1
-                if reuse_record is not None:
-                    reuse_record(wid, line)
-                if policy_active:
-                    observe_access(inst, wid, prev is not None)
-                npc = pc + 1
-                pcs[wid] = npc
-                if prev is not None:
-                    l1_hit += 1
-                    if polluting:
-                        pol_hit += 1
-                    else:
-                        npol_hit += 1
-                    if prev == wid:
-                        intra_c += 1
-                    else:
-                        inter_c += 1
-                    l1_set[line] = wid
-                else:
-                    l1_miss += 1
-                    if allocate:
-                        if len(l1_set) >= l1_assoc:
-                            del l1_set[next(iter(l1_set))]
-                        l1_set[line] = wid
-                    else:
-                        l1_byp += 1
-                    token = next_token
-                    next_token += 1
-                    fd = pc + inst.dep_distance + 1
-                    out_w[token] = (fd, cycle)
-                    if fd < minfd[wid]:
-                        minfd[wid] = fd
-                    if line in mshr_lines:
-                        # Merged miss: attach to the in-flight response.
-                        waiters_map[line].append((wid, token))
-                    else:
-                        # New miss: one request through the L2/DRAM busy
-                        # servers (MemorySubsystem.request, op for op).
-                        mshr_lines.add(line)
-                        l2_acc += 1
-                        l2_start = l2_busy
-                        if l2_start < cycle:
-                            l2_start = float(cycle)
-                        queue_delay = l2_start - cycle
-                        if queue_delay > max_queue_delay:
-                            queue_delay = max_queue_delay
-                        l2_busy = l2_start + l2_service
-                        l2_set = l2[line]
-                        # The L2 always allocates: a hit re-inserts its line,
-                        # a miss evicts the oldest one from a full set.
-                        if l2_set.pop(line, False) is None:
-                            l2_set[line] = None
-                            l2_hit += 1
-                            latency = int(l2_latency + queue_delay)
-                        else:
-                            if len(l2_set) >= l2_assoc:
-                                del l2_set[next(iter(l2_set))]
-                            l2_set[line] = None
-                            dram_start = l2_start + l2_latency
-                            if dram_start < dram_busy:
-                                dram_start = dram_busy
-                            dram_queue_delay = dram_start - (cycle + l2_latency)
-                            if dram_queue_delay > max_queue_delay:
-                                dram_queue_delay = max_queue_delay
-                            dram_busy = dram_start + dram_service
-                            dram_c += 1
-                            latency = int(
-                                l2_latency + queue_delay + dram_latency
-                                + dram_queue_delay
+                    # ---- pick a warp: sticky, else the oldest ready vital one
+                    candidates = ready & vital
+                    if not candidates:
+                        # No vital warp can issue: jump to the next completion (the
+                        # delivery loop left it in the future).  With none in flight
+                        # the last warp retired above, and the oracle's step ends
+                        # with one stall cycle.
+                        if responses:
+                            target = (
+                                next_completion if next_completion < limit else limit
                             )
-                        latency_c += latency
-                        completion = cycle + latency
-                        seq += 1
-                        entry_waiters = [(wid, token)]
-                        waiters_map[line] = entry_waiters
-                        heappush(responses, (completion, seq, line, entry_waiters))
-                        if completion < next_completion:
-                            next_completion = completion
-                cycle += 1
-                cycles_c += 1
-                busy_c += 1
+                        else:
+                            target = cycle + 1
+                        cycles_c += target - cycle
+                        stall_c += target - cycle
+                        cycle = target
+                        continue
+                    if not candidates & last_bit:
+                        last_bit = candidates & -candidates
+                        last = last_bit.bit_length() - 1
+                    wid = last
+                    pc = pcs[wid]
 
-            # ---- after an issue: the warp may block or retire --------------
-            if npc >= plen_w or npc >= minfd[wid]:
-                ready ^= last_bit  # the issuing warp's bit, set at the pick
-                if npc >= plen_w and not out_w:
-                    alive[wid] = False
-                    unfinished -= 1
-                    refresh()
-                    vital = self._vital
+                    if wid != cur:
+                        cur = wid
+                        prog_w = progs[wid]
+                        plen_w = plens[wid]
+                        filled_w = len(prog_w)
+                        out_w = outstanding[wid]
 
-        # ---- write state and counters back ----------------------------------
-        self.cycle = cycle
-        self._unfinished = unfinished
-        self._last = last
-        self._ready = ready
-        self._response_seq = seq
-        self._next_token = next_token
-        memory._l2_busy_until = l2_busy
-        memory._dram_busy_until = dram_busy
-        memory.requests += l2_acc
-        memory.l2_accesses += l2_acc
-        memory.l2_hits += l2_hit
-        memory.dram_accesses += dram_c
-        memory.total_latency += latency_c
-        c = self.counters
-        c.cycles += cycles_c
-        c.busy_cycles += busy_c
-        c.stall_cycles += stall_c
-        c.instructions += instr_c
-        c.loads += loads_c
-        c.l1_accesses += l1_acc
-        c.l1_hits += l1_hit
-        c.l1_misses += l1_miss
-        c.l1_bypasses += l1_byp
-        c.polluting_accesses += pol_acc
-        c.polluting_hits += pol_hit
-        c.nonpolluting_accesses += npol_acc
-        c.nonpolluting_hits += npol_hit
-        c.intra_warp_hits += intra_c
-        c.inter_warp_hits += inter_c
-        c.miss_requests += missreq_c
-        c.miss_latency_total += misslat_c
-        c.l2_accesses += l2_acc
-        c.l2_hits += l2_hit
-        c.dram_accesses += dram_c
-        c.mshr_stall_cycles += mshr_stall
+                    if pc >= filled_w:
+                        filled_w = fills[wid](pc)
+                    inst = prog_w[pc]
+                    line = inst.line_addr
+                    if line is None:
+                        # ---- ALU burst: issue every consecutive sticky ALU slot
+                        # Bounds: the warp must stay schedulable (pc < minfd, < plen),
+                        # no response may become due (cycle < next_completion) and the
+                        # budget holds (cycle < limit).  Within those bounds each step
+                        # is exactly one legacy ALU issue; a burst that stops at the
+                        # filled length (<= plen) resumes, after a refill, on the next
+                        # iteration — the sticky pick returns the same warp.
+                        stop = minfd[wid]
+                        if filled_w < stop:
+                            stop = filled_w
+                        bound = pc + (limit - cycle)
+                        if bound < stop:
+                            stop = bound
+                        bound = pc + (next_completion - cycle)
+                        if bound < stop:
+                            stop = bound
+                        npc = pc + 1
+                        while npc < stop and prog_w[npc].line_addr is None:
+                            npc += 1
+                        k = npc - pc
+                        pcs[wid] = npc
+                        instr_c += k
+                        cycle += k
+                        cycles_c += k
+                        busy_c += k
+                    else:
+                        # ---- load issue: one set lookup, the L2/DRAM inline -
+                        polluting = pollute[wid]
+                        if policy_active:
+                            allocate = polluting and allow_allocate(inst, wid)
+                        else:
+                            allocate = polluting
+                        l1_set = l1[line]
+                        # The line's last warp, or None on a miss; a hit is
+                        # re-inserted below as the set's newest line.
+                        prev = l1_set.pop(line, None)
+                        if prev is None and line not in mshr_lines:
+                            if len(mshr_lines) >= mshr_cap:
+                                # ---- MSHR-retry span: jump to the next fill -
+                                # A would-be miss with no MSHR entry (new or
+                                # merged) wastes the slot, and every cycle up
+                                # to the next response is the same wasted slot
+                                # (see the module docstring), so the span is
+                                # credited in one jump, clamped to ``limit``.
+                                # A full MSHR file means a response is in
+                                # flight, and the delivery loop above left it
+                                # in the future, so the jump is at least one
+                                # cycle.
+                                target = (
+                                    next_completion if next_completion < limit else limit
+                                )
+                                mshr_stall += target - cycle
+                                cycles_c += target - cycle
+                                busy_c += target - cycle
+                                cycle = target
+                                continue
+                            if cycle >= horizon:
+                                # A new L2 request at or past the horizon:
+                                # stop before any state changes.  The resume
+                                # picks this warp and this load again.
+                                break
+
+                        instr_c += 1
+                        loads_c += 1
+                        l1_acc += 1
+                        if polluting:
+                            pol_acc += 1
+                        else:
+                            npol_acc += 1
+                        if reuse_record is not None:
+                            reuse_record(wid, line)
+                        if policy_active:
+                            observe_access(inst, wid, prev is not None)
+                        npc = pc + 1
+                        pcs[wid] = npc
+                        if prev is not None:
+                            l1_hit += 1
+                            if polluting:
+                                pol_hit += 1
+                            else:
+                                npol_hit += 1
+                            if prev == wid:
+                                intra_c += 1
+                            else:
+                                inter_c += 1
+                            l1_set[line] = wid
+                        else:
+                            l1_miss += 1
+                            if allocate:
+                                if len(l1_set) >= l1_assoc:
+                                    del l1_set[next(iter(l1_set))]
+                                l1_set[line] = wid
+                            else:
+                                l1_byp += 1
+                            token = next_token
+                            next_token += 1
+                            fd = pc + inst.dep_distance + 1
+                            out_w[token] = (fd, cycle)
+                            if fd < minfd[wid]:
+                                minfd[wid] = fd
+                            if line in mshr_lines:
+                                # Merged miss: attach to the in-flight response.
+                                waiters_map[line].append((wid, token))
+                            else:
+                                # New miss: one request through the L2/DRAM busy
+                                # servers (MemorySubsystem.request, op for op).
+                                mshr_lines.add(line)
+                                l2_acc += 1
+                                l2_start = l2_busy
+                                if l2_start < cycle:
+                                    l2_start = float(cycle)
+                                queue_delay = l2_start - cycle
+                                if queue_delay > max_queue_delay:
+                                    queue_delay = max_queue_delay
+                                l2_busy = l2_start + l2_service
+                                l2_set = l2[line]
+                                # The L2 always allocates: a hit re-inserts its line,
+                                # a miss evicts the oldest one from a full set.
+                                if l2_set.pop(line, False) is None:
+                                    l2_set[line] = None
+                                    l2_hit += 1
+                                    latency = int(l2_latency + queue_delay)
+                                else:
+                                    if len(l2_set) >= l2_assoc:
+                                        del l2_set[next(iter(l2_set))]
+                                    l2_set[line] = None
+                                    dram_start = l2_start + l2_latency
+                                    if dram_start < dram_busy:
+                                        dram_start = dram_busy
+                                    dram_queue_delay = dram_start - (cycle + l2_latency)
+                                    if dram_queue_delay > max_queue_delay:
+                                        dram_queue_delay = max_queue_delay
+                                    dram_busy = dram_start + dram_service
+                                    dram_c += 1
+                                    latency = int(
+                                        l2_latency + queue_delay + dram_latency
+                                        + dram_queue_delay
+                                    )
+                                latency_c += latency
+                                completion = cycle + latency
+                                seq += 1
+                                entry_waiters = [(wid, token)]
+                                waiters_map[line] = entry_waiters
+                                heappush(
+                                    responses, (completion, seq, line, entry_waiters)
+                                )
+                                if completion < next_completion:
+                                    next_completion = completion
+                        cycle += 1
+                        cycles_c += 1
+                        busy_c += 1
+
+                    # ---- after an issue: the warp may block or retire -------
+                    if npc >= plen_w or npc >= minfd[wid]:
+                        ready ^= last_bit  # the issuing warp's bit, set at the pick
+                        if npc >= plen_w and not out_w:
+                            alive[wid] = False
+                            unfinished -= 1
+                            refresh()
+                            vital = self._vital
+
+                memory._l2_busy_until = l2_busy
+                memory._dram_busy_until = dram_busy
+        finally:
+            # ---- publish state and counters ---------------------------------
+            self.cycle = cycle
+            self._unfinished = unfinished
+            self._last = last
+            self._ready = ready
+            self._response_seq = seq
+            self._next_token = next_token
+            memory.requests += l2_acc
+            memory.l2_accesses += l2_acc
+            memory.l2_hits += l2_hit
+            memory.dram_accesses += dram_c
+            memory.total_latency += latency_c
+            c = self.counters
+            c.cycles += cycles_c
+            c.busy_cycles += busy_c
+            c.stall_cycles += stall_c
+            c.instructions += instr_c
+            c.loads += loads_c
+            c.l1_accesses += l1_acc
+            c.l1_hits += l1_hit
+            c.l1_misses += l1_miss
+            c.l1_bypasses += l1_byp
+            c.polluting_accesses += pol_acc
+            c.polluting_hits += pol_hit
+            c.nonpolluting_accesses += npol_acc
+            c.nonpolluting_hits += npol_hit
+            c.intra_warp_hits += intra_c
+            c.inter_warp_hits += inter_c
+            c.miss_requests += missreq_c
+            c.miss_latency_total += misslat_c
+            c.l2_accesses += l2_acc
+            c.l2_hits += l2_hit
+            c.dram_accesses += dram_c
+            c.mshr_stall_cycles += mshr_stall

@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from repro.gpu.chip import build_chip, core_class_for_engine, shared_memory_for_engine
+from repro.gpu.chip import (
+    Interleave,
+    build_chip,
+    core_class_for_engine,
+    shared_memory_for_engine,
+)
 from repro.gpu.config import GPUConfig, baseline_config
 from repro.gpu.counters import PerfCounters
 from repro.gpu.energy import EnergyModel, EnergyReport
@@ -157,7 +162,9 @@ class GPU:
         A deterministic list scheduler places ready nodes (dependencies
         retired) onto the lowest-numbered free SM, in topological-priority
         order, at quantum boundaries; all SMs share one L2/DRAM busy-server
-        pair, so co-resident kernels contend for memory bandwidth.
+        pair, so co-resident kernels contend for memory bandwidth.  The
+        chip scheduler (:class:`~repro.gpu.chip.Interleave`) runs them and
+        retires a node at ``min(budget, max(ceil_Q(end), start + Q))``.
 
         Args:
             graph: the kernel DAG; nodes are KernelSpec/TraceKernelSpec.
@@ -192,9 +199,9 @@ class GPU:
         running: dict = {}  # sm slot -> (name, sm, start_cycle)
         schedule = []
         node_results = {}
-        clock = 0
+        interleave = Interleave(quantum, budget)
 
-        def launch_ready() -> None:
+        def launch_ready(clock: int) -> None:
             while ready and free:
                 name = ready.pop(0)
                 slot = min(free)
@@ -205,6 +212,7 @@ class GPU:
                 sm.cycle = clock
                 sm.set_warp_tuple(*warp_tuple)
                 running[slot] = (name, sm, clock)
+                interleave.launch(slot, sm)
 
         def retire(slot: int, completed: bool) -> None:
             name, sm, start = running.pop(slot)
@@ -234,19 +242,11 @@ class GPU:
                         ready.append(successor)
                 ready.sort(key=priority.__getitem__)
 
-        launch_ready()
-        while running and clock < budget:
-            frontier = min(sm.cycle for _, sm, _ in running.values())
-            boundary = min(budget, (frontier // quantum + 1) * quantum)
-            for slot in sorted(running):
-                _, sm, _ = running[slot]
-                if not sm.done and sm.cycle < boundary:
-                    sm.run_cycles(boundary - sm.cycle)
-            clock = boundary
-            for slot in sorted(running):
-                if running[slot][1].done:
-                    retire(slot, completed=True)
-            launch_ready()
+        launch_ready(0)
+        for clock, slots in interleave.retirements():
+            for slot in slots:
+                retire(slot, completed=True)
+            launch_ready(clock)
         # Budget exhausted (or a dependency never completed): retire the
         # stragglers as incomplete.  Nodes never launched stay absent from
         # node_results — `completed` records the shortfall.

@@ -12,11 +12,12 @@ the ``Tstall`` of the paper's analytical model.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.gpu.cache import SetAssociativeCache
 from repro.gpu.config import GPUConfig
 from repro.gpu.counters import PerfCounters
+from repro.gpu.engine import run_alone
 from repro.gpu.isa import Instruction, Opcode
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.mshr import MSHRFile
@@ -105,29 +106,53 @@ class StreamingMultiprocessor:
         Returns the number of cycles actually consumed.
         """
         start = self.cycle
-        limit = self.cycle + budget
-        while self.cycle < limit and not self.done:
-            self._step(limit)
+        run_alone(self, self.cycle + budget)
         return self.cycle - start
 
     def run_to_completion(self, max_cycles: Optional[int] = None) -> int:
         limit = self.cycle + (max_cycles if max_cycles is not None else self.config.max_cycles)
-        while self.cycle < limit and not self.done:
-            self._step(limit)
+        run_alone(self, limit)
         return self.cycle
 
     # -- cycle loop ---------------------------------------------------------------
 
-    def _step(self, limit: int) -> None:
+    def loop(self) -> Generator[Tuple[int, int], Tuple[int, int], None]:
+        """The cycle loop as a coroutine: the core protocol of
+        :mod:`repro.gpu.engine`.  Its state lives on the SM, so closing it
+        publishes nothing."""
+        while True:
+            limit, horizon = yield self.cycle, self._unfinished_warps
+            while self.cycle < limit and not self.done and self._step(limit, horizon):
+                pass
+
+    def _step(self, limit: int, horizon: int) -> bool:
+        """Advance one issue slot or one no-ready stall.  Returns ``False``
+        instead when the picked warp would send a new request to the L2 at
+        a cycle at or past ``horizon``; the next step picks it again."""
         self._deliver_responses()
         warp = self.scheduler.pick()
         if warp is None:
             self._fast_forward(limit)
-            return
+            return True
+        if self.cycle >= horizon and self._requests_l2(warp):
+            return False
         self._issue(warp)
         self.cycle += 1
         self.counters.cycles += 1
         self.counters.busy_cycles += 1
+        return True
+
+    def _requests_l2(self, warp: Warp) -> bool:
+        """Whether issuing ``warp`` now would allocate an MSHR entry and so
+        send a new request to the L2 (a miss with no entry to merge into
+        and a free one to take)."""
+        instruction = warp.current_instruction()
+        return (
+            instruction.opcode is not Opcode.ALU
+            and not self.l1.probe(instruction.line_addr)
+            and self.mshr.lookup(instruction.line_addr) is None
+            and not self.mshr.full
+        )
 
     def _deliver_responses(self) -> None:
         while self._responses and self._responses[0][0] <= self.cycle:

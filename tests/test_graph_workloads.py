@@ -192,15 +192,18 @@ def test_chip_conformance_fuzzed(spec, config):
     assert_conformance(config, generate_kernel_programs(spec), max_cycles=15_000)
 
 
-def test_graph_engines_bit_identical():
-    """A diamond DAG on a 2-SM chip: schedule, per-node counters and
-    aggregate counters must match the legacy oracle exactly."""
-    graph = shaped_graph(
+def _diamond() -> KernelGraph:
+    return shaped_graph(
         (_spec("a", seed=3), _spec("b", seed=4), _spec("c", seed=5), _spec("d", seed=6)),
         "diamond",
         name="conf-diamond",
     )
-    assert_graph_conformance(_chip_config(num_sms=2), graph)
+
+
+def test_graph_engines_bit_identical():
+    """A diamond DAG on a 2-SM chip: schedule, per-node counters and
+    aggregate counters must match the legacy oracle exactly."""
+    assert_graph_conformance(_chip_config(num_sms=2), _diamond())
 
 
 @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
