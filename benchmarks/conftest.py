@@ -4,8 +4,8 @@ Each benchmark regenerates one table or figure of the paper and prints the
 same rows/series the paper reports.  Because several experiments involve
 training and full evaluation sweeps, the harness defaults to the scaled-down
 ``fast`` experiment configuration; set ``REPRO_BENCH_PROFILE=full`` to rerun
-everything at the full configuration used for EXPERIMENTS.md (several
-minutes per figure).
+everything at the paper-shaped ``full`` configuration (several minutes per
+figure).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import os
 
 import pytest
 
+from repro.experiments import registry
 from repro.experiments.common import ExperimentConfig
 
 
@@ -44,10 +45,10 @@ def experiment_config() -> ExperimentConfig:
     return bench_config()
 
 
-def run_and_print(benchmark, experiment_module, config):
-    """Run one experiment module under pytest-benchmark and print its tables."""
+def run_and_print(benchmark, experiment_id, config):
+    """Run one registered experiment under pytest-benchmark and print its tables."""
     result = benchmark.pedantic(
-        experiment_module.run, kwargs={"config": config}, rounds=1, iterations=1
+        registry.get(experiment_id).run, kwargs={"config": config}, rounds=1, iterations=1
     )
     print()
     print(result.to_text())

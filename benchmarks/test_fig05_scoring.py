@@ -1,11 +1,10 @@
 """Bench: regenerate Fig. 5 (scoring performance peaks vs cliffs)."""
 
 from benchmarks.conftest import run_and_print
-from repro.experiments import fig05_scoring
 
 
 def test_fig05_scoring(benchmark, experiment_config):
-    result = run_and_print(benchmark, fig05_scoring, experiment_config)
+    result = run_and_print(benchmark, "fig05", experiment_config)
     table = result.table("raw peak vs best score")
     for row in table.as_dict_rows():
         # The scored target never claims more speedup than the raw peak.

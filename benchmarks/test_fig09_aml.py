@@ -1,11 +1,10 @@
 """Bench: regenerate Fig. 9 (average memory latency normalised to GTO)."""
 
 from benchmarks.conftest import run_and_print
-from repro.experiments import fig09_aml
 
 
 def test_fig09_aml(benchmark, experiment_config):
-    result = run_and_print(benchmark, fig09_aml, experiment_config)
+    result = run_and_print(benchmark, "fig09", experiment_config)
     # Shape: warp throttling relieves memory congestion, so no scheme should
     # inflate AML wildly beyond the GTO baseline on average.
     for scheme in ("swl", "poise", "static_best"):

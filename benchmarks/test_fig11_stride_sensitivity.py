@@ -1,11 +1,10 @@
 """Bench: regenerate Fig. 11 (sensitivity to local-search stride)."""
 
 from benchmarks.conftest import run_and_print
-from repro.experiments import fig11_stride_sensitivity
 
 
 def test_fig11_stride_sensitivity(benchmark, experiment_config):
-    result = run_and_print(benchmark, fig11_stride_sensitivity, experiment_config)
+    result = run_and_print(benchmark, "fig11", experiment_config)
     # Shape: adding a local search never hurts the harmonic mean much
     # relative to predictions alone, and the paper's chosen stride (2,4) is
     # competitive with the largest stride swept.

@@ -1,11 +1,10 @@
 """Bench: regenerate Fig. 16 (Poise on memory-insensitive applications)."""
 
 from benchmarks.conftest import run_and_print
-from repro.experiments import fig16_compute_intensive
 
 
 def test_fig16_compute_intensive(benchmark, experiment_config):
-    result = run_and_print(benchmark, fig16_compute_intensive, experiment_config)
+    result = run_and_print(benchmark, "fig16", experiment_config)
     # Shape: Poise is benign on compute-intensive kernels (paper: 1.6% mean
     # overhead, 3.5% worst case) because the In > Imax cut-off reverts it to
     # maximum warps.

@@ -1,11 +1,10 @@
 """Bench: regenerate Table IV (Poise parameters)."""
 
 from benchmarks.conftest import run_and_print
-from repro.experiments import table04_parameters
 
 
 def test_table04_parameters(benchmark, experiment_config):
-    result = run_and_print(benchmark, table04_parameters, experiment_config)
+    result = run_and_print(benchmark, "table04", experiment_config)
     table = result.table("Poise parameters")
     paper_column = table.column("paper")
     # Table IV headline values.

@@ -98,7 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run_parser = subparsers.add_parser(
-        "run", help="run one or more experiments and emit JSON artifacts"
+        "run", help="run one or more experiments and emit JSON artifacts",
+        description="Run the experiments' plan (profiles, feature vectors, models, "
+        "runs), then build each artifact from the warm cache.  An artifact's line "
+        "shows its build time; the plan's time is on the phases: line.",
     )
     run_parser.add_argument(
         "ids", nargs="+", metavar="ID",
@@ -172,7 +175,7 @@ def _cmd_list(workloads: bool = False) -> int:
         )
     table = Table(title="Registered experiments", columns=["id", "paper artefact", "title"])
     for experiment in registry.all_experiments():
-        table.add_row(experiment.id, experiment.artifact, experiment.title)
+        table.add_row(experiment.experiment_id, experiment.artifact, experiment.title)
     print(table.to_text())
     print(f"\n{len(table.rows)} experiments registered")
     return 0
@@ -195,17 +198,17 @@ def _cmd_run(ids: Sequence[str], args: argparse.Namespace) -> int:
 
     schema_failures: List[str] = []
     for experiment in experiments:
-        payload = runner.run_experiment(experiment.id, config)
+        payload = runner.run_experiment(experiment, config)
         try:
             experiment.validate_artifact(payload)
             status = "ok"
         except ValueError as error:
-            schema_failures.append(f"{experiment.id}: {error}")
+            schema_failures.append(f"{experiment.experiment_id}: {error}")
             status = "SCHEMA-INVALID"
         path = runner.write_artifact(payload, cache_dir, label)
         print(
-            f"{experiment.id:<9} {experiment.artifact:<14} "
-            f"{payload['elapsed_seconds']:>8.1f}s  {status}  {path}",
+            f"{experiment.experiment_id:<9} {experiment.artifact:<14} "
+            f"build {payload['elapsed_seconds']:>6.1f}s  {status}  {path}",
             flush=True,
         )
         if args.print_tables:
@@ -242,7 +245,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     table = Table(
         title=f"Artifacts ({label} configuration) — {directory}",
-        columns=["id", "paper artefact", "tables", "scalars", "elapsed (s)", "created"],
+        columns=["id", "paper artefact", "tables", "scalars", "build (s)", "created"],
     )
     total = 0.0
     for payload in artifacts:
@@ -261,7 +264,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         set(registry.experiment_ids())
         - {str(payload.get("experiment_id")) for payload in artifacts}
     )
-    print(f"\n{len(artifacts)} artifacts, {total:.1f}s total simulated wall-clock")
+    print(
+        f"\n{len(artifacts)} artifacts, {total:.1f}s total build time "
+        "(the plan's time is on `repro run`'s phases: line)"
+    )
     if missing:
         print(f"missing experiments: {', '.join(missing)}")
     return 0

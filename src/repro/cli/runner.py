@@ -19,8 +19,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.experiments import registry
 from repro.experiments.common import ExperimentConfig
+from repro.experiments.registry import Experiment
 from repro.runtime.cache import atomic_write_json
 from repro.version import __version__
 
@@ -35,10 +35,9 @@ def artifact_path(cache_dir: Union[str, Path], label: str, experiment_id: str) -
     return artifacts_dir(cache_dir, label) / f"{experiment_id}.json"
 
 
-def run_experiment(experiment_id: str, config: ExperimentConfig) -> Dict[str, object]:
+def run_experiment(experiment: Experiment, config: ExperimentConfig) -> Dict[str, object]:
     """Run one registered experiment under ``config`` and return its
     artifact payload."""
-    experiment = registry.get(experiment_id)
     start = time.perf_counter()
     result = experiment.run(config)
     elapsed = time.perf_counter() - start

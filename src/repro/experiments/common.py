@@ -3,10 +3,10 @@
 The heavy inputs of the evaluation — static profiles of kernels, scheme
 runs, graph runs and the trained regression model — share one result cache
 (a per-process memo in front of the content-addressed disk cache) so that
-the eighteen experiment modules can be run independently without repeating
-work.  ``ExperimentConfig.fast()`` provides a scaled-down
-setup for tests; ``ExperimentConfig.full()`` is used by the benchmark
-harness and reproduces the paper-shaped results.
+the experiment modules can be run independently without repeating work.
+``ExperimentConfig.fast()`` provides a scaled-down setup, run by the tests
+and, by default, the shape benchmarks; ``ExperimentConfig.full()``
+reproduces the paper-shaped results and is the CLI's default.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.tables import ExperimentResult
 from repro.core.inference import PoiseParameters
 from repro.core.model_store import load_model, model_from_dict, model_to_dict
 from repro.core.poise import PoiseController
@@ -92,8 +91,6 @@ class ExperimentConfig:
             threshold_cycles=6_000,
         )
     )
-    feature_warmup: int = 1_500
-    feature_cycles: int = 6_000
     training_min_speedup: Optional[float] = None  # defaults to the Poise threshold
     training_min_hit_rate: Optional[float] = None  # defaults to the Poise threshold
     model_path: Optional[Path] = None
@@ -104,7 +101,8 @@ class ExperimentConfig:
 
     @classmethod
     def full(cls) -> "ExperimentConfig":
-        """The configuration used by the benchmark harness."""
+        """The paper-shaped configuration: the CLI's default, and the shape
+        benchmarks' under ``REPRO_BENCH_PROFILE=full``."""
         return cls()
 
     @classmethod
@@ -123,8 +121,6 @@ class ExperimentConfig:
                 t_period=30_000, t_warmup=1_000, t_feature=4_000, t_search=1_200,
                 threshold_cycles=2_000,
             ),
-            feature_warmup=1_000,
-            feature_cycles=4_000,
             # The fast preset exists for structural tests, not learning quality:
             # admit every profiled kernel so tiny training sets still fit.
             training_min_speedup=1.0,
@@ -146,17 +142,16 @@ class ExperimentConfig:
         ``config`` block, and no cache is keyed by it (the result cache keys
         every entry by the content of the payload naming it).  Every
         run-affecting knob is folded in, so two artifacts made under
-        different ``run_max_cycles``, ``kernels_per_benchmark``, feature
-        windows or Poise parameters carry different labels.  The Poise
-        parameters are summarised by a content digest to keep the label
+        different ``run_max_cycles``, ``kernels_per_benchmark`` or Poise
+        parameters (feature windows included) carry different labels.  The
+        Poise parameters are summarised by a content digest to keep the label
         readable, and the *entire* GPU configuration by another — the
         readable ``l1…`` tokens cover only the axes sweeps vary by name, so
         any other architecture change must perturb the label through the
         digest (guarded by ``tests/test_graph_workloads.py``).
         """
         l1 = self.gpu.l1
-        run_knobs = repr((self.poise_params, self.feature_warmup, self.feature_cycles))
-        poise_digest = hashlib.sha256(run_knobs.encode("utf-8")).hexdigest()[:8]
+        poise_digest = hashlib.sha256(repr(self.poise_params).encode("utf-8")).hexdigest()[:8]
         gpu_digest = hashlib.sha256(
             repr(serialization.gpu_payload(self.gpu)).encode("utf-8")
         ).hexdigest()[:8]
@@ -181,7 +176,8 @@ class ExperimentConfig:
 
     def feature_sampler(self) -> FeatureSampler:
         return FeatureSampler(
-            warmup_cycles=self.feature_warmup, sample_cycles=self.feature_cycles
+            warmup_cycles=self.poise_params.t_warmup,
+            sample_cycles=self.poise_params.t_feature,
         )
 
     def training_pipeline(self, feature_mask: Optional[Sequence[int]] = None) -> TrainingPipeline:
@@ -454,7 +450,7 @@ def run_plan(plan: Iterable[Entry], executor: SweepExecutor) -> JobReport:
 
 def _simulation_knobs(config: ExperimentConfig) -> dict:
     """The knobs both scheme runs and training read: the GPU, the profile
-    grid, the Poise parameters and the feature-sampling window."""
+    grid and the Poise parameters (the feature-sampling window included)."""
     return {
         "gpu": serialization.gpu_payload(config.gpu),
         "profile_knobs": [
@@ -464,7 +460,6 @@ def _simulation_knobs(config: ExperimentConfig) -> dict:
             config.profile_p_step,
         ],
         "poise_params": serialization.encode_value(asdict(config.poise_params)),
-        "feature_window": [config.feature_warmup, config.feature_cycles],
     }
 
 
@@ -577,7 +572,7 @@ def get_features(spec: KernelSpec, config: ExperimentConfig) -> FeatureVector:
         spec,
         config,
         functools.partial(_features, spec, config),
-        feature_window=[config.feature_warmup, config.feature_cycles],
+        feature_window=[config.poise_params.t_warmup, config.poise_params.t_feature],
     )
 
 
@@ -680,11 +675,7 @@ def _build_controller(
     if scheme in ("poise", "poise_nosearch"):
         if model is None:
             raise ValueError(f"scheme {scheme!r} requires a trained model")
-        params = replace(
-            config.poise_params,
-            t_warmup=config.feature_warmup,
-            t_feature=config.feature_cycles,
-        )
+        params = config.poise_params
         if scheme == "poise_nosearch":
             params = params.with_strides(0, 0)
         return PoiseController(model, params), None
@@ -996,7 +987,7 @@ def compute_benchmark_names() -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Experiment descriptors
+# Presets
 # ---------------------------------------------------------------------------
 
 def preset_config(label: str) -> ExperimentConfig:
@@ -1007,100 +998,3 @@ def preset_config(label: str) -> ExperimentConfig:
     if label == "full":
         return ExperimentConfig.full()
     raise ValueError(f"unknown configuration preset {label!r} (expected 'fast' or 'full')")
-
-
-@dataclass(frozen=True)
-class ArtifactSchema:
-    """What a well-formed artifact of one experiment must contain.
-
-    Deliberately structural rather than numeric: it checks that the emitted
-    JSON has the tables and scalars the experiment promises (so a refactor
-    that silently drops a series fails loudly), not that the values match
-    the paper — that is the benchmark suite's job.
-    """
-
-    min_tables: int = 1
-    required_scalars: Tuple[str, ...] = ()
-    #: Case-insensitive fragments that must each match some table title.
-    required_tables: Tuple[str, ...] = ()
-
-    def validate(self, payload: Dict[str, object]) -> None:
-        """Raise ``ValueError`` if an artifact payload violates the schema."""
-        tables = payload.get("tables")
-        if not isinstance(tables, list) or len(tables) < self.min_tables:
-            found = len(tables) if isinstance(tables, list) else "none"
-            raise ValueError(f"expected at least {self.min_tables} table(s), found {found}")
-        titles = []
-        for table in tables:
-            if not isinstance(table, dict):
-                raise ValueError("every table must be a JSON object")
-            for key in ("title", "columns", "rows"):
-                if key not in table:
-                    raise ValueError(f"table is missing the {key!r} field")
-            for row in table["rows"]:
-                if len(row) != len(table["columns"]):
-                    raise ValueError(
-                        f"table {table['title']!r} has a row of width {len(row)} "
-                        f"but {len(table['columns'])} columns"
-                    )
-            titles.append(str(table["title"]).lower())
-        for fragment in self.required_tables:
-            if not any(fragment.lower() in title for title in titles):
-                raise ValueError(f"no table title matches {fragment!r}")
-        scalars = payload.get("scalars")
-        if not isinstance(scalars, dict):
-            raise ValueError("artifact payload has no scalars object")
-        missing = [name for name in self.required_scalars if name not in scalars]
-        if missing:
-            raise ValueError(f"missing required scalars: {', '.join(missing)}")
-
-
-class ExperimentBase:
-    """Base class every experiment module derives from.
-
-    A subclass declares its identity (``experiment_id``, the paper
-    ``artifact`` it reproduces, a human ``title``), an :class:`ArtifactSchema`
-    for its output, implements :meth:`build` and declares what the build
-    reads in :meth:`plan`.  The registry (:mod:`repro.experiments.registry`)
-    discovers subclasses automatically; running a module calls :meth:`cli`.
-    """
-
-    #: Stable identifier, e.g. ``fig07`` — doubles as the CLI/artifact name.
-    experiment_id: str = ""
-    #: The paper artefact reproduced, e.g. ``Figure 7``.
-    artifact: str = ""
-    #: One-line human description.
-    title: str = ""
-    #: Structural expectations for the emitted artifact.
-    schema: ArtifactSchema = ArtifactSchema()
-
-    def plan(self, config: ExperimentConfig) -> List[Entry]:
-        """The result-cache entries :meth:`build` (with its default
-        arguments) reads under ``config``; none by default."""
-        return []
-
-    def build(self, config: ExperimentConfig, **overrides) -> "ExperimentResult":
-        """Produce the experiment's result (implemented by subclasses)."""
-        raise NotImplementedError
-
-    def run(self, config: Optional[ExperimentConfig] = None, **overrides) -> "ExperimentResult":
-        config = config or ExperimentConfig.full()
-        return self.build(config, **overrides)
-
-    @classmethod
-    def cli(cls, argv: Optional[Sequence[str]] = None) -> int:
-        """Stand-alone entry point: ``python -m repro.experiments.<module>``."""
-        import argparse
-
-        parser = argparse.ArgumentParser(description=f"{cls.artifact}: {cls.title}")
-        scale = parser.add_mutually_exclusive_group()
-        scale.add_argument(
-            "--fast", action="store_true", help="use the scaled-down test configuration"
-        )
-        scale.add_argument(
-            "--full", action="store_true", help="use the paper-shaped configuration (default)"
-        )
-        args = parser.parse_args(argv)
-        config = preset_config("fast" if args.fast else "full")
-        print(cls().run(config).to_text())
-        return 0

@@ -16,24 +16,23 @@ that neither prior scheme reaches.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     get_profile,
     measurement,
     run_entry,
     run_scheme_on_kernel,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.workloads.registry import get_benchmark
 
-DEFAULT_KERNEL_INDEX = 0
+#: The kernel Fig. 2 profiles: the first kernel of ``ii``.
+BENCHMARK = "ii"
+KERNEL_INDEX = 0
 
 
-class Fig02SolutionSpace(ExperimentBase):
+class Fig02SolutionSpace(Experiment):
     experiment_id = "fig02"
     artifact = "Figure 2"
     title = "{N, p} solution space of one kernel (grid, cuts, summary points)"
@@ -44,11 +43,11 @@ class Fig02SolutionSpace(ExperimentBase):
     )
 
     def plan(self, config: ExperimentConfig) -> list:
-        spec = get_benchmark("ii").kernels[DEFAULT_KERNEL_INDEX]
+        spec = get_benchmark(BENCHMARK).kernels[KERNEL_INDEX]
         return [measurement(get_profile, spec, config), run_entry("pcal", spec, config)]
 
-    def build(self, config: ExperimentConfig, benchmark: str = "ii") -> ExperimentResult:
-        spec = get_benchmark(benchmark).kernels[DEFAULT_KERNEL_INDEX]
+    def build(self, config: ExperimentConfig) -> ExperimentResult:
+        spec = get_benchmark(BENCHMARK).kernels[KERNEL_INDEX]
         profile = get_profile(spec, config)
         grid = profile.speedup_grid()
 
@@ -95,15 +94,3 @@ class Fig02SolutionSpace(ExperimentBase):
             "global optimum (15,1) at 1.45x."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None, benchmark: str = "ii") -> ExperimentResult:
-    return Fig02SolutionSpace().run(config, benchmark=benchmark)
-
-
-def main() -> None:
-    Fig02SolutionSpace.cli()
-
-
-if __name__ == "__main__":
-    main()

@@ -18,16 +18,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
-from typing import List, Optional
 
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import (
-    ArtifactSchema,
-    Entry,
-    ExperimentBase,
-    ExperimentConfig,
-    cached_measurement,
-)
+from repro.experiments.common import Entry, ExperimentConfig, cached_measurement
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.gpu.counters import measure_window
 from repro.gpu.gpu import GPU
 from repro.workloads.generator import generate_kernel_programs
@@ -36,7 +30,7 @@ from repro.workloads.registry import get_benchmark
 #: The four workloads characterised by the paper's Fig. 4.  ``cfd`` is not in
 #: the evaluation list; ``ss`` has the same inter-warp-dominated profile and
 #: stands in for it.
-DEFAULT_WORKLOADS = ("ii", "bfs", "syr2k", "ss")
+WORKLOADS = ("ii", "bfs", "syr2k", "ss")
 
 
 def _measure(config: ExperimentConfig, benchmark: str) -> dict:
@@ -72,7 +66,7 @@ def _breakdown(benchmark: str, spec, gpu_config, cycles: int) -> dict:
     }
 
 
-class Fig04HitRateBreakdown(ExperimentBase):
+class Fig04HitRateBreakdown(Experiment):
     experiment_id = "fig04"
     artifact = "Figure 4"
     title = "L1 hit-rate breakdown at (N=max, p=1) for four workloads"
@@ -85,14 +79,10 @@ class Fig04HitRateBreakdown(ExperimentBase):
     def plan(self, config: ExperimentConfig) -> list:
         return [
             Entry(_measure, (config, name), get_benchmark(name).kernels[0])
-            for name in DEFAULT_WORKLOADS
+            for name in WORKLOADS
         ]
 
-    def build(
-        self, config: ExperimentConfig, workloads: Optional[List[str]] = None
-    ) -> ExperimentResult:
-        workloads = list(workloads or DEFAULT_WORKLOADS)
-
+    def build(self, config: ExperimentConfig) -> ExperimentResult:
         experiment = ExperimentResult(
             experiment_id="fig04",
             description="L1 hit rate breakdown for N=max, p=1",
@@ -111,7 +101,7 @@ class Fig04HitRateBreakdown(ExperimentBase):
                 ],
             )
         )
-        for name in workloads:
+        for name in WORKLOADS:
             row = _measure(config, name)
             table.add_row(
                 row["benchmark"],
@@ -128,18 +118,3 @@ class Fig04HitRateBreakdown(ExperimentBase):
             "(R=240), cfd 2% intra (R=3161); large delta h_p for ii/syr2k, small for bfs/cfd."
         )
         return experiment
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    workloads: Optional[List[str]] = None,
-) -> ExperimentResult:
-    return Fig04HitRateBreakdown().run(config, workloads=workloads)
-
-
-def main() -> None:
-    Fig04HitRateBreakdown.cli()
-
-
-if __name__ == "__main__":
-    main()

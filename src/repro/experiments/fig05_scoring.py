@@ -11,20 +11,15 @@ peak speedup`` with the scored point never lying next to a cliff
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.analysis.tables import ExperimentResult, Table
 from repro.core.scoring import best_raw_point, select_training_target
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    get_profile,
-    measurement,
-)
+from repro.experiments.common import ExperimentConfig, get_profile, measurement
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.workloads.registry import get_benchmark
 
-DEFAULT_KERNELS: Tuple[Tuple[str, int], ...] = (("ii", 0), ("ii", 1))
+KERNELS: Tuple[Tuple[str, int], ...] = (("ii", 0), ("ii", 1))
 
 
 def _kernel(benchmark_name: str, kernel_index: int):
@@ -42,22 +37,16 @@ def _neighbourhood_mean(grid, point) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-class Fig05Scoring(ExperimentBase):
+class Fig05Scoring(Experiment):
     experiment_id = "fig05"
     artifact = "Figure 5"
     title = "Scoring performance peaks vs cliffs (Eq. 12)"
     schema = ArtifactSchema(min_tables=1, required_tables=("raw peak",))
 
     def plan(self, config: ExperimentConfig) -> list:
-        return [measurement(get_profile, _kernel(*kernel), config) for kernel in DEFAULT_KERNELS]
+        return [measurement(get_profile, _kernel(*kernel), config) for kernel in KERNELS]
 
-    def build(
-        self,
-        config: ExperimentConfig,
-        kernels: Optional[List[Tuple[str, int]]] = None,
-    ) -> ExperimentResult:
-        kernels = list(kernels or DEFAULT_KERNELS)
-
+    def build(self, config: ExperimentConfig) -> ExperimentResult:
         experiment = ExperimentResult(
             experiment_id="fig05",
             description="Scoring performance peaks vs cliffs (Eq. 12)",
@@ -76,7 +65,7 @@ class Fig05Scoring(ExperimentBase):
                 ],
             )
         )
-        for benchmark_name, kernel_index in kernels:
+        for benchmark_name, kernel_index in KERNELS:
             spec = _kernel(benchmark_name, kernel_index)
             profile = get_profile(spec, config)
             grid = profile.speedup_grid()
@@ -99,18 +88,3 @@ class Fig05Scoring(ExperimentBase):
             "for distance from cliffs."
         )
         return experiment
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    kernels: Optional[List[Tuple[str, int]]] = None,
-) -> ExperimentResult:
-    return Fig05Scoring().run(config, kernels=kernels)
-
-
-def main() -> None:
-    Fig05Scoring.cli()
-
-
-if __name__ == "__main__":
-    main()

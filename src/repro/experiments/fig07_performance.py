@@ -9,18 +9,15 @@ few percent above Poise.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
     EVALUATION_SCHEMES,
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
     plan_schemes,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import harmonic_mean
 
 SCHEME_LABELS = {
@@ -32,7 +29,7 @@ SCHEME_LABELS = {
 }
 
 
-class Fig07Performance(ExperimentBase):
+class Fig07Performance(Experiment):
     experiment_id = "fig07"
     artifact = "Figure 7"
     title = "Performance improvement (IPC normalised to GTO)"
@@ -82,15 +79,3 @@ class Fig07Performance(ExperimentBase):
             "Static-Best 1.528."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig07Performance().run(config)
-
-
-def main() -> None:
-    Fig07Performance.cli()
-
-
-if __name__ == "__main__":
-    main()

@@ -8,23 +8,20 @@ hit rate), PCAL-SWL noticeably lower, GTO lowest.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
     EVALUATION_SCHEMES,
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
     plan_schemes,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.experiments.fig07_performance import SCHEME_LABELS
 from repro.profiling.metrics import arithmetic_mean
 
 
-class Fig08L1HitRate(ExperimentBase):
+class Fig08L1HitRate(Experiment):
     experiment_id = "fig08"
     artifact = "Figure 8"
     title = "Absolute L1 hit rate (%) per scheme"
@@ -74,15 +71,3 @@ class Fig08L1HitRate(ExperimentBase):
             "Paper averages: GTO 20.6%, SWL 37.7%, PCAL-SWL 27.1%, Poise 40.1%, Static-Best 43.6%."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig08L1HitRate().run(config)
-
-
-def main() -> None:
-    Fig08L1HitRate.cli()
-
-
-if __name__ == "__main__":
-    main()

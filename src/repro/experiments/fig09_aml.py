@@ -8,23 +8,20 @@ increases it by 32.4% and SWL decreases it by 10.7%; Static-Best tolerates a
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
     EVALUATION_SCHEMES,
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
     plan_schemes,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.experiments.fig07_performance import SCHEME_LABELS
 from repro.profiling.metrics import arithmetic_mean
 
 
-class Fig09AML(ExperimentBase):
+class Fig09AML(Experiment):
     experiment_id = "fig09"
     artifact = "Figure 9"
     title = "Average memory latency normalised to GTO"
@@ -67,15 +64,3 @@ class Fig09AML(ExperimentBase):
             "Paper averages: Poise +1.1%, PCAL-SWL +32.4%, SWL -10.7%, Static-Best +14.1% vs GTO."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig09AML().run(config)
-
-
-def main() -> None:
-    Fig09AML.cli()
-
-
-if __name__ == "__main__":
-    main()

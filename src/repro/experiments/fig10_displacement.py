@@ -10,22 +10,19 @@ final answer and the search overhead is small.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     evaluation_benchmark_names,
     plan_schemes,
     run_scheme_on_benchmark,
     train_or_load_model,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import arithmetic_mean
 
 
-class Fig10Displacement(ExperimentBase):
+class Fig10Displacement(Experiment):
     experiment_id = "fig10"
     artifact = "Figure 10"
     title = "Displacement between predicted and converged warp-tuples"
@@ -84,15 +81,3 @@ class Fig10Displacement(ExperimentBase):
             "Paper averages: 1.02 (N-axis), 0.87 (p-axis), 1.59 (Euclidean)."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig10Displacement().run(config)
-
-
-def main() -> None:
-    Fig10Displacement.cli()
-
-
-if __name__ == "__main__":
-    main()

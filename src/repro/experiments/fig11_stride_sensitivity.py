@@ -13,12 +13,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    evaluation_benchmark_names,
-)
+from repro.experiments.common import ExperimentConfig, evaluation_benchmark_names
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import harmonic_mean
 from repro.scenarios.library import FIG11_STRIDES, fig11_grid
 from repro.scenarios.runner import evaluate_grid, plan_grid
@@ -26,7 +22,7 @@ from repro.scenarios.runner import evaluate_grid, plan_grid
 DEFAULT_STRIDES: Tuple[Tuple[int, int], ...] = FIG11_STRIDES
 
 
-class Fig11StrideSensitivity(ExperimentBase):
+class Fig11StrideSensitivity(Experiment):
     experiment_id = "fig11"
     artifact = "Figure 11"
     title = "Sensitivity to local-search stride (εN, εp)"
@@ -79,18 +75,3 @@ class Fig11StrideSensitivity(ExperimentBase):
             "Paper harmonic means: (0,0) 1.23, (1,1) 1.436, (2,2) 1.457, (2,4) 1.466, (4,4) 1.45."
         )
         return experiment
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    strides: Optional[List[Tuple[int, int]]] = None,
-) -> ExperimentResult:
-    return Fig11StrideSensitivity().run(config, strides=strides)
-
-
-def main() -> None:
-    Fig11StrideSensitivity.cli()
-
-
-if __name__ == "__main__":
-    main()

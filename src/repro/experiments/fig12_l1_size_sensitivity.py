@@ -16,12 +16,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    evaluation_benchmark_names,
-)
+from repro.experiments.common import ExperimentConfig, evaluation_benchmark_names
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import harmonic_mean
 from repro.scenarios.library import FIG12_SCALES, fig12_grid
 from repro.scenarios.runner import evaluate_grid, plan_grid
@@ -29,7 +25,7 @@ from repro.scenarios.runner import evaluate_grid, plan_grid
 DEFAULT_SCALES = FIG12_SCALES  # 16 KB, 32 KB, 64 KB
 
 
-class Fig12L1SizeSensitivity(ExperimentBase):
+class Fig12L1SizeSensitivity(Experiment):
     experiment_id = "fig12"
     artifact = "Figure 12"
     title = "Sensitivity to L1 cache size (linear indexing, pre-trained model)"
@@ -84,18 +80,3 @@ class Fig12L1SizeSensitivity(ExperimentBase):
             "helping on larger linearly-indexed caches despite being trained elsewhere."
         )
         return experiment
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    scales: Optional[List[int]] = None,
-) -> ExperimentResult:
-    return Fig12L1SizeSensitivity().run(config, scales=scales)
-
-
-def main() -> None:
-    Fig12L1SizeSensitivity.cli()
-
-
-if __name__ == "__main__":
-    main()

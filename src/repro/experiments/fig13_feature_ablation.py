@@ -17,12 +17,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    evaluation_benchmark_names,
-)
+from repro.experiments.common import ExperimentConfig, evaluation_benchmark_names
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import harmonic_mean
 from repro.scenarios.library import FIG13_ABLATIONS, fig13_grid
 from repro.scenarios.runner import evaluate_grid, plan_grid
@@ -31,7 +27,7 @@ from repro.scenarios.runner import evaluate_grid, plan_grid
 DEFAULT_ABLATIONS = FIG13_ABLATIONS  # x7, x6, x5, x4, x3
 
 
-class Fig13FeatureAblation(ExperimentBase):
+class Fig13FeatureAblation(Experiment):
     experiment_id = "fig13"
     artifact = "Figure 13"
     title = "Sensitivity to removing a feature from X (retrained, no local search)"
@@ -90,18 +86,3 @@ class Fig13FeatureAblation(ExperimentBase):
             "training is best."
         )
         return experiment
-
-
-def run(
-    config: Optional[ExperimentConfig] = None,
-    ablations: Optional[List[int]] = None,
-) -> ExperimentResult:
-    return Fig13FeatureAblation().run(config, ablations=ablations)
-
-
-def main() -> None:
-    Fig13FeatureAblation.cli()
-
-
-if __name__ == "__main__":
-    main()

@@ -9,21 +9,18 @@ speedups.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
     plan_schemes,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import arithmetic_mean
 
 
-class Fig14Energy(ExperimentBase):
+class Fig14Energy(Experiment):
     experiment_id = "fig14"
     artifact = "Figure 14"
     title = "Energy consumption normalised to GTO"
@@ -62,15 +59,3 @@ class Fig14Energy(ExperimentBase):
             "Paper: Poise reduces energy by 51.6% on average (ratio 0.484), up to 79.4% on mm."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig14Energy().run(config)
-
-
-def main() -> None:
-    Fig14Energy.cli()
-
-
-if __name__ == "__main__":
-    main()

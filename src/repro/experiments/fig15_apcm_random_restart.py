@@ -14,17 +14,14 @@ The shape to reproduce: Poise above both alternatives on the harmonic mean.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     evaluate_schemes,
     evaluation_benchmark_names,
     plan_schemes,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import harmonic_mean
 
 SCHEMES = ("gto", "apcm", "random_restart", "poise")
@@ -36,7 +33,7 @@ LABELS = {
 }
 
 
-class Fig15ApcmRandomRestart(ExperimentBase):
+class Fig15ApcmRandomRestart(Experiment):
     experiment_id = "fig15"
     artifact = "Figure 15"
     title = "Poise vs APCM and random-restart search"
@@ -79,15 +76,3 @@ class Fig15ApcmRandomRestart(ExperimentBase):
             "Paper: Poise outperforms APCM by 39.5% and random-restart search by 22.4% on average."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig15ApcmRandomRestart().run(config)
-
-
-def main() -> None:
-    Fig15ApcmRandomRestart.cli()
-
-
-if __name__ == "__main__":
-    main()

@@ -11,12 +11,8 @@ memory-insensitive.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     compute_benchmark_names,
     get_pbest,
@@ -25,11 +21,12 @@ from repro.experiments.common import (
     run_scheme_on_benchmark,
     train_or_load_model,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import harmonic_mean
 from repro.workloads.registry import get_benchmark
 
 
-class Fig16ComputeIntensive(ExperimentBase):
+class Fig16ComputeIntensive(Experiment):
     experiment_id = "fig16"
     artifact = "Figure 16"
     title = "Poise on memory-insensitive applications"
@@ -84,15 +81,3 @@ class Fig16ComputeIntensive(ExperimentBase):
             "maximum warps when In exceeds the Imax cut-off."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Fig16ComputeIntensive().run(config)
-
-
-def main() -> None:
-    Fig16ComputeIntensive.cli()
-
-
-if __name__ == "__main__":
-    main()

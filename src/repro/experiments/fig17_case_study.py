@@ -10,12 +10,8 @@ profile (percentile of its speedup).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     get_profile,
     measurement,
@@ -23,7 +19,11 @@ from repro.experiments.common import (
     run_scheme_on_benchmark,
     train_or_load_model,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.workloads.registry import get_benchmark
+
+#: The case-study benchmark; its first kernel is profiled.
+BENCHMARK = "bfs"
 
 
 def _percentile_of(grid: dict, point) -> float:
@@ -36,7 +36,7 @@ def _percentile_of(grid: dict, point) -> float:
     return below / max(1, len(grid) - 1)
 
 
-class Fig17CaseStudy(ExperimentBase):
+class Fig17CaseStudy(Experiment):
     experiment_id = "fig17"
     artifact = "Figure 17"
     title = "Case study: static profile vs Poise runtime warp-tuples"
@@ -47,20 +47,20 @@ class Fig17CaseStudy(ExperimentBase):
     )
 
     def plan(self, config: ExperimentConfig) -> list:
-        spec = get_benchmark("bfs").kernels[0]
-        return [measurement(get_profile, spec, config)] + plan_benchmark("poise", "bfs", config)
+        spec = get_benchmark(BENCHMARK).kernels[0]
+        return [measurement(get_profile, spec, config)] + plan_benchmark("poise", BENCHMARK, config)
 
-    def build(self, config: ExperimentConfig, benchmark: str = "bfs") -> ExperimentResult:
+    def build(self, config: ExperimentConfig) -> ExperimentResult:
         model = train_or_load_model(config)
-        spec = get_benchmark(benchmark).kernels[0]
+        spec = get_benchmark(BENCHMARK).kernels[0]
         profile = get_profile(spec, config)
         grid = profile.speedup_grid()
 
-        outcome = run_scheme_on_benchmark("poise", benchmark, config, model=model)
+        outcome = run_scheme_on_benchmark("poise", BENCHMARK, config, model=model)
 
         experiment = ExperimentResult(
             experiment_id="fig17",
-            description=f"Case study: static profile vs Poise runtime tuples ({benchmark})",
+            description=f"Case study: static profile vs Poise runtime tuples ({BENCHMARK})",
         )
         profile_table = experiment.add_table(
             Table(title="Fig. 17a — static profile summary", columns=["quantity", "value"])
@@ -95,15 +95,3 @@ class Fig17CaseStudy(ExperimentBase):
             "high-performance zone and avoid the slow region at high N and moderate-to-high p."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None, benchmark: str = "bfs") -> ExperimentResult:
-    return Fig17CaseStudy().run(config, benchmark=benchmark)
-
-
-def main() -> None:
-    Fig17CaseStudy.cli()
-
-
-if __name__ == "__main__":
-    main()

@@ -9,13 +9,9 @@ per-kernel detail.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.core.scoring import select_training_target
 from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
     ExperimentConfig,
     get_features,
     get_profile,
@@ -23,11 +19,12 @@ from repro.experiments.common import (
     model_entry,
     train_or_load_model,
 )
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import arithmetic_mean
 from repro.workloads.registry import evaluation_benchmarks
 
 
-class Sec7bPredictionError(ExperimentBase):
+class Sec7bPredictionError(Experiment):
     experiment_id = "sec7b"
     artifact = "Section VII-B"
     title = "Offline prediction error on unseen (evaluation) kernels"
@@ -79,15 +76,3 @@ class Sec7bPredictionError(ExperimentBase):
         experiment.scalars["mean_error_p"] = arithmetic_mean(errors_p)
         experiment.add_note("Paper: mean prediction error 16% for N and 26% for p.")
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Sec7bPredictionError().run(config)
-
-
-def main() -> None:
-    Sec7bPredictionError.cli()
-
-
-if __name__ == "__main__":
-    main()

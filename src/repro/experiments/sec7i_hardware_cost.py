@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.core.hardware_cost import HardwareCostModel
-from repro.experiments.common import ArtifactSchema, ExperimentBase, ExperimentConfig
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.registry import ArtifactSchema, Experiment
 
 
-class Sec7iHardwareCost(ExperimentBase):
+class Sec7iHardwareCost(Experiment):
     experiment_id = "sec7i"
     artifact = "Section VII-I"
     title = "Hardware storage overhead of Poise"
@@ -42,15 +41,3 @@ class Sec7iHardwareCost(ExperimentBase):
         experiment.scalars["bytes_total"] = cost.bytes_total
         experiment.add_note("Paper: 40.75 bytes per SM, 1,304 bytes total, <0.01% of chip area.")
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Sec7iHardwareCost().run(config)
-
-
-def main() -> None:
-    Sec7iHardwareCost.cli()
-
-
-if __name__ == "__main__":
-    main()

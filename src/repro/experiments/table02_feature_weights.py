@@ -9,20 +9,13 @@ on the training split only.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
 from repro.core.features import FEATURE_NAMES
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    model_entry,
-    train_or_load_model,
-)
+from repro.experiments.common import ExperimentConfig, model_entry, train_or_load_model
+from repro.experiments.registry import ArtifactSchema, Experiment
 
 
-class Table02FeatureWeights(ExperimentBase):
+class Table02FeatureWeights(Experiment):
     experiment_id = "table02"
     artifact = "Table II"
     title = "Feature vector X and learned weights (alpha for N, beta for p)"
@@ -60,15 +53,3 @@ class Table02FeatureWeights(ExperimentBase):
             "log-linear mapping trained once, offline, on the training split."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Table02FeatureWeights().run(config)
-
-
-def main() -> None:
-    Table02FeatureWeights.cli()
-
-
-if __name__ == "__main__":
-    main()

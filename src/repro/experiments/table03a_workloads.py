@@ -9,16 +9,9 @@ and memory-sensitivity classification.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    ExperimentConfig,
-    get_pbest,
-    measurement,
-)
+from repro.experiments.common import ExperimentConfig, get_pbest, measurement
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.profiling.metrics import arithmetic_mean
 from repro.workloads.registry import (
     compute_intensive_benchmarks,
@@ -39,7 +32,7 @@ def _kernels(config: ExperimentConfig):
             yield role, benchmark, config.limited_kernels(benchmark, training=(role == "training"))
 
 
-class Table03aWorkloads(ExperimentBase):
+class Table03aWorkloads(Experiment):
     experiment_id = "table03a"
     artifact = "Table IIIa"
     title = "Training and evaluation workloads (Pbest = speedup with 64x L1)"
@@ -83,15 +76,3 @@ class Table03aWorkloads(ExperimentBase):
             "and 1.49-3.43x for training; compute-intensive applications are below 1.2x."
         )
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Table03aWorkloads().run(config)
-
-
-def main() -> None:
-    Table03aWorkloads.cli()
-
-
-if __name__ == "__main__":
-    main()

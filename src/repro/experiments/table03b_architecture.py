@@ -8,13 +8,12 @@ DRAM bandwidth share).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.tables import ExperimentResult, Table
-from repro.experiments.common import ArtifactSchema, ExperimentBase, ExperimentConfig
+from repro.experiments.common import ExperimentConfig
+from repro.experiments.registry import ArtifactSchema, Experiment
 
 
-class Table03bArchitecture(ExperimentBase):
+class Table03bArchitecture(Experiment):
     experiment_id = "table03b"
     artifact = "Table IIIb"
     title = "Baseline architecture parameters"
@@ -67,15 +66,3 @@ class Table03bArchitecture(ExperimentBase):
         for parameter, paper_value, ours in rows:
             table.add_row(parameter, paper_value, ours)
         return experiment
-
-
-def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
-    return Table03bArchitecture().run(config)
-
-
-def main() -> None:
-    Table03bArchitecture.cli()
-
-
-if __name__ == "__main__":
-    main()

@@ -162,7 +162,7 @@ def write_sweep_artifact(
 class SweepSchema:
     """Structural contract of a sweep artifact.
 
-    Deliberately structural, like :class:`~repro.experiments.common.ArtifactSchema`:
+    Deliberately structural, like :class:`~repro.experiments.registry.ArtifactSchema`:
     it checks the payload's shape (every point carries the promised metrics,
     every swept axis has a sensitivity table, the winners name real schemes),
     not the numeric values.

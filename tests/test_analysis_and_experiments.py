@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.tables import ExperimentResult, Table
 from repro.core.hardware_cost import HardwareCostModel
-from repro.experiments import sec7i_hardware_cost, table03b_architecture, table04_parameters
+from repro.experiments import registry
 from repro.experiments.common import ExperimentConfig
 
 
@@ -80,13 +80,15 @@ class TestCheapExperiments:
     """Experiments that need no simulation can run in unit-test time."""
 
     def test_hardware_cost_experiment_matches_model(self):
-        result = sec7i_hardware_cost.run()
+        result = registry.get("sec7i").run(ExperimentConfig.fast())
         assert result.scalars["bytes_per_sm"] == pytest.approx(HardwareCostModel().bytes_per_sm)
 
     def test_architecture_table_lists_baseline(self):
-        result = table03b_architecture.run(ExperimentConfig.fast())
+        result = registry.get("table03b").run(ExperimentConfig.fast())
         assert result.table("architecture").row_by_key("SMs") is not None
 
     def test_parameters_table_contains_paper_values(self):
-        result = table04_parameters.run(ExperimentConfig.fast())
+        result = registry.get("table04").run(ExperimentConfig.fast())
         assert 200000 in result.table("Poise parameters").column("paper")
+        # The fast preset's sampling shares of T_period, beside the paper's.
+        assert "(T_warmup + T_feature) 6.0% vs 16.7%, T_search 2.0% vs 4.0%" in result.notes[0]

@@ -4,7 +4,7 @@ The expensive part — ``python -m repro run-all --fast`` — happens once per
 session in a module fixture; the parametrized smoke test then validates the
 emitted artifact of **every** registered experiment against its declared
 schema.  A new ``fig*/table*/sec*`` module that forgets to subclass
-``ExperimentBase`` breaks discovery itself (see
+``Experiment`` breaks discovery itself (see
 ``test_every_experiment_module_registers``), so the suite fails before the
 experiment is silently dropped from the catalogue.
 """
@@ -12,6 +12,7 @@ experiment is silently dropped from the catalogue.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import types
 from dataclasses import replace
@@ -23,13 +24,8 @@ import repro.experiments.common as common
 from repro.cli import runner
 from repro.cli.main import main as cli_main
 from repro.experiments import registry
-from repro.experiments.common import (
-    ArtifactSchema,
-    ExperimentBase,
-    default_cache_dir,
-    preset_config,
-    run_plan,
-)
+from repro.experiments.common import default_cache_dir, preset_config, run_plan
+from repro.experiments.registry import ArtifactSchema, Experiment
 from repro.runtime.cache import content_key
 from repro.runtime.executor import SweepExecutor
 
@@ -45,7 +41,7 @@ class TestDiscovery:
             if registry.EXPERIMENT_MODULE_PATTERN.match(path.stem)
         )
         assert on_disk == registry.experiment_module_names()
-        modules = {experiment.module for experiment in registry.all_experiments()}
+        modules = {type(experiment).__module__ for experiment in registry.all_experiments()}
         assert modules == {f"repro.experiments.{name}" for name in on_disk}
 
     def test_ids_unique_and_sorted(self):
@@ -58,10 +54,11 @@ class TestDiscovery:
         with pytest.raises(KeyError, match="fig07"):
             registry.get("nonsense")
 
-    def test_descriptors_are_complete(self):
+    def test_experiments_are_complete(self):
         for experiment in registry.all_experiments():
-            assert experiment.id and experiment.artifact and experiment.title
-            assert issubclass(experiment.cls, ExperimentBase)
+            assert experiment.experiment_id and experiment.artifact and experiment.title
+            assert isinstance(experiment, Experiment)
+            assert registry.get(experiment.experiment_id) is experiment
             assert isinstance(experiment.schema, ArtifactSchema)
             config = preset_config("fast")
             assert config.label == "fast"
@@ -75,7 +72,7 @@ class TestDiscovery:
     def test_subclass_without_id_is_rejected(self, monkeypatch):
         fake = types.ModuleType("repro.experiments.fig98_anonymous")
 
-        class Anonymous(ExperimentBase):
+        class Anonymous(Experiment):
             pass
 
         Anonymous.__module__ = "repro.experiments.fig98_anonymous"
@@ -155,11 +152,29 @@ def test_report_covers_all_artifacts(cli_artifacts_dir, capsys):
     for experiment_id in registry.experiment_ids():
         assert experiment_id in out
     assert "missing experiments" not in out
+    # The artifacts time their builds only; the plan is timed by `repro run`.
+    total = (
+        rf"^{len(registry.experiment_ids())} artifacts, \d+\.\ds total build time "
+        r"\(the plan's time is on `repro run`'s phases: line\)$"
+    )
+    assert re.search(total, out, re.MULTILINE), out
+
+
+def test_print_tables_prints_each_result_verbatim(tmp_path, capsys):
+    """``repro run --print-tables`` prints each experiment's result text as
+    its ``run`` renders it.  Neither experiment here simulates."""
+    ids = ["table04", "sec7i"]
+    assert cli_main(["run", *ids, "--fast", "--print-tables", "--cache-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    config = replace(preset_config("fast"), cache_dir=tmp_path)
+    for experiment_id in ids:
+        assert registry.get(experiment_id).run(config).to_text() in out
+    assert "cache: 0 hits, 0 misses, 0 stores" in out
 
 
 def test_list_names_every_experiment(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
     for experiment in registry.all_experiments():
-        assert experiment.id in out
+        assert experiment.experiment_id in out
         assert experiment.artifact in out

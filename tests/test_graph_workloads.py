@@ -467,8 +467,6 @@ READS = {
     "profile_p_step": {"profile", "run", "model"},
     "run_max_cycles": {"run", "graph-run"},
     "poise_params": {"run", "model"},
-    "feature_warmup": {"run", "model", "features"},
-    "feature_cycles": {"run", "model", "features"},
     "training_kernels_per_benchmark": {"model"},
     "training_min_speedup": {"model"},
     "training_min_hit_rate": {"model"},
@@ -499,6 +497,19 @@ def test_every_experiment_config_field_moves_exactly_the_payloads_that_read_it(t
         changed = replace(base, **{field.name: _perturbed(getattr(base, field.name))})
         moved = {kind for kind, payload in PAYLOADS.items() if payload(changed) != payload(base)}
         assert moved == READS.get(field.name, set()), field.name
+
+
+@pytest.mark.parametrize("window", ["t_warmup", "t_feature"])
+def test_feature_window_moves_the_features_payload(tmp_path, window):
+    """The feature-sampling window is Poise's ``t_warmup``/``t_feature``:
+    changing either moves the feature vectors as well as the runs and the
+    model (the generic ``poise_params`` perturbation above changes only
+    the scoring weights, which no feature vector reads)."""
+    base = replace(ExperimentConfig.fast(), cache_dir=tmp_path)
+    params = base.poise_params
+    changed = base.with_poise_params(replace(params, **{window: getattr(params, window) + 1}))
+    moved = {kind for kind, payload in PAYLOADS.items() if payload(changed) != payload(base)}
+    assert moved == {"run", "model", "features"}
 
 
 def test_graph_run_caches_hit(tmp_path):

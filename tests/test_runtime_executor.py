@@ -457,7 +457,8 @@ class TestCacheKeyHygiene:
 
     def test_feature_window_changes_key(self):
         base = ExperimentConfig.fast()
-        assert base.cache_key != replace(base, feature_cycles=base.feature_cycles + 1).cache_key
+        window = replace(base.poise_params, t_feature=base.poise_params.t_feature + 1)
+        assert base.cache_key != base.with_poise_params(window).cache_key
 
     def test_distinct_run_max_cycles_distinct_results(self, sweep_spec, tmp_cache_config):
         """Regression: previously these two configs silently shared a cache slot."""
