@@ -12,8 +12,9 @@ state:
 
 * **warps** become parallel arrays indexed by warp id: ``pc``, program
   length, the incrementally maintained minimum first-dependent index, one
-  pending-load dict (token → ``(first_dep, issue_cycle)``) per warp, and an
-  alive flag;
+  list per warp of its pending loads' first-dependent indexes (a delivered
+  load removes its own value; equal values are interchangeable, so the new
+  minimum is the builtin ``min`` of what is left), and an alive flag;
 * **programs** are read in place, without a copy, as lists of (slotted,
   frozen) :class:`~repro.gpu.isa.Instruction` objects — ``line_addr is
   None`` doubles as the ALU test, so no decode pass is paid.  A lazily
@@ -32,9 +33,10 @@ state:
   resumes and written back each time it stops, because other SMs' loops
   serve requests in between; its request statistics are published when
   the loop is closed;
-* **the MSHR file** becomes a set of in-flight line addresses (capacity
-  check is a ``len()``) plus the per-line waiter lists already shared with
-  the response heap;
+* **the MSHR file** becomes one dict from each in-flight line to its
+  waiters ``(warp, first_dep, issue_cycle)``, so the capacity check is a
+  ``len()``; the response heap holds ``(completion, sequence, line)`` and a
+  delivery pops the line's waiters from the dict;
 * **the GTO/SWL scheduler state** becomes a pollute flag list and two
   bitmasks over warp ids, ``vital`` (refreshed exactly where the legacy
   scheduler refreshes) and ``ready`` (the schedulable warps).  The
@@ -47,7 +49,11 @@ bound to locals once and kept there between resumes; runs of consecutive ALU
 instructions issue as a single batched update (provably equivalent: an ALU
 issue changes nothing but ``pc``, the cycle counter and three counters, so
 ``k`` sticky ALU issues commute with the loop as long as no response is due
-and the warp stays schedulable — both of which bound ``k``).
+and the warp stays schedulable — both of which bound ``k``).  Only the
+counters that are not sums or differences of others are kept per event;
+``cycles``, ``busy_cycles``, ``instructions``, the miss, non-polluting and
+inter-warp counts and the L2 request counts are derived when the loop
+publishes.
 
 Two classes of dead cycle advance the clock in one jump instead of one tick
 each, both to ``min(next memory completion, run limit)``:
@@ -78,7 +84,9 @@ controller window boundary (``run_cycles`` / ``snapshot`` /
 controllers see the oracle's per-window counter deltas.  Jumps need no
 clamp at the resume's *horizon*: they send no request to the L2, and the
 loop stops only before a new L2 request at or past the horizon (see
-:mod:`repro.gpu.chip`).
+:mod:`repro.gpu.chip`).  A loop stopped there waits at that load: nothing
+of its SM moves until it is resumed, so the resume issues the load without
+picking again.
 
 Bit-identity with the legacy core — every counter, every cycle — is pinned
 by the golden-counter fixtures and by the differential Hypothesis suite in
@@ -228,9 +236,8 @@ class FastStreamingMultiprocessor:
         self._pcs: List[int] = [0] * num_warps
         self._plens: List[int] = [len(program) for program in self.warps]
         self._minfd: List[int] = [_NO_BLOCK] * num_warps
-        self._outstanding: List[Dict[int, Tuple[int, int]]] = [
-            {} for _ in range(num_warps)
-        ]
+        #: Each warp's pending loads, as their first-dependent indexes.
+        self._pending: List[List[int]] = [[] for _ in range(num_warps)]
         self._alive: List[bool] = [length > 0 for length in self._plens]
         self._unfinished = sum(self._alive)
         #: Bit ``wid`` caches ``is_schedulable`` (pc < plen and pc < minfd);
@@ -251,7 +258,9 @@ class FastStreamingMultiprocessor:
         # -- L1, MSHR and memory ------------------------------------------------
         self._l1 = _CacheSets(config.l1)
         self._mshr_capacity = config.l1.mshr_entries
-        self._mshr_lines: set = set()
+        #: The MSHR file: in-flight line -> its waiters, each
+        #: ``(warp_id, first_dep, issue_cycle)``.
+        self._mshr: Dict[int, List[Tuple[int, int, int]]] = {}
         # ``memory`` lets a chip model (repro.gpu.chip) share one L2/DRAM
         # busy-server pair across SMs; standalone SMs own a private one.
         self.memory = memory if memory is not None else FastMemorySubsystem(config.memory)
@@ -259,11 +268,10 @@ class FastStreamingMultiprocessor:
         # -- bookkeeping -------------------------------------------------------
         self.counters = PerfCounters()
         self.cycle = 0
-        self._next_token = 0
-        # (completion_cycle, sequence, line_addr, [(warp_id, token), ...])
-        self._responses: List[Tuple[int, int, int, List[Tuple[int, int]]]] = []
+        # (completion_cycle, sequence, line_addr); the sequence counts the
+        # SM's L2 requests.
+        self._responses: List[Tuple[int, int, int]] = []
         self._response_seq = 0
-        self._response_waiters: Dict[int, List[Tuple[int, int]]] = {}
         self.cache_policy = cache_policy or CacheManagementPolicy()
         # The base-class hooks are no-ops; skipping them entirely keeps the
         # hot loop free of two Python calls per load without changing state.
@@ -327,25 +335,24 @@ class FastStreamingMultiprocessor:
         """The fused cycle loop as a coroutine: the core protocol of
         :mod:`repro.gpu.engine`.  State is bound to locals once; counters
         and state are published when the loop is closed."""
-        cycle = self.cycle
+        cycle = start_cycle = self.cycle
         unfinished = self._unfinished
         responses = self._responses
         next_completion = responses[0][0] if responses else _NO_RESPONSE
 
         # ---- counter accumulators (published to self.counters on close) -----
-        cycles_c = busy_c = stall_c = instr_c = loads_c = 0
-        l1_acc = l1_hit = l1_miss = l1_byp = 0
-        pol_acc = pol_hit = npol_acc = npol_hit = 0
-        intra_c = inter_c = 0
+        # Only counters that no other determines: the rest are derived on
+        # close (see the ``finally`` block).
+        alu_c = loads_c = stall_c = mshr_stall = 0
+        l1_hit = l1_byp = pol_acc = pol_hit = intra_c = 0
         missreq_c = misslat_c = 0
-        l2_acc = l2_hit = dram_c = latency_c = 0
-        mshr_stall = 0
+        l2_hit = latency_c = 0
 
         # ---- state bound to locals ------------------------------------------
         pcs = self._pcs
         plens = self._plens
         minfd = self._minfd
-        outstanding = self._outstanding
+        pending = self._pending
         alive = self._alive
         pollute = self._pollute_flags
         ready = self._ready
@@ -356,11 +363,9 @@ class FastStreamingMultiprocessor:
         fills = self._fills
         l1 = self._l1
         l1_assoc = l1.assoc
-        mshr_lines = self._mshr_lines
+        mshr = self._mshr
         mshr_cap = self._mshr_capacity
-        waiters_map = self._response_waiters
-        seq = self._response_seq
-        next_token = self._next_token
+        seq = start_seq = self._response_seq
         reuse = self.reuse_tracker
         reuse_record = reuse.record if reuse is not None else None
         policy_active = self._policy_active
@@ -392,7 +397,7 @@ class FastStreamingMultiprocessor:
         prog_w: Sequence[Instruction] = ()
         plen_w = 0
         filled_w = 0
-        out_w: Dict[int, Tuple[int, int]] = {}
+        pend_w: List[int] = []
 
         try:
             while True:
@@ -402,37 +407,27 @@ class FastStreamingMultiprocessor:
                 while cycle < limit and unfinished:
                     # ---- deliver memory responses due this cycle ------------
                     while next_completion <= cycle:
-                        completion, _, line, waiters = heappop(responses)
-                        del waiters_map[line]
-                        for wid, token in waiters:
-                            out = outstanding[wid]
-                            fd, issue_cycle = out.pop(token)
+                        completion, _, line = heappop(responses)
+                        for wid, fd, issue_cycle in mshr.pop(line):
+                            pend = pending[wid]
+                            pend.remove(fd)
                             # Each waiter is charged its own latency: merged loads
                             # issue later than the primary, so their round trip is
                             # shorter.
                             missreq_c += 1
                             misslat_c += completion - issue_cycle
-                            if fd <= minfd[wid]:
-                                new_min = _NO_BLOCK
-                                for pending in out.values():
-                                    first_dep = pending[0]
-                                    if first_dep < new_min:
-                                        new_min = first_dep
-                                minfd[wid] = new_min
+                            if fd == minfd[wid]:
+                                minfd[wid] = min(pend) if pend else _NO_BLOCK
                             pc = pcs[wid]
-                            if not out and pc >= plens[wid]:
+                            if not pend and pc >= plens[wid]:
                                 alive[wid] = False
                                 unfinished -= 1
                                 refresh()
                                 vital = self._vital
-                            elif (
-                                not ready >> wid & 1
-                                and pc < plens[wid]
-                                and pc < minfd[wid]
-                            ):
-                                # The raised min-first-dependent unblocked the warp.
+                            elif pc < plens[wid] and pc < minfd[wid]:
+                                # The raised min-first-dependent may have
+                                # unblocked the warp.
                                 ready |= 1 << wid
-                        mshr_lines.discard(line)
                         next_completion = responses[0][0] if responses else _NO_RESPONSE
 
                     # ---- pick a warp: sticky, else the oldest ready vital one
@@ -448,7 +443,6 @@ class FastStreamingMultiprocessor:
                             )
                         else:
                             target = cycle + 1
-                        cycles_c += target - cycle
                         stall_c += target - cycle
                         cycle = target
                         continue
@@ -463,7 +457,7 @@ class FastStreamingMultiprocessor:
                         prog_w = progs[wid]
                         plen_w = plens[wid]
                         filled_w = len(prog_w)
-                        out_w = outstanding[wid]
+                        pend_w = pending[wid]
 
                     if pc >= filled_w:
                         filled_w = fills[wid](pc)
@@ -491,10 +485,8 @@ class FastStreamingMultiprocessor:
                             npc += 1
                         k = npc - pc
                         pcs[wid] = npc
-                        instr_c += k
+                        alu_c += k
                         cycle += k
-                        cycles_c += k
-                        busy_c += k
                     else:
                         # ---- load issue: one set lookup, the L2/DRAM inline -
                         polluting = pollute[wid]
@@ -506,39 +498,44 @@ class FastStreamingMultiprocessor:
                         # The line's last warp, or None on a miss; a hit is
                         # re-inserted below as the set's newest line.
                         prev = l1_set.pop(line, None)
-                        if prev is None and line not in mshr_lines:
-                            if len(mshr_lines) >= mshr_cap:
-                                # ---- MSHR-retry span: jump to the next fill -
-                                # A would-be miss with no MSHR entry (new or
-                                # merged) wastes the slot, and every cycle up
-                                # to the next response is the same wasted slot
-                                # (see the module docstring), so the span is
-                                # credited in one jump, clamped to ``limit``.
-                                # A full MSHR file means a response is in
-                                # flight, and the delivery loop above left it
-                                # in the future, so the jump is at least one
-                                # cycle.
-                                target = (
-                                    next_completion if next_completion < limit else limit
-                                )
-                                mshr_stall += target - cycle
-                                cycles_c += target - cycle
-                                busy_c += target - cycle
-                                cycle = target
-                                continue
-                            if cycle >= horizon:
-                                # A new L2 request at or past the horizon:
-                                # stop before any state changes.  The resume
-                                # picks this warp and this load again.
-                                break
+                        if prev is None:
+                            waiters = mshr.get(line)
+                            if waiters is None:
+                                if len(mshr) >= mshr_cap:
+                                    # ---- MSHR-retry span: jump to the next fill
+                                    # A would-be miss with no MSHR entry (new or
+                                    # merged) wastes the slot, and every cycle up
+                                    # to the next response is the same wasted
+                                    # slot (see the module docstring), so the span
+                                    # is credited in one jump, clamped to
+                                    # ``limit``.  A full MSHR file means a response
+                                    # is in flight, and the delivery loop above
+                                    # left it in the future, so the jump is at
+                                    # least one cycle.
+                                    target = (
+                                        next_completion
+                                        if next_completion < limit
+                                        else limit
+                                    )
+                                    mshr_stall += target - cycle
+                                    cycle = target
+                                    continue
+                                if cycle >= horizon:
+                                    # A new L2 request at or past the horizon:
+                                    # stop before any state changes, and wait
+                                    # here.  Nothing of this SM moves while it
+                                    # waits, so a resume that lets it issue
+                                    # picks up this load without a new pass.
+                                    memory._l2_busy_until = l2_busy
+                                    memory._dram_busy_until = dram_busy
+                                    limit, horizon = yield cycle, unfinished
+                                    while cycle >= limit or cycle >= horizon:
+                                        limit, horizon = yield cycle, unfinished
+                                    l2_busy = memory._l2_busy_until
+                                    dram_busy = memory._dram_busy_until
 
-                        instr_c += 1
                         loads_c += 1
-                        l1_acc += 1
-                        if polluting:
-                            pol_acc += 1
-                        else:
-                            npol_acc += 1
+                        pol_acc += polluting
                         if reuse_record is not None:
                             reuse_record(wid, line)
                         if policy_active:
@@ -547,37 +544,28 @@ class FastStreamingMultiprocessor:
                         pcs[wid] = npc
                         if prev is not None:
                             l1_hit += 1
-                            if polluting:
-                                pol_hit += 1
-                            else:
-                                npol_hit += 1
+                            pol_hit += polluting
                             if prev == wid:
                                 intra_c += 1
-                            else:
-                                inter_c += 1
                             l1_set[line] = wid
                         else:
-                            l1_miss += 1
                             if allocate:
                                 if len(l1_set) >= l1_assoc:
                                     del l1_set[next(iter(l1_set))]
                                 l1_set[line] = wid
                             else:
                                 l1_byp += 1
-                            token = next_token
-                            next_token += 1
                             fd = pc + inst.dep_distance + 1
-                            out_w[token] = (fd, cycle)
+                            pend_w.append(fd)
                             if fd < minfd[wid]:
                                 minfd[wid] = fd
-                            if line in mshr_lines:
-                                # Merged miss: attach to the in-flight response.
-                                waiters_map[line].append((wid, token))
+                            if waiters is not None:
+                                # Merged miss: wait on the in-flight response.
+                                waiters.append((wid, fd, cycle))
                             else:
                                 # New miss: one request through the L2/DRAM busy
                                 # servers (MemorySubsystem.request, op for op).
-                                mshr_lines.add(line)
-                                l2_acc += 1
+                                mshr[line] = [(wid, fd, cycle)]
                                 l2_start = l2_busy
                                 if l2_start < cycle:
                                     l2_start = float(cycle)
@@ -603,7 +591,6 @@ class FastStreamingMultiprocessor:
                                     if dram_queue_delay > max_queue_delay:
                                         dram_queue_delay = max_queue_delay
                                     dram_busy = dram_start + dram_service
-                                    dram_c += 1
                                     latency = int(
                                         l2_latency + queue_delay + dram_latency
                                         + dram_queue_delay
@@ -611,21 +598,15 @@ class FastStreamingMultiprocessor:
                                 latency_c += latency
                                 completion = cycle + latency
                                 seq += 1
-                                entry_waiters = [(wid, token)]
-                                waiters_map[line] = entry_waiters
-                                heappush(
-                                    responses, (completion, seq, line, entry_waiters)
-                                )
+                                heappush(responses, (completion, seq, line))
                                 if completion < next_completion:
                                     next_completion = completion
                         cycle += 1
-                        cycles_c += 1
-                        busy_c += 1
 
                     # ---- after an issue: the warp may block or retire -------
                     if npc >= plen_w or npc >= minfd[wid]:
                         ready ^= last_bit  # the issuing warp's bit, set at the pick
-                        if npc >= plen_w and not out_w:
+                        if npc >= plen_w and not pend_w:
                             alive[wid] = False
                             unfinished -= 1
                             refresh()
@@ -640,31 +621,33 @@ class FastStreamingMultiprocessor:
             self._last = last
             self._ready = ready
             self._response_seq = seq
-            self._next_token = next_token
+            cycles_c = cycle - start_cycle
+            l1_miss = loads_c - l1_hit
+            l2_acc = seq - start_seq
             memory.requests += l2_acc
             memory.l2_accesses += l2_acc
             memory.l2_hits += l2_hit
-            memory.dram_accesses += dram_c
+            memory.dram_accesses += l2_acc - l2_hit
             memory.total_latency += latency_c
             c = self.counters
             c.cycles += cycles_c
-            c.busy_cycles += busy_c
+            c.busy_cycles += cycles_c - stall_c
             c.stall_cycles += stall_c
-            c.instructions += instr_c
+            c.instructions += alu_c + loads_c
             c.loads += loads_c
-            c.l1_accesses += l1_acc
+            c.l1_accesses += loads_c
             c.l1_hits += l1_hit
             c.l1_misses += l1_miss
             c.l1_bypasses += l1_byp
             c.polluting_accesses += pol_acc
             c.polluting_hits += pol_hit
-            c.nonpolluting_accesses += npol_acc
-            c.nonpolluting_hits += npol_hit
+            c.nonpolluting_accesses += loads_c - pol_acc
+            c.nonpolluting_hits += l1_hit - pol_hit
             c.intra_warp_hits += intra_c
-            c.inter_warp_hits += inter_c
+            c.inter_warp_hits += l1_hit - intra_c
             c.miss_requests += missreq_c
             c.miss_latency_total += misslat_c
             c.l2_accesses += l2_acc
             c.l2_hits += l2_hit
-            c.dram_accesses += dram_c
+            c.dram_accesses += l2_acc - l2_hit
             c.mshr_stall_cycles += mshr_stall

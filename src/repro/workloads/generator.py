@@ -207,27 +207,44 @@ class _SyntheticStream:
 
     def chunk(self, start: int, stop: int) -> List[Instruction]:
         """The instructions at indices ``start`` to ``stop - 1``: the ALU run
-        of the whole range, with every ``In``-th slot a load."""
+        of the whole range, with every ``In``-th slot a load.
+
+        ``rng.randrange(n)`` is drawn inline, as CPython's
+        ``Random._randbelow_with_getrandbits`` draws it: ``getrandbits`` of
+        ``n``'s bit length, drawn again while ``>= n``.  The draws are the
+        same (``tests/synthetic_oracle.py`` calls ``randrange``)."""
         spec = self._spec
         rng = self._rng
+        draw_float = rng.random
+        getrandbits = rng.getrandbits
         group = spec.instructions_per_load
         intra = spec.intra_warp_fraction
         local = intra + spec.inter_warp_fraction
+        private_lines = spec.private_lines
+        private_bits = private_lines.bit_length()
+        shared_lines = spec.shared_lines
+        shared_bits = shared_lines.bit_length()
         sites = self._load_sites
         private = self._private_loads
         shared = self._shared_loads
         chunk = alu_run(start, stop)
         for index in range(start + (group - 1 - start) % group, stop, group):
-            draw = rng.random()
+            draw = draw_float()
             if draw < intra:
-                key = rng.randrange(spec.private_lines) * sites + index % sites
+                offset = getrandbits(private_bits)
+                while offset >= private_lines:
+                    offset = getrandbits(private_bits)
+                key = offset * sites + index % sites
                 instruction = private.get(key)
                 if instruction is None:
                     instruction = private[key] = self._load(
                         self._private_base, key, _PC_LOAD_BASE
                     )
             elif draw < local:
-                key = rng.randrange(spec.shared_lines) * sites + index % sites
+                offset = getrandbits(shared_bits)
+                while offset >= shared_lines:
+                    offset = getrandbits(shared_bits)
+                key = offset * sites + index % sites
                 instruction = shared[key]
                 if instruction is None:
                     instruction = shared[key] = self._load(

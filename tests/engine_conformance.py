@@ -25,10 +25,10 @@ shared verification layer that proves it:
 * :func:`fresh_runs_on` pins ``REPRO_ENGINE`` for runs that go through
   the result cache and checks that each one really simulated on it, not
   replayed an entry another engine computed;
-* the Hypothesis strategies (:data:`kernel_specs`, :data:`small_archs`,
-  :data:`multi_sm_archs`, :data:`small_graphs`) and the deterministic
-  controller/model builders are shared by the differential suite and any
-  future engine's targeted tests.
+* the Hypothesis strategies (:data:`kernel_specs`, :data:`raw_programs`,
+  :data:`small_archs`, :data:`multi_sm_archs`, :data:`small_graphs`) and
+  the deterministic controller/model builders are shared by the
+  differential suite and any future engine's targeted tests.
 
 To run the harness against a new engine: add its name to ``ENGINES``, map
 it in ``core_class_for_engine``, then ``PYTHONPATH=src python -m pytest
@@ -52,6 +52,7 @@ from repro.experiments.common import clear_caches
 from repro.gpu.config import CacheConfig, GPUConfig, MemoryConfig, SMConfig
 from repro.gpu.engine import ENGINE_ENV, ENGINE_LEGACY, ENGINES
 from repro.gpu.gpu import GPU
+from repro.gpu.isa import Instruction, alu, load
 from repro.obs.telemetry import phase_totals
 from repro.runtime import serialization
 from repro.schedulers import (
@@ -274,6 +275,36 @@ kernel_specs = st.builds(
     private_lines=st.integers(1, 64),
     shared_lines=st.integers(1, 96),
     seed=st.integers(0, 10_000),
+)
+
+#: Lines a raw program's loads draw from: few enough that misses merge,
+#: within one warp and across warps.
+RAW_LINE_POOL = 20
+
+
+def _raw_program(slots: List[Optional[Tuple[int, int]]]) -> List[Instruction]:
+    """A warp program from ``slots``: ``None`` is an ALU, ``(line, dep)`` a
+    load of pool line ``line`` with dependence distance ``dep``."""
+    return [
+        alu(pc=index) if slot is None else load(slot[0], dep_distance=slot[1], pc=index)
+        for index, slot in enumerate(slots)
+    ]
+
+
+#: Warp programs the synthetic generator never writes: ALU and load mixes
+#: with dependence distances 0-12 (``_SyntheticStream`` clamps them to
+#: ``In - 1``), so one warp has several loads in flight and their
+#: first-dependent indexes can tie, over a small line pool.
+raw_programs = st.lists(
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, RAW_LINE_POOL - 1), st.integers(0, 12)),
+        ),
+        max_size=60,
+    ).map(_raw_program),
+    min_size=1,
+    max_size=8,
 )
 
 #: Chip widths the multi-SM conformance sweeps cover — 1 proves the plain

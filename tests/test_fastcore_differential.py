@@ -20,7 +20,13 @@ Scenario coverage:
   changes, run windows and counter snapshots (the access pattern of the
   PCAL/Poise sampling loops), on 12-warp and 48-warp SMs, and the shared
   L2/DRAM statistics they leave on 1, 2 and 4 SMs,
+* raw programs with several loads of one warp in flight (merged misses,
+  tied first-dependent indexes) on 1, 2 and 4 SMs,
+* the core protocol driven directly: a loop stopped at the horizon and
+  resumed with nothing to run,
 * lazily filled programs refilled mid-run, every few instructions,
+* the fast core's set index against the cache model's, on every
+  power-of-two set count,
 * degenerate shapes (empty warp programs, single-warp kernels).
 
 Any divergence found here is a bug in the optimised engine by definition:
@@ -29,6 +35,7 @@ the legacy core is the specification.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from typing import List, Tuple
 from unittest import mock
@@ -46,10 +53,13 @@ from engine_conformance import (
     drive_windowed,
     kernel_specs,
     make_controller,
+    raw_programs,
     run_snapshot,
     small_arch,
     small_archs,
 )
+from repro.gpu.cache import SetAssociativeCache
+from repro.gpu.chip import core_class_for_engine
 from repro.gpu.config import (
     CacheConfig,
     GPUConfig,
@@ -57,6 +67,8 @@ from repro.gpu.config import (
     SMConfig,
     baseline_config,
 )
+from repro.gpu.engine import ENGINES, NO_HORIZON
+from repro.gpu.fastcore import _CacheSets
 from repro.gpu.gpu import GPU
 from repro.gpu.isa import alu, load
 from repro.runtime import serialization
@@ -284,6 +296,130 @@ def test_wide_warp_masks_match_the_oracle(
         assert drive_windowed(engine, config, programs, script) == oracle_trail, (
             f"engine {engine!r} window trail drifted from {ORACLE}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Several loads in flight per warp
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num_sms", SM_COUNTS)
+@settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+@given(
+    programs=raw_programs,
+    config=small_archs,
+    quantum=st.sampled_from([10, 50]),
+    scheme=st.sampled_from(("gto", "swl")),
+)
+@example(
+    # Three loads of warp 0 in flight, all first used at index 4, the third
+    # merging into the first; warp 1 merges into warp 0's second.
+    programs=[
+        [
+            load(1, dep_distance=3, pc=0),
+            load(2, dep_distance=2, pc=1),
+            load(1, dep_distance=1, pc=2),
+            alu(pc=3),
+            alu(pc=4),
+        ],
+        [load(2, dep_distance=0, pc=0), alu(pc=1)],
+    ],
+    config=small_arch(2, 2, 2, "hash"),
+    quantum=10,
+    scheme="gto",
+)
+@example(
+    # On a one-line L1, the reload of line 7 misses it but hits the L2, so
+    # it returns before the DRAM miss to line 9 issued just before it:
+    # the first pending load to finish is not the oldest.
+    programs=[
+        [
+            load(7, dep_distance=0, pc=0),
+            load(8, dep_distance=0, pc=1),
+            load(9, dep_distance=4, pc=2),
+            load(7, dep_distance=1, pc=3),
+            *(alu(pc=pc) for pc in range(4, 8)),
+        ],
+    ],
+    config=small_arch(1, 1, 2, "hash"),
+    quantum=10,
+    scheme="gto",
+)
+def test_loads_in_flight_per_warp_match_the_oracle(
+    num_sms: int, programs, config: GPUConfig, quantum: int, scheme: str
+) -> None:
+    """Raw programs with dependence distances up to 12 keep several loads
+    of one warp in flight, merge misses within and across warps and tie
+    first-dependent indexes; on 1, 2 and 4 SMs every engine matches the
+    oracle."""
+    config = replace(config, num_sms=num_sms, sm_quantum=quantum)
+    assert_conformance(
+        config, programs,
+        controller_factory=lambda: make_controller(scheme, len(programs)),
+        max_cycles=10_000,
+    )
+
+
+#: Second resumes of a loop stopped before a new L2 request that leave it
+#: nothing to run: its limit at or before its clock, or the same horizon.
+IDLE_RESUMES = {
+    "limit_at_the_clock": lambda cycle: (cycle, NO_HORIZON),
+    "limit_before_the_clock": lambda cycle: (cycle - 1, NO_HORIZON),
+    "the_same_horizon": lambda cycle: (10_000, cycle),
+}
+
+
+@pytest.mark.parametrize("resume", sorted(IDLE_RESUMES))
+def test_a_loop_stopped_at_the_horizon_resumes_like_the_oracle(resume: str) -> None:
+    """The core protocol, driven directly: a loop stops before its first new
+    L2 request at or past the horizon, yields at once when resumed with
+    nothing to run, then issues that load on the next resume; every engine
+    stops where the oracle stops and ends with its counters.  A chip's
+    scheduler never sends such a resume, so only this test reaches it."""
+    config = small_arch(2, 2, 2, "hash")
+    programs = [
+        [alu(pc=0), alu(pc=1), load(3, dep_distance=1, pc=2), alu(pc=3), alu(pc=4)],
+        [load(3, dep_distance=0, pc=0), load(4, dep_distance=0, pc=1), alu(pc=2)],
+    ]
+    runs = {}
+    for engine in ENGINES:
+        sm = core_class_for_engine(engine)(config, programs)
+        loop = sm.loop()
+        stops = [next(loop), loop.send((10_000, 1))]
+        stops.append(loop.send(IDLE_RESUMES[resume](stops[-1][0])))
+        stops.append(loop.send((10_000, NO_HORIZON)))
+        loop.close()
+        runs[engine] = stops, serialization.counters_to_dict(sm.counters)
+    (start, stopped, idle, end), _ = runs[ORACLE]
+    assert start == (0, 2) and stopped[0] >= 1 and stopped[1] == 2
+    assert idle == stopped and end[1] == 0
+    for engine in CANDIDATE_ENGINES:
+        assert runs[engine] == runs[ORACLE], engine
+
+
+# ---------------------------------------------------------------------------
+# Set indexing
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("indexing", ["hash", "linear"])
+@pytest.mark.parametrize("num_sets", [1 << bits for bits in range(13)])
+def test_set_index_matches_the_cache_model(num_sets: int, indexing: str) -> None:
+    """The fast core's set index equals ``SetAssociativeCache.set_index``
+    for every power-of-two set count, on lines up to ``2**100``, far wider
+    than any generated program's (about ``2**45``)."""
+    config = CacheConfig(
+        size_bytes=num_sets * 128, assoc=1, line_size=128, mshr_entries=1,
+        indexing=indexing,
+    )
+    sets = _CacheSets(config)
+    reference = SetAssociativeCache(config)
+    index_of = {id(cache_set): index for index, cache_set in enumerate(sets._sets)}
+    rng = random.Random(num_sets)
+    lines = [0, 1, num_sets - 1, num_sets, num_sets**2 - 1, num_sets**2, (1 << 100) - 1]
+    lines += [rng.getrandbits(rng.randint(1, 100)) for _ in range(300)]
+    for line in lines:
+        assert index_of[id(sets[line])] == reference.set_index(line), line
 
 
 # ---------------------------------------------------------------------------
