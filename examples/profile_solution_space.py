@@ -49,8 +49,7 @@ def main() -> None:
         baseline_config(),
         cycles_per_point=args.cycles,
         warmup_cycles=args.warmup,
-        n_step=args.step,
-        p_step=args.step,
+        step=args.step,
     )
     profile = profiler.profile(spec)
     grid = profile.speedup_grid()

@@ -30,29 +30,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
 
 from repro.analysis.tables import Table
-from repro.obs.compare import (
-    DEFAULT_METRIC,
-    DEFAULT_TOLERANCE,
-    SweepCompareError,
-    compare_sweeps,
-    load_sweep_points,
-)
+from repro.obs.compare import SweepCompareError, compare_sweeps, load_sweep_points
 from repro.obs.regress import (
-    DEFAULT_MIN_HISTORY,
-    DEFAULT_THRESHOLD,
     STATUS_REGRESS,
     build_verdict,
     detect_regressions,
     validate_verdict,
 )
 from repro.obs.schema import BenchHistory, BenchSchemaError, load_bench_history
-from repro.obs.trajectory import build_trajectories, retired_brackets, trajectory_report
+from repro.obs.trajectory import build_trajectories, trajectory_report
 from repro.runtime.cache import atomic_write_json
-
-DEFAULT_HISTORY = Path("BENCH_throughput.json")
 
 
 def _load_history_or_die(path: Path) -> BenchHistory:
@@ -63,37 +52,6 @@ def _load_history_or_die(path: Path) -> BenchHistory:
             f"no bench history at {path} — run `repro bench` to record an entry"
         )
     return history
-
-
-def _retired_line(history: BenchHistory) -> str:
-    """How many brackets of retired engines the analysis left out."""
-    retired = retired_brackets(history)
-    engines = sorted({bracket.rsplit(":", 1)[1] for bracket in retired})
-    return (
-        f"left out {len(retired)} bracket(s) of retired engines "
-        f"({', '.join(engines) or 'none'})"
-    )
-
-
-def _history_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--history", type=Path, default=DEFAULT_HISTORY, metavar="PATH",
-        help="trajectory file to analyze (default: ./BENCH_throughput.json)",
-    )
-
-
-def _regress_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="RATIO",
-        help="slowdown ratio that fails a bracket: regress when the latest "
-             "normalized value drops below 1/RATIO x the baseline median "
-             f"(default {DEFAULT_THRESHOLD})",
-    )
-    parser.add_argument(
-        "--min-history", type=int, default=DEFAULT_MIN_HISTORY, metavar="N",
-        help="normalized points a bracket needs before it can pass or "
-             f"regress; fewer is insufficient-data (default {DEFAULT_MIN_HISTORY})",
-    )
 
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
@@ -142,15 +100,12 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     print(table.to_text())
     print(f"\n{len(trajectories)} brackets (trend = latest/first normalized; "
           f"normalized = cycles/s over the entry's live-legacy anchor)")
-    print(_retired_line(history))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cache_a = args.cache_dir
-    cache_b = args.cache_dir_b or args.cache_dir
-    points_a = load_sweep_points(cache_a, args.grid, args.label_a)
-    points_b = load_sweep_points(cache_b, args.grid, args.label_b)
+    points_a = load_sweep_points(args.cache_dir, args.grid, args.label_a)
+    points_b = load_sweep_points(args.cache_dir_b or args.cache_dir, args.grid, args.label_b)
     comparison = compare_sweeps(
         points_a, points_b, metric=args.metric, tolerance=args.tolerance,
         label_a=args.label_a, label_b=args.label_b,
@@ -196,7 +151,7 @@ def _judge(args: argparse.Namespace):
     return history, verdict
 
 
-def _print_verdict(history: BenchHistory, verdict: dict) -> None:
+def _print_verdict(verdict: dict) -> None:
     counts = verdict["counts"]
     print(
         f"verdict: {verdict['status']} — {counts['pass']} pass, "
@@ -204,18 +159,17 @@ def _print_verdict(history: BenchHistory, verdict: dict) -> None:
         f"{counts['insufficient_data']} insufficient-data "
         f"(threshold {verdict['threshold']:.2f}x, source {verdict['source']})"
     )
-    print(_retired_line(history))
     for bracket in verdict["brackets"]:
         if bracket["status"] == STATUS_REGRESS:
             print(f"regress: {bracket['bracket']} — {bracket['reason']}")
 
 
 def _cmd_regress(args: argparse.Namespace) -> int:
-    history, verdict = _judge(args)
+    _, verdict = _judge(args)
     if args.json:
         print(json.dumps(verdict, indent=2, sort_keys=True))
     else:
-        _print_verdict(history, verdict)
+        _print_verdict(verdict)
     if args.output is not None:
         atomic_write_json(args.output, verdict, indent=2, trailing_newline=True)
         if not args.json:
@@ -233,107 +187,20 @@ def _cmd_ci(args: argparse.Namespace) -> int:
         args.output_dir / "trajectory.json", trajectory_report(history),
         indent=2, trailing_newline=True,
     )
-    _print_verdict(history, verdict)
+    _print_verdict(verdict)
     print(f"wrote {verdict_path} and {trajectory_path}")
     return 1 if verdict["status"] == STATUS_REGRESS else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro analyze",
-        description="longitudinal perf/regression observatory over the "
-                    "committed bench + sweep artifacts",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    trajectory = sub.add_parser(
-        "trajectory", help="per kernel×scheme×engine throughput series"
-    )
-    _history_flag(trajectory)
-    trajectory.add_argument(
-        "--bracket", default=None, metavar="SUBSTR",
-        help="only brackets whose kernel:scheme:engine key contains SUBSTR",
-    )
-    trajectory.add_argument("--json", action="store_true",
-                            help="emit the machine-readable report instead")
-
-    compare = sub.add_parser(
-        "compare", help="diff one metric across two sweep label trees"
-    )
-    compare.add_argument("grid", help="sweep grid name (see `repro sweep list`)")
-    compare.add_argument("label_a", help="first label, e.g. fast")
-    compare.add_argument("label_b", help="second label, e.g. full")
-    compare.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache root holding both trees (default: REPRO_CACHE_DIR)",
-    )
-    compare.add_argument(
-        "--cache-dir-b", default=None, metavar="DIR",
-        help="separate cache root for the second label (tree-vs-tree diffs)",
-    )
-    compare.add_argument(
-        "--metric", default=DEFAULT_METRIC,
-        help=f"point metric to diff (default {DEFAULT_METRIC})",
-    )
-    compare.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="REL",
-        help="relative drift beyond which a point is flagged "
-             f"(default {DEFAULT_TOLERANCE})",
-    )
-    compare.add_argument("--json", action="store_true",
-                         help="emit the machine-readable comparison instead")
-
-    regress = sub.add_parser(
-        "regress", help="judge every bracket against its normalized history"
-    )
-    _history_flag(regress)
-    _regress_flags(regress)
-    regress.add_argument(
-        "--output", type=Path, default=None, metavar="PATH",
-        help="also write the verdict document to PATH",
-    )
-    regress.add_argument("--json", action="store_true",
-                         help="emit the verdict document instead of the summary")
-
-    ci = sub.add_parser(
-        "ci", help="regress + trajectory, writing verdict.json for CI"
-    )
-    _history_flag(ci)
-    _regress_flags(ci)
-    ci.add_argument(
-        "--output-dir", type=Path, default=Path("analyze-report"), metavar="DIR",
-        help="directory for verdict.json + trajectory.json "
-             "(default: ./analyze-report)",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
+def run(args: argparse.Namespace) -> int:
     commands = {
         "trajectory": _cmd_trajectory,
         "compare": _cmd_compare,
         "regress": _cmd_regress,
         "ci": _cmd_ci,
     }
-    if args.command == "compare":
-        from repro.experiments.common import default_cache_dir
-
-        if args.cache_dir is None:
-            args.cache_dir = str(default_cache_dir())
     try:
-        return commands[args.command](args)
-    except (BenchSchemaError, SweepCompareError) as error:
+        return commands[args.analyze_command](args)
+    except (BenchSchemaError, SweepCompareError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

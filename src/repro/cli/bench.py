@@ -29,11 +29,8 @@ bracket, where the fast engine jumps the MSHR-full retry spans the oracle
 ticks.  The host-normalized trend across entries is what ``repro analyze
 trajectory`` reports.
 
-Usage::
-
-    python -m repro bench [--output PATH] [--max-cycles N]
-                          [--engines fast,legacy] [--skip-matrix]
-                          [--matrix-cycles N] [--gate RATIO] [--dry-run]
+Run it as ``repro bench``; :func:`repro.cli.main.build_parser` declares
+its flags.
 """
 
 from __future__ import annotations
@@ -45,9 +42,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from repro.gpu.engine import resolve_engine
 from repro.obs.schema import (
     BENCH_SCHEMA_VERSION,
     BenchSchemaError,
@@ -71,57 +67,10 @@ from repro.runtime.bench import (
     memory_stall_config,
     memory_stall_kernel,
 )
-from repro.runtime.executor import resolve_jobs
 from repro.version import __version__
 
-DEFAULT_OUTPUT = Path("BENCH_throughput.json")
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro bench", description=__doc__)
-    parser.add_argument(
-        "--output", type=Path, default=DEFAULT_OUTPUT,
-        help="trajectory file to append to (default: ./BENCH_throughput.json)",
-    )
-    parser.add_argument(
-        "--max-cycles", type=int, default=80_000,
-        help="cycle budget per throughput kernel (default 80000)",
-    )
-    parser.add_argument(
-        "--engines", default="fast,legacy",
-        help="comma-separated engines to benchmark (default: fast,legacy)",
-    )
-    parser.add_argument(
-        "--skip-matrix", action="store_true",
-        help="skip the scheme × kernel × engine matrix",
-    )
-    parser.add_argument(
-        "--matrix-cycles", type=int, default=40_000,
-        help="cycle budget per matrix cell (default 40000; CI uses a tiny budget)",
-    )
-    parser.add_argument(
-        "--skip-sweep", action="store_true",
-        help="skip the cold/warm profile-sweep measurement",
-    )
-    parser.add_argument(
-        "--gate", type=float, default=None, metavar="RATIO",
-        help="fail unless fast-engine throughput is at least RATIO x a live "
-             "legacy run on this host for both bracket kernels, and "
-             f"{MSHR_GATE_RATIO:g}x on the memory-stall bracket",
-    )
-    parser.add_argument(
-        "--dry-run", action="store_true",
-        help="print the entry instead of appending it (the history is not read)",
-    )
-    args = parser.parse_args(argv)
-
-    try:
-        engines = [resolve_engine(name) for name in args.engines.split(",") if name.strip()]
-    except ValueError as error:
-        parser.error(f"--engines: {error}")
-    if not engines:
-        parser.error("--engines must name at least one engine")
-
+def run(args: argparse.Namespace) -> int:
     if not args.dry_run:
         # Read the history before measuring anything: a file the strict
         # reader rejects is reported and left as it is, never replaced.
@@ -146,7 +95,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     throughput: Dict[str, dict] = {}
     stall_config = memory_stall_config(max_cycles=args.max_cycles)
-    for engine in engines:
+    for engine in args.engines:
         rows = {}
         for spec, config in (
             (memory_divergent_kernel(), None),
@@ -180,10 +129,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     matrix: List[dict] = []
     if not args.skip_matrix:
-        matrix = measure_matrix(engines=engines, max_cycles=args.matrix_cycles)
+        matrix = measure_matrix(engines=args.engines, max_cycles=args.matrix_cycles)
         print(f"matrix: {len(matrix)} rows "
               f"({len(set(r['kernel'] for r in matrix))} kernels x "
-              f"{len(set(r['scheme'] for r in matrix))} schemes x {len(engines)} engines)")
+              f"{len(set(r['scheme'] for r in matrix))} schemes x {len(args.engines)} engines)")
         for row in matrix:
             print(
                 f"  {row['kernel']:<24} {row['scheme']:<12} [{row['engine']}] "
@@ -209,7 +158,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
         "bench_schema": BENCH_SCHEMA_VERSION,
-        "jobs_env": resolve_jobs(),
         "environment": host_environment(),
         "telemetry": telemetry,
         "throughput": throughput,
@@ -266,6 +214,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"appended entry #{count} to {args.output}")
     return 1 if gate_failed else 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

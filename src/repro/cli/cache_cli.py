@@ -30,31 +30,9 @@ import shutil
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.experiments.common import default_cache_dir
 from repro.runtime.cache import STALE_TMP_SECONDS
-
-_AGE_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-DEFAULT_MAX_AGE = "7d"
-
-
-def parse_age(raw: str) -> float:
-    """Parse ``30s`` / ``10m`` / ``6h`` / ``7d`` (bare number = seconds)."""
-    text = str(raw).strip().lower()
-    scale = 1.0
-    if text and text[-1] in _AGE_SUFFIXES:
-        scale = _AGE_SUFFIXES[text[-1]]
-        text = text[:-1]
-    try:
-        seconds = float(text) * scale
-        if seconds < 0:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"malformed age {raw!r} — expected e.g. 30s, 10m, 6h or 7d"
-        ) from None
-    return seconds
 
 
 def _tree_size(path: Path) -> int:
@@ -163,26 +141,10 @@ def _prune_empty_parents(path: Path, stop: Path) -> None:
         parent = parent.parent
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro cache", description="cache-root maintenance"
-    )
-    sub = parser.add_subparsers(dest="cache_command", metavar="SUBCOMMAND", required=True)
-    gc = sub.add_parser("gc", help="reclaim aged quarantine files, orphaned "
-                        "sweep trees and stale temp files")
-    gc.add_argument("--max-age", type=parse_age, default=None, metavar="AGE",
-                    help=f"age threshold with s/m/h/d suffix (default: {DEFAULT_MAX_AGE})")
-    gc.add_argument("--dry-run", action="store_true",
-                    help="print what would be reclaimed without deleting anything")
-    gc.add_argument("--cache-dir", default=None, metavar="DIR",
-                    help="cache root to collect (default: REPRO_CACHE_DIR)")
-    return parser
-
-
-def _cmd_gc(args: argparse.Namespace) -> int:
-    cache_dir = Path(args.cache_dir or default_cache_dir())
-    max_age = args.max_age if args.max_age is not None else parse_age(DEFAULT_MAX_AGE)
-    plan = _collect(cache_dir, max_age, time.time())
+def run(args: argparse.Namespace) -> int:
+    """``repro cache gc``, the one cache subcommand."""
+    cache_dir = args.cache_dir
+    plan = _collect(cache_dir, args.max_age, time.time())
     if not plan:
         print(f"nothing to reclaim under {cache_dir}")
         return 0
@@ -202,13 +164,3 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     print(f"\n{verb} {reclaimed_bytes} bytes ({breakdown or 'nothing'})")
     return 0
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.cache_command == "gc":
-        return _cmd_gc(args)
-    raise AssertionError(f"unhandled subcommand {args.cache_command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

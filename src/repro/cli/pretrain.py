@@ -4,14 +4,15 @@ This is the GPU-vendor side of the paper's workflow (Section V): profile the
 training benchmarks over the warp-tuple plane, build the training examples,
 fit the two Negative Binomial regressions and serialise the feature weights,
 which play the role of the compiler-provided constant-memory weights of
-Table II.  The model is stored in the result cache (``REPRO_CACHE_DIR``) as
+Table II.  The model is stored in the result cache (``--cache-dir``) as
 the preset's ``model-<key>.json`` entry, so later runs of the same preset
 use it instead of training; ``--output`` also writes a copy, which a config's
 ``model_path`` can name.
 
 Usage::
 
-    python -m repro pretrain [--fast] [--output PATH] [--jobs N]
+    python -m repro pretrain [--fast|--full] [--cache-dir DIR] [--output PATH]
+                             [--jobs N] [--timeout SECS] [--retries N]
 """
 
 from __future__ import annotations
@@ -19,45 +20,24 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
-from typing import Optional, Sequence
 
+from repro.cli.main import experiment_config
 from repro.core.model_store import save_model
 from repro.core.training import prediction_errors
-from repro.experiments.common import ExperimentConfig, plan_training, run_plan, store_model
-from repro.runtime.executor import SweepExecutor, jobs_arg
+from repro.experiments.common import plan_training, run_plan, store_model
+from repro.runtime.executor import SweepExecutor
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro pretrain", description=__doc__)
-    parser.add_argument(
-        "--fast", action="store_true", help="use the scaled-down test configuration"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the trained model JSON here",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=jobs_arg,
-        default=None,
-        metavar="N",
-        help="profile and sample the training kernels on N worker processes, "
-        "then fit here (0 or 'auto' = one per CPU core; default: serial, or "
-        "the REPRO_JOBS environment variable)",
-    )
-    args = parser.parse_args(argv)
-
-    config = ExperimentConfig.fast() if args.fast else ExperimentConfig.full()
+def run(args: argparse.Namespace) -> int:
+    config = experiment_config(args)
     pipeline = config.training_pipeline()
     benchmarks = config.training_split()
     total_kernels = sum(len(benchmark.kernels) for benchmark in benchmarks)
     print(f"profiling {total_kernels} training kernels ({config.label} configuration)...")
 
     start = time.perf_counter()
-    run_plan(plan_training(config), SweepExecutor(jobs=args.jobs))
+    executor = SweepExecutor(jobs=args.jobs, timeout=args.timeout, retries=args.retries)
+    run_plan(plan_training(config), executor)
     examples = pipeline.collect_examples(benchmarks)
     model = pipeline.fit(examples)
     elapsed = time.perf_counter() - start
@@ -77,7 +57,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.output is not None:
         print(f"model written to {save_model(model, args.output)}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,10 +24,11 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.analysis.tables import Table
-from repro.runtime.executor import jobs_arg
+from repro.cli.main import experiment_config
+from repro.experiments.common import ExperimentConfig
 from repro.scenarios.grid import ScenarioError, ScenarioGrid, parse_shard
 from repro.scenarios.library import apply_overrides, get_grid, named_grids
 from repro.scenarios.report import (
@@ -39,72 +40,12 @@ from repro.scenarios.report import (
 from repro.scenarios.runner import CorruptPointArtifact, PointStatus, SweepRunner
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("grid", metavar="GRID", help="a named grid (see `repro sweep list`)")
-    scale = parser.add_mutually_exclusive_group()
-    scale.add_argument("--fast", action="store_true", help="scaled-down test configuration")
-    scale.add_argument("--full", action="store_true", help="paper-shaped configuration (default)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="artifact/result cache root (default: REPRO_CACHE_DIR)")
-    parser.add_argument(
-        "--set", action="append", default=[], metavar="AXIS=V1,V2", dest="overrides",
-        help="override one axis of the grid (repeatable); tuple values use "
-        "colons, e.g. --set poise_strides=0:0,2:4",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep", description="declarative scenario-grid sweeps"
-    )
-    sub = parser.add_subparsers(dest="sweep_command", metavar="SUBCOMMAND", required=True)
-
-    sub.add_parser("list", help="catalogue of the named grids")
-
-    plan = sub.add_parser("plan", help="print a grid's expansion without running it")
-    _add_common(plan)
-    plan.add_argument("--shard", default=None, metavar="K/N",
-                      help="restrict the plan to one shard of the grid")
-
-    run = sub.add_parser("run", help="execute a grid (or one shard) into point artifacts")
-    _add_common(run)
-    run.add_argument("--shard", default=None, metavar="K/N",
-                     help="run the K-th of N disjoint slices of the grid")
-    run.add_argument("--resume", action="store_true",
-                     help="skip points whose artifact already validates; corrupt "
-                     "artifacts are quarantined and recomputed")
-    run.add_argument("--jobs", type=jobs_arg, default=None, metavar="N",
-                     help="fan the points out over N worker processes, writing "
-                     "each artifact as it lands; 0 or 'auto' = one per CPU core "
-                     "(default: serial, or the REPRO_JOBS environment variable)")
-    run.add_argument("--timeout", type=float, default=None, metavar="SECS",
-                     help="per-point wall-clock timeout in seconds: a worker still "
-                     "busy after SECS of waiting on its point is abandoned and the "
-                     "point retried (default: REPRO_TIMEOUT, or no timeout)")
-    run.add_argument("--retries", type=int, default=None, metavar="N",
-                     help="retry budget per point for transient failures — worker "
-                     "death, timeouts, OSError (default: REPRO_RETRIES, or 2)")
-
-    report = sub.add_parser("report", help="aggregate point artifacts into the sweep artifact")
-    _add_common(report)
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # shared setup
 # ---------------------------------------------------------------------------
 
-def _resolve(args: argparse.Namespace) -> Tuple[ScenarioGrid, "ExperimentConfig"]:
-    from dataclasses import replace
-    from pathlib import Path
-
-    from repro.experiments.common import preset_config
-
-    grid = apply_overrides(get_grid(args.grid), args.overrides)
-    config = preset_config("fast" if args.fast else "full")
-    if args.cache_dir:
-        config = replace(config, cache_dir=Path(args.cache_dir))
-    return grid, config
+def _resolve(args: argparse.Namespace) -> Tuple[ScenarioGrid, ExperimentConfig]:
+    return apply_overrides(get_grid(args.grid), args.overrides), experiment_config(args)
 
 
 def _shard(args: argparse.Namespace) -> Optional[Tuple[int, int]]:
@@ -210,24 +151,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args: argparse.Namespace) -> int:
     if args.sweep_command == "list":
         return _cmd_list()
+    commands = {"plan": _cmd_plan, "run": _cmd_run, "report": _cmd_report}
     try:
-        if args.sweep_command == "plan":
-            return _cmd_plan(args)
-        if args.sweep_command == "run":
-            return _cmd_run(args)
-        if args.sweep_command == "report":
-            return _cmd_report(args)
+        return commands[args.sweep_command](args)
     except ScenarioError as error:
         print(f"error: {error}", file=sys.stderr)
         # A corrupt artifact is an execution failure (1); a bad grid, axis
         # value or shard spec is a usage error (2).
         return 1 if isinstance(error, CorruptPointArtifact) else 2
-    raise AssertionError(f"unhandled subcommand {args.sweep_command!r}")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -80,8 +80,7 @@ class ExperimentConfig:
     gpu: GPUConfig = field(default_factory=baseline_config)
     profile_cycles: int = 8_000
     profile_warmup: int = 18_000
-    profile_n_step: int = 2
-    profile_p_step: int = 2
+    profile_step: int = 2
     run_max_cycles: int = 160_000
     kernels_per_benchmark: int = 2
     training_kernels_per_benchmark: int = 10
@@ -112,8 +111,7 @@ class ExperimentConfig:
             gpu=baseline_config(max_cycles=120_000),
             profile_cycles=5_000,
             profile_warmup=8_000,
-            profile_n_step=4,
-            profile_p_step=4,
+            profile_step=4,
             run_max_cycles=90_000,
             kernels_per_benchmark=1,
             training_kernels_per_benchmark=5,
@@ -158,7 +156,7 @@ class ExperimentConfig:
         return (
             f"{self.label}-l1{l1.size_bytes // 1024}k-{l1.indexing}"
             f"-pc{self.profile_cycles}-pw{self.profile_warmup}"
-            f"-ns{self.profile_n_step}-ps{self.profile_p_step}"
+            f"-st{self.profile_step}"
             f"-rc{self.run_max_cycles}-kb{self.kernels_per_benchmark}"
             f"-pp{poise_digest}-g{gpu_digest}"
         )
@@ -170,8 +168,7 @@ class ExperimentConfig:
             config=self.gpu,
             cycles_per_point=self.profile_cycles,
             warmup_cycles=self.profile_warmup,
-            n_step=self.profile_n_step,
-            p_step=self.profile_p_step,
+            step=self.profile_step,
         )
 
     def feature_sampler(self) -> FeatureSampler:
@@ -456,8 +453,7 @@ def _simulation_knobs(config: ExperimentConfig) -> dict:
         "profile_knobs": [
             config.profile_cycles,
             config.profile_warmup,
-            config.profile_n_step,
-            config.profile_p_step,
+            config.profile_step,
         ],
         "poise_params": serialization.encode_value(asdict(config.poise_params)),
     }
@@ -546,8 +542,7 @@ def get_profile(spec: KernelSpec, config: ExperimentConfig) -> StaticProfile:
         functools.partial(_profile, spec, config),
         cycles_per_point=config.profile_cycles,
         warmup_cycles=config.profile_warmup,
-        n_step=config.profile_n_step,
-        p_step=config.profile_p_step,
+        step=config.profile_step,
     )
 
 

@@ -24,7 +24,6 @@ class CacheConfig:
     line_size: int
     mshr_entries: int
     indexing: str = "hash"  # "hash" or "linear"
-    hit_latency: int = 1
 
     @property
     def num_lines(self) -> int:
@@ -81,9 +80,6 @@ class SMConfig:
 
     max_warps: int = 24
     warp_size: int = 32
-    issue_width: int = 1
-    alu_latency: int = 1
-    tpipe: int = 4  # average pipelined execution cycles of a warp instruction
 
 
 @dataclass(frozen=True)

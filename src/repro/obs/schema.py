@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
+from repro.gpu.engine import ENGINES
 from repro.runtime.cache import atomic_write_json
 
 #: The schema generation every history entry carries.
@@ -167,6 +168,11 @@ def _validate_row(row: object, where: str, extra: tuple = ()) -> None:
         _require(
             isinstance(row.get(field_name), str) and row[field_name],
             f"{where} needs a non-empty string {field_name!r}",
+        )
+    if "engine" in extra:
+        _require(
+            row["engine"] in ENGINES,
+            f"{where} names engine {row['engine']!r}, not one of {', '.join(ENGINES)}",
         )
     for field_name in ROW_NUMERIC_FIELDS:
         _require(

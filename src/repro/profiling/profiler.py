@@ -78,8 +78,8 @@ class KernelProfiler:
     Sweeping every one of the 300 valid ``{N, p}`` points with full kernel
     executions is what the paper does offline on a farm of simulations; here
     each point is measured over a bounded cycle window (IPC is the metric) to
-    keep profiling tractable on one machine.  ``n_step``/``p_step`` allow the
-    grid to be subsampled further for the fast test configurations.
+    keep profiling tractable on one machine.  ``step`` subsamples both axes
+    of the grid further for the fast test configurations.
     """
 
     def __init__(
@@ -87,15 +87,13 @@ class KernelProfiler:
         config: Optional[GPUConfig] = None,
         cycles_per_point: int = 12_000,
         warmup_cycles: int = 4_000,
-        n_step: int = 1,
-        p_step: int = 1,
+        step: int = 1,
         engine: Optional[str] = None,
     ) -> None:
         self.config = config or baseline_config()
         self.cycles_per_point = cycles_per_point
         self.warmup_cycles = warmup_cycles
-        self.n_step = max(1, n_step)
-        self.p_step = max(1, p_step)
+        self.step = max(1, step)
         # Simulator-core selection; ``None`` defers to REPRO_ENGINE at build
         # time.  Both engines are bit-identical, so a profile never records
         # which one measured it.
@@ -103,11 +101,11 @@ class KernelProfiler:
 
     def _grid_points(self, max_warps: int) -> List[Tuple[int, int]]:
         points: List[Tuple[int, int]] = []
-        n_values = list(range(1, max_warps + 1, self.n_step))
+        n_values = list(range(1, max_warps + 1, self.step))
         if max_warps not in n_values:
             n_values.append(max_warps)
         for n in n_values:
-            p_values = [p for p in range(1, n + 1, self.p_step)]
+            p_values = [p for p in range(1, n + 1, self.step)]
             if n not in p_values:
                 p_values.append(n)
             for p in p_values:

@@ -17,14 +17,9 @@ from repro.runtime.cache import (
     sweep_stale_tmps,
 )
 from repro.runtime.executor import (
-    JOBS_ENV,
-    RETRIES_ENV,
-    TIMEOUT_ENV,
     JobReport,
     SweepExecutor,
     resolve_jobs,
-    resolve_retries,
-    resolve_timeout,
 )
 from repro.runtime.faults import (
     FAULTS_ENV,
@@ -40,15 +35,10 @@ __all__ = [
     "content_key",
     "reset_cache_stats",
     "sweep_stale_tmps",
-    "JOBS_ENV",
-    "TIMEOUT_ENV",
-    "RETRIES_ENV",
     "FAULTS_ENV",
     "JobReport",
     "SweepExecutor",
     "resolve_jobs",
-    "resolve_retries",
-    "resolve_timeout",
     "FaultInjectedError",
     "FaultSpec",
     "FaultSpecError",

@@ -382,8 +382,7 @@ def measure_matrix(
                 config=config,
                 cycles_per_point=2_000,
                 warmup_cycles=2_000,
-                n_step=6,
-                p_step=6,
+                step=6,
                 engine="fast",
             )
             with phase("profile"):

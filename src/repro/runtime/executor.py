@@ -13,15 +13,15 @@ cancelled and the workers killed.
 
 On top of the fan-out sits the fault-tolerance layer:
 
-* **per-job wall-clock timeouts** (``timeout=``/``REPRO_TIMEOUT``) — the
-  parent waits up to ``timeout`` on each job in turn, so time a job spends
-  queued behind others never counts against it; a job still running after
-  that wait is declared stalled, the pool restarted and the job retried;
-* **bounded retry with deterministic jittered backoff**
-  (``retries=``/``REPRO_RETRIES``; the backoff base is the fixed
-  :data:`BACKOFF_BASE`) — transient failures (``OSError``, timeouts,
-  worker death) are retried; exceptions raised by the job function itself
-  (anything else) propagate unchanged, after every earlier result;
+* **per-job wall-clock timeouts** (``timeout=``) — the parent waits up
+  to ``timeout`` on each job in turn, so time a job spends queued behind
+  others never counts against it; a job still running after that wait is
+  declared stalled, the pool restarted and the job retried;
+* **bounded retry with deterministic jittered backoff** (``retries=``;
+  the backoff base is the fixed :data:`BACKOFF_BASE`) — transient
+  failures (``OSError``, timeouts, worker death) are retried; exceptions
+  raised by the job function itself (anything else) propagate unchanged,
+  after every earlier result;
 * **partial-result salvage** — when the pool breaks (OOM-killed worker,
   sandbox reaping) every future that already completed keeps its result and
   only the missing jobs are recomputed;
@@ -31,15 +31,13 @@ On top of the fan-out sits the fault-tolerance layer:
   escalated, pool restarts) in ``last_report``, current as of the latest
   result, and from :meth:`SweepExecutor.map_with_report`.
 
-The worker count comes from ``jobs=`` or the ``REPRO_JOBS`` environment
-variable, the default of every ``--jobs`` flag, whose grammar the flags
-share (:func:`jobs_arg`):
+The worker count comes from ``jobs=``, whose ``--jobs`` spelling every
+command shares (:func:`jobs_arg`):
 
 * unset or ``1`` — serial execution in-process (the default; this is also
   what tests use for determinism-by-construction),
 * ``0`` or ``auto`` — one worker per CPU core,
-* any other positive integer — that many workers,
-* anything else — a one-time warning naming the bad value, then serial.
+* any other positive integer — that many workers.
 
 Only a command builds an executor, once: ``repro run`` and ``pretrain``
 run their plan on it, ``sweep run`` its models' plan and then its points.
@@ -55,7 +53,6 @@ import argparse
 import os
 import random
 import time
-import warnings
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -65,11 +62,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime import faults
-
-#: Environment variables controlling the fan-out and its failure policy.
-JOBS_ENV = "REPRO_JOBS"
-TIMEOUT_ENV = "REPRO_TIMEOUT"
-RETRIES_ENV = "REPRO_RETRIES"
 
 #: Default retry budget per job (attempts = retries + 1, then escalation).
 DEFAULT_RETRIES = 2
@@ -81,84 +73,28 @@ _BACKOFF_CAP = 2.0
 #: ``OSError`` subclass, so injected faults ride the same policy as real ones.
 RETRYABLE = (OSError,)
 
-#: The (variable, bad value) pairs already warned about in this process.
-_warned_env: Set[Tuple[str, str]] = set()
-
-
-def env_number(
-    env_var: str,
-    cast: Callable[[str], Any],
-    fallback: Any,
-    fallback_desc: str,
-) -> Any:
-    """Parse a numeric environment variable with warn-once fallback.
-
-    The single policy for every numeric ``REPRO_*`` runtime knob: an
-    unset/blank variable silently takes the fallback, while a value
-    ``cast`` rejects warns once — naming the bad value and what is used
-    instead — and then takes the fallback.  Never raises, never silently
-    swallows a typo.
-    """
-    raw = os.environ.get(env_var, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        if (env_var, raw) not in _warned_env:
-            _warned_env.add((env_var, raw))
-            warnings.warn(
-                f"{env_var}={raw!r} is not a valid value — falling back to "
-                f"{fallback_desc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return fallback
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """The worker count: ``jobs``, else ``REPRO_JOBS``, else 1.
-
-    0 means one worker per CPU core, as ``auto`` does in the environment.
-    """
+    """The worker count: ``jobs``, else 1; 0 means one worker per CPU core."""
     if jobs is None:
-        return env_number(JOBS_ENV, _parse_jobs, 1, "serial execution (1 job)")
+        return 1
     jobs = int(jobs)
     return max(1, jobs) if jobs else (os.cpu_count() or 1)
 
 
-def _parse_jobs(raw: str) -> int:
-    """A worker count from text: a non-negative integer or ``auto``."""
-    value = raw.strip().lower()
-    count = 0 if value == "auto" else int(value)
-    if count < 0:
-        raise ValueError(f"negative worker count {raw!r}")
-    return resolve_jobs(count)
-
-
 def jobs_arg(raw: str) -> int:
-    """The argparse ``type`` of every ``--jobs`` flag: ``REPRO_JOBS``'s grammar."""
+    """The argparse ``type`` of every ``--jobs`` flag: a non-negative
+    integer or ``auto``."""
+    value = raw.strip().lower()
     try:
-        return _parse_jobs(raw)
+        count = 0 if value == "auto" else int(value)
+        if count < 0:
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--jobs must be a non-negative integer or 'auto', got {raw!r}"
         ) from None
-
-
-def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-job wall-clock timeout in seconds; ``None``/``0`` disables."""
-    if timeout is None:
-        timeout = env_number(TIMEOUT_ENV, float, 0.0, "no per-job timeout")
-    timeout = float(timeout)
-    return timeout if timeout > 0 else None
-
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Retry budget per job (on top of the first attempt)."""
-    if retries is None:
-        retries = env_number(RETRIES_ENV, int, DEFAULT_RETRIES, f"{DEFAULT_RETRIES} retries")
-    return max(0, int(retries))
+    return resolve_jobs(count)
 
 
 def _job_with_cache_delta(fn: Callable, *args) -> Tuple[Any, Dict[str, int]]:
@@ -264,8 +200,10 @@ class SweepExecutor:
         retries: Optional[int] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.timeout = resolve_timeout(timeout)
-        self.retries = resolve_retries(retries)
+        # Per-job wall-clock timeout in seconds; ``None``/``0`` disables.
+        self.timeout = float(timeout) if timeout and timeout > 0 else None
+        # Retry budget per job, on top of the first attempt.
+        self.retries = DEFAULT_RETRIES if retries is None else max(0, int(retries))
         # The latest imap's accounting: attempts per job, the jobs a fault
         # was injected into, event counts, and the cache counters pool
         # workers shipped home.

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.cli.cache_cli import main as cache_main, parse_age
+from repro.cli.main import main as repro_main, parse_age
 
 OLD = time.time() - 30 * 86400  # a month ago
 FRESH = time.time()
@@ -29,7 +29,7 @@ def make_sweep(cache_dir, grid, label="fast", points=("p1",), sweep_json=True):
 
 
 def run_gc(cache_dir, *flags):
-    return cache_main(["gc", "--cache-dir", str(cache_dir), *flags])
+    return repro_main(["cache", "gc", "--cache-dir", str(cache_dir), *flags])
 
 
 # ---------------------------------------------------------------------------

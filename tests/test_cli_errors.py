@@ -16,7 +16,6 @@ import pytest
 
 from repro.cli.main import build_parser
 from repro.cli.main import main as repro_main
-from repro.cli.sweep import build_parser as build_sweep_parser
 from repro.gpu.engine import ENGINES
 
 
@@ -214,8 +213,8 @@ JOBS_COMMANDS = [
 @pytest.mark.parametrize("argv", JOBS_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
 @pytest.mark.parametrize("bad", ["-1", "lots"])
 def test_bad_jobs_value_is_the_same_usage_error_everywhere(sweep_cache, capsys, argv, bad):
-    """Every ``--jobs`` flag shares REPRO_JOBS's grammar and rejects a bad
-    value before anything runs."""
+    """Every ``--jobs`` flag shares one grammar and rejects a bad value
+    before anything runs."""
     with pytest.raises(SystemExit) as excinfo:
         repro_main([*argv, "--jobs", bad])
     assert excinfo.value.code == 2
@@ -229,4 +228,4 @@ def test_zero_and_auto_jobs_mean_one_worker_per_core(monkeypatch, value):
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
     assert build_parser().parse_args(["run", "fig04", "--jobs", value]).jobs == 6
     assert build_parser().parse_args(["run-all", "--jobs", value]).jobs == 6
-    assert build_sweep_parser().parse_args(["run", "smoke", "--jobs", value]).jobs == 6
+    assert build_parser().parse_args(["sweep", "run", "smoke", "--jobs", value]).jobs == 6

@@ -78,4 +78,3 @@ class TestGPUConfig:
     def test_sm_config_defaults(self):
         sm = SMConfig()
         assert sm.max_warps == 24
-        assert sm.issue_width == 1

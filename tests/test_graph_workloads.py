@@ -463,8 +463,7 @@ READS = {
     "gpu": {"profile", "run", "graph-run", "model", "pbest", "features", "hit-breakdown"},
     "profile_cycles": {"profile", "run", "model", "pbest", "hit-breakdown"},
     "profile_warmup": {"profile", "run", "model", "hit-breakdown"},
-    "profile_n_step": {"profile", "run", "model"},
-    "profile_p_step": {"profile", "run", "model"},
+    "profile_step": {"profile", "run", "model"},
     "run_max_cycles": {"run", "graph-run"},
     "poise_params": {"run", "model"},
     "training_kernels_per_benchmark": {"model"},

@@ -131,7 +131,7 @@ class TestTrainingReadsTheResultCache:
     def test_pooled_pretrain_stores_the_serial_models_bytes(
         self, fresh_fast_config, monkeypatch, no_children_left
     ):
-        from repro.cli.pretrain import main as pretrain
+        from repro.cli.main import main
 
         def models(cache_dir):
             return {path.name: path.read_bytes() for path in cache_dir.glob("model-*.json")}
@@ -141,7 +141,7 @@ class TestTrainingReadsTheResultCache:
         pooled_dir = fresh_fast_config.cache_dir / "pooled"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(pooled_dir))
         clear_caches()
-        assert pretrain(["--fast", "--jobs", "2"]) == 0
+        assert main(["pretrain", "--fast", "--jobs", "2"]) == 0
         assert len(serial) == 1
         assert models(pooled_dir) == serial
         assert no_children_left()

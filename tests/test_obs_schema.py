@@ -50,7 +50,6 @@ def make_v2_entry() -> dict:
         "timestamp": "2026-08-08T00:00:00+00:00",
         "version": "0.5.0",
         "bench_schema": BENCH_SCHEMA_VERSION,
-        "jobs_env": 1,
         "environment": {"python_version": "3.11.0", "cpu_count": 4},
         "telemetry": {
             "cache": {"hits": 0, "misses": 0, "corrupt": 0, "stores": 0,

@@ -85,7 +85,7 @@ class TestKernelProfiler:
 
     def test_grid_respects_steps_and_includes_baseline(self, baseline_gpu_config, small_spec):
         profiler = KernelProfiler(
-            baseline_gpu_config, cycles_per_point=800, warmup_cycles=400, n_step=3, p_step=3
+            baseline_gpu_config, cycles_per_point=800, warmup_cycles=400, step=3
         )
         profile = profiler.profile(small_spec)
         assert (small_spec.num_warps, small_spec.num_warps) in profile.ipc
@@ -95,7 +95,7 @@ class TestKernelProfiler:
     def test_profile_is_deterministic(self, baseline_gpu_config, small_spec):
         def run():
             profiler = KernelProfiler(
-                baseline_gpu_config, cycles_per_point=600, warmup_cycles=200, n_step=3, p_step=3
+                baseline_gpu_config, cycles_per_point=600, warmup_cycles=200, step=3
             )
             return profiler.profile(small_spec).ipc
 
@@ -110,7 +110,7 @@ class TestKernelProfiler:
     def test_max_warps_capped_by_kernel(self, baseline_gpu_config):
         spec = KernelSpec(name="tiny", num_warps=4, instructions_per_warp=800)
         profiler = KernelProfiler(
-            baseline_gpu_config, cycles_per_point=400, warmup_cycles=100, n_step=2, p_step=2
+            baseline_gpu_config, cycles_per_point=400, warmup_cycles=100, step=2
         )
         profile = profiler.profile(spec)
         assert profile.max_warps == 4

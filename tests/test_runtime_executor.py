@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,45 +97,19 @@ def _slow_marked_square(marker_dir, x):
 
 
 class TestSweepExecutor:
-    def test_resolve_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert resolve_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "auto")
-        assert resolve_jobs() >= 1
-        assert resolve_jobs(jobs=5) == 5
-
-    def test_resolve_jobs_warns_once_on_invalid_value(self, monkeypatch):
-        from repro.runtime import executor as executor_module
-
-        monkeypatch.setattr(executor_module, "_warned_env", set())
-        monkeypatch.setenv("REPRO_JOBS", "max")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOBS='max'.*serial"):
-            assert resolve_jobs() == 1
-        # The warning names the bad value exactly once per process.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_jobs() == 1
-
     def test_zero_jobs_means_one_per_core(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert resolve_jobs(0) == 6
         assert SweepExecutor(jobs=0).jobs == 6
         assert jobs_arg("0") == jobs_arg("auto") == jobs_arg(" AUTO ") == 6
         assert jobs_arg("3") == 3
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert resolve_jobs() == 6
-        monkeypatch.setenv("REPRO_JOBS", "auto")
-        assert SweepExecutor().jobs == 6
 
-    def test_negative_jobs_in_the_environment_warn_and_run_serially(self, monkeypatch):
-        from repro.runtime import executor as executor_module
-
-        monkeypatch.setattr(executor_module, "_warned_env", set())
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOBS='-2'.*serial"):
-            assert resolve_jobs() == 1
+    def test_default_executor_is_serial_with_two_retries_and_no_timeout(self):
+        executor = SweepExecutor()
+        assert (executor.jobs, executor.timeout, executor.retries) == (1, None, 2)
+        # A non-positive timeout means "no timeout"; negative retries clamp to zero.
+        clamped = SweepExecutor(timeout=0, retries=-3)
+        assert (clamped.timeout, clamped.retries) == (None, 0)
 
     @pytest.mark.parametrize("raw", ["-1", "lots", "", "2.5"])
     def test_jobs_arg_rejects_what_the_environment_rejects(self, raw):
@@ -426,8 +399,7 @@ class TestSerialization:
             baseline_config(max_cycles=30_000),
             cycles_per_point=1_000,
             warmup_cycles=500,
-            n_step=4,
-            p_step=4,
+            step=4,
         )
         profile = profiler.profile(sweep_spec)
         restored = profile_from_dict(json.loads(json.dumps(profile_to_dict(profile))))
@@ -477,55 +449,6 @@ def _touch_disk_cache(cache_dir, index):
     cache.store(payload, {"value": index})  # store
     assert cache.load(payload) == {"value": index}  # hit
     return index
-
-
-class TestEnvNumber:
-    """The shared warn-once environment-number parser (env_number)."""
-
-    def test_absent_and_blank_fall_back(self, monkeypatch):
-        from repro.runtime.executor import env_number
-
-        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_number("REPRO_TEST_KNOB", float, 1.5, "default") == 1.5
-        monkeypatch.setenv("REPRO_TEST_KNOB", "   ")
-        assert env_number("REPRO_TEST_KNOB", float, 1.5, "default") == 1.5
-
-    def test_valid_value_is_cast(self, monkeypatch):
-        from repro.runtime.executor import env_number
-
-        monkeypatch.setenv("REPRO_TEST_KNOB", "7")
-        assert env_number("REPRO_TEST_KNOB", int, 0, "default") == 7
-
-    def test_invalid_value_warns_once_and_falls_back(self, monkeypatch):
-        from repro.runtime import executor as executor_module
-        from repro.runtime.executor import env_number
-
-        monkeypatch.setattr(executor_module, "_warned_env", set())
-        monkeypatch.setenv("REPRO_TEST_KNOB", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB='lots'"):
-            assert env_number("REPRO_TEST_KNOB", int, 3, "the default of 3") == 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert env_number("REPRO_TEST_KNOB", int, 3, "the default of 3") == 3
-
-    def test_timeout_and_retries_share_the_parser(self, monkeypatch):
-        from repro.runtime import executor as executor_module
-        from repro.runtime.executor import resolve_retries, resolve_timeout
-
-        monkeypatch.setattr(executor_module, "_warned_env", set())
-        monkeypatch.setenv("REPRO_TIMEOUT", "forever")
-        monkeypatch.setenv("REPRO_RETRIES", "many")
-        with pytest.warns(RuntimeWarning) as caught:
-            assert resolve_timeout() is None
-            assert resolve_retries() == 2
-        names = {str(warning.message).split("=")[0] for warning in caught}
-        assert names == {"REPRO_TIMEOUT", "REPRO_RETRIES"}
-        # Semantics preserved: non-positive timeout means "no timeout",
-        # negative retries clamp to zero.
-        monkeypatch.setenv("REPRO_TIMEOUT", "0")
-        assert resolve_timeout() is None
-        monkeypatch.setenv("REPRO_RETRIES", "-3")
-        assert resolve_retries() == 0
 
 
 class TestWorkerCacheTelemetry:
@@ -586,7 +509,7 @@ class TestOneFanOutPerCommand:
         self, tmp_path, monkeypatch
     ):
         import repro.runtime.executor as executor_module
-        from repro.cli.sweep import main
+        from repro.cli.main import main
 
         monkeypatch.setenv("REPRO_JOBS", "4")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -599,7 +522,7 @@ class TestOneFanOutPerCommand:
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
         clear_caches()
         overrides = ["num_sms=none", "scheme=ccws", "benchmark=gather"]
-        argv = ["run", "smoke", "--fast", "--jobs", "1", "--cache-dir", str(tmp_path)]
+        argv = ["sweep", "run", "smoke", "--fast", "--jobs", "1", "--cache-dir", str(tmp_path)]
         for override in overrides:
             argv += ["--set", override]
         assert main(argv) == 0

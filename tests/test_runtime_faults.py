@@ -231,8 +231,7 @@ class TestExecutorUnderFaults:
 
     def test_an_escalated_job_starts_no_pool(self, tmp_path, monkeypatch):
         """A planned run escalated into the parent runs there as it would in
-        a worker: the plan's one pool is the only one, even under an
-        ambient REPRO_JOBS."""
+        a worker: the plan's one pool is the only one."""
         import repro.runtime.executor as executor_module
         from repro.experiments.common import clear_caches, run_entry, run_plan
         from repro.workloads.spec import KernelSpec
@@ -245,7 +244,6 @@ class TestExecutorUnderFaults:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordedPool)
-        monkeypatch.setenv("REPRO_JOBS", "2")
         monkeypatch.setenv("REPRO_FAULTS", "seed=0,executor:oserror:1:all")
         specs = [
             KernelSpec(name=f"escalated{seed}", num_warps=8, instructions_per_warp=300, seed=seed)
@@ -255,7 +253,7 @@ class TestExecutorUnderFaults:
         plan = [run_entry(scheme, spec, config) for spec in specs for scheme in ("gto", "ccws")]
         clear_caches()
         try:
-            report = run_plan(plan, SweepExecutor(retries=0))
+            report = run_plan(plan, SweepExecutor(jobs=2, retries=0))
             assert all(entry.read().cycles > 0 for entry in plan)
         finally:
             clear_caches()
@@ -398,7 +396,6 @@ def test_chaos_sweep_is_byte_identical_to_fault_free_run(tmp_path, monkeypatch):
     counts them on a serial run."""
     from repro.experiments.common import clear_caches
 
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     grid = get_grid("smoke")
 
     clear_caches()
@@ -448,7 +445,6 @@ def test_cache_store_faults_fire_on_a_cached_grid(tmp_path, monkeypatch):
     from repro.experiments.common import clear_caches
     from repro.scenarios.grid import ScenarioGrid
 
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     grid = ScenarioGrid("cached", {"scheme": ["gto", "ccws"], "benchmark": ["gather", "mvt"]})
 
     # Each run starts with empty in-process caches, so it computes and

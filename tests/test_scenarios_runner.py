@@ -334,8 +334,7 @@ def test_real_shard_union_matches_full_run(tmp_path):
     assert artifact_bytes(sharded) == union
 
 
-def test_real_parallel_jobs_match_serial_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
+def test_real_parallel_jobs_match_serial_bytes(tmp_path):
     grid = get_grid("smoke")
     serial = SweepRunner(grid, tiny_config(tmp_path / "serial"), cache_dir=tmp_path / "serial")
     serial.run()
@@ -347,12 +346,11 @@ def test_real_parallel_jobs_match_serial_bytes(tmp_path, monkeypatch):
 
 
 def test_real_pooled_stop_checkpoints_and_resume_is_byte_identical(
-    tmp_path, monkeypatch, no_children_left
+    tmp_path, no_children_left
 ):
     """A stop request under ``jobs=2`` starts no further point: the run
     reports ``interrupted``, every artifact it wrote is whole and equal to
     a clean run's, and a ``resume`` run finishes the grid byte-identically."""
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     grid = ScenarioGrid("stop", {"benchmark": ["mvt", "bfs"], "scheme": ["gto", "ccws"]})
     clean = SweepRunner(grid, tiny_config(tmp_path / "clean"), cache_dir=tmp_path / "clean")
     clean.run()
@@ -414,7 +412,6 @@ def test_point_metrics_are_engine_invariant(scheme, tmp_path, monkeypatch):
     from engine_conformance import fresh_runs_on
     from repro.gpu.engine import ENGINES
 
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
     point = ScenarioPoint(scheme=scheme, benchmark="mvt")
     metrics = {}
     for engine in ENGINES:
@@ -422,8 +419,7 @@ def test_point_metrics_are_engine_invariant(scheme, tmp_path, monkeypatch):
             tiny_config(tmp_path / engine),
             profile_cycles=2_000,
             profile_warmup=2_000,
-            profile_n_step=12,
-            profile_p_step=12,
+            profile_step=12,
             run_max_cycles=10_000,
         )
         # The GTO baseline and the scheme's own run.

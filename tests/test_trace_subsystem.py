@@ -357,7 +357,7 @@ class TestTraceCLI:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out_dir = tmp_path / "traces"
         status, output = self._main(
-            ["trace", "gen", "--out", str(out_dir), "--family", "gather"], capsys
+            ["trace", "capture", "gather", "--out", str(out_dir)], capsys
         )
         assert status == 0
         trace_file = out_dir / "gather_k0.trc"
@@ -367,6 +367,7 @@ class TestTraceCLI:
         status, output = self._main(["trace", "info", str(trace_file)], capsys)
         assert status == 0
         assert "content hash" in output
+        assert "source:       capture (gather)" in output  # the header names the family
 
         status, output = self._main(
             ["trace", "replay", str(trace_file), "--schemes", "gto", "--fast"], capsys
